@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dp import DPParams, sample_dp_prior, sample_stick_breaking, stopping_rule_N
+from .dp import (DEFAULT_MAX_TERMS, DPParams, sample_dp_prior, sample_stick_breaking,
+                 stopping_rule_N)
 from .discrepancy import mmd2_empirical
 from .errors import InvalidParameterError
 from .gan import GeneratorNet, TrainConfig, generator_forward, mmds_score, train
@@ -120,7 +121,7 @@ def rb_config_from_args(args, kernel) -> RBConfig:
         grid_cells=args.M,
         anchor_cell=args.i0,
         kernel=kernel,
-        truncation_epsilon=None if explicit else args.eps,
+        truncation_epsilon=args.eps if explicit is None else None,
         explicit_terms=explicit,
         model_size=getattr(args, "m", None),
         resample_model_per_rep=getattr(args, "resample_model", False),
@@ -240,10 +241,10 @@ def cmd_dp_sample(args, argv) -> int:
         measure = sample_stick_breaking(args.a, base, args.n_terms, rng)
         n_terms = args.n_terms
     else:
-        params = DPParams(args.a, base,
-                          truncation_epsilon=None if args.n_terms else args.eps,
-                          explicit_terms=args.n_terms)
-        n_terms = args.n_terms or stopping_rule_N(params, rng).n_terms
+        params = DPParams(args.a, base)
+        n_terms = args.n_terms
+        if n_terms is None:
+            n_terms = stopping_rule_N(args.a, args.eps, DEFAULT_MAX_TERMS, rng).n_terms
         measure = sample_dp_prior(params, n_terms, rng)
     rows = np.column_stack([measure.weights, measure.atoms])
     write_matrix(args.out, rows)

@@ -19,36 +19,20 @@ BaseSampler = Callable[[int, np.random.Generator], np.ndarray]
 
 SIMPLEX_TOL = 1e-12
 _MAX_RETRIES = 100
+# Cap on the random truncation level of the relative-belief test and of dp-sample.
+DEFAULT_MAX_TERMS = 10000
 
 
 @dataclass(frozen=True)
 class DPParams:
-    """Concentration, base sampler, and truncation policy for one process.
-
-    Exactly one of ``truncation_epsilon`` (random rule) and
-    ``explicit_terms`` (fixed count) must be set.  ``max_terms`` caps the
-    random rule; hitting the cap is reported, not raised.
-    """
+    """Concentration and base sampler of one process."""
 
     concentration: float
     base_sampler: BaseSampler
-    truncation_epsilon: float | None = None
-    explicit_terms: int | None = None
-    max_terms: int = 10000
 
     def __post_init__(self):
         if self.concentration < 0:
             raise InvalidParameterError("concentration must be non-negative")
-        has_eps = self.truncation_epsilon is not None
-        has_n = self.explicit_terms is not None
-        if has_eps == has_n:
-            raise InvalidParameterError("set exactly one of truncation_epsilon and explicit_terms")
-        if has_eps and not 0.0 < self.truncation_epsilon < 1.0:
-            raise InvalidParameterError("truncation_epsilon must lie in (0, 1)")
-        if has_n and self.explicit_terms < 1:
-            raise InvalidParameterError("explicit_terms must be >= 1")
-        if self.max_terms < 1:
-            raise InvalidParameterError("max_terms must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -124,25 +108,26 @@ class StoppingRuleResult(NamedTuple):
     clamped: bool
 
 
-def stopping_rule_N(params: DPParams, rng: np.random.Generator) -> StoppingRuleResult:
+def stopping_rule_N(concentration: float, eps: float, max_terms: int,
+                    rng: np.random.Generator) -> StoppingRuleResult:
     """Random truncation level: first j where the last of j fresh Gamma(a/j)
-    draws carries less than epsilon of their total mass.
+    draws carries less than ``eps`` of their total mass.
 
     The whole Gamma vector is redrawn at every j (the ratio at j = 1 is
     identically one, so the result is always >= 2).  If the loop reaches
     ``max_terms`` the cap is returned with ``clamped=True``.
     """
-    a = params.concentration
-    eps = params.truncation_epsilon
-    if a <= 0:
+    if concentration <= 0:
         raise InvalidParameterError("stopping rule undefined for zero concentration")
-    if eps is None:
-        raise InvalidParameterError("stopping rule needs truncation_epsilon")
-    for j in range(1, params.max_terms + 1):
-        h = _gamma_positive_sum(a / j, j, rng)
+    if not 0.0 < eps < 1.0:
+        raise InvalidParameterError("truncation_epsilon must lie in (0, 1)")
+    if max_terms < 1:
+        raise InvalidParameterError("max_terms must be >= 1")
+    for j in range(1, max_terms + 1):
+        h = _gamma_positive_sum(concentration / j, j, rng)
         if h[-1] / h.sum() < eps:
             return StoppingRuleResult(j, False)
-    return StoppingRuleResult(params.max_terms, True)
+    return StoppingRuleResult(max_terms, True)
 
 
 def _gamma_positive_sum(shape: float, size: int, rng: np.random.Generator) -> np.ndarray:

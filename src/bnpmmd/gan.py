@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discrepancy import grad_mmd2_atoms, mmd2_empirical, mmd2_weighted
-from .dp import (DiscreteMeasure, DPParams, PosteriorParams,
-                 sample_dp_posterior, stopping_rule_N)
+from .dp import DiscreteMeasure, PosteriorParams, sample_dp_posterior, stopping_rule_N
 from .errors import InvalidInputError, InvalidParameterError
 from .kernels import KernelSpec, gaussian_mixture, resolve_median
 
@@ -168,17 +167,11 @@ class TrainHistory:
 def _draw_iteration_randomness(X_mb: np.ndarray, cfg: TrainConfig,
                                rng: np.random.Generator) -> tuple[DiscreteMeasure, int]:
     """Truncation level and bootstrap measure for one step."""
-    n_mb = X_mb.shape[0]
-    rule = DPParams(cfg.concentration + n_mb, _no_base,
-                    truncation_epsilon=cfg.truncation_epsilon, max_terms=cfg.max_terms)
-    n_terms = stopping_rule_N(rule, rng).n_terms
+    n_terms = stopping_rule_N(cfg.concentration + X_mb.shape[0], cfg.truncation_epsilon,
+                              cfg.max_terms, rng).n_terms
     post = PosteriorParams.from_prior(cfg.concentration, X_mb, cfg.base_sampler)
     measure = sample_dp_posterior(post, n_terms, rng)
     return measure, n_terms
-
-
-def _no_base(size: int, rng: np.random.Generator) -> np.ndarray:
-    raise InvalidParameterError("truncation draws never sample atoms")
 
 
 def _loss_and_param_grads(net: GeneratorNet, measure: DiscreteMeasure, U: np.ndarray,
@@ -219,9 +212,9 @@ def train(net: GeneratorNet, dataset: np.ndarray, cfg: TrainConfig,
     """Adam-driven minimization of the square-root weighted-MMD objective.
 
     Each iteration: sample a minibatch, draw the bootstrap measure and a
-    noise batch, backpropagate, update.  Aborts with ``diverged=True`` after
-    ``divergence_patience`` consecutive iterations above
-    ``divergence_factor`` times the initial loss.
+    noise batch, backpropagate, update.  Aborts with ``diverged=True`` at
+    the first non-finite loss, or after ``divergence_patience`` consecutive
+    iterations above ``divergence_factor`` times the initial loss.
     """
     dataset = np.atleast_2d(np.asarray(dataset, dtype=float))
     n = dataset.shape[0]
@@ -272,15 +265,18 @@ def train(net: GeneratorNet, dataset: np.ndarray, cfg: TrainConfig,
 
         if initial_loss is None:
             initial_loss = loss
+        # NaN never compares above the budget, so a non-finite loss stops the run itself
+        diverged = not np.isfinite(loss)
         if loss > cfg.divergence_factor * initial_loss:
             over_budget += 1
-            if over_budget >= cfg.divergence_patience:
-                history.diverged = True
-                history.loss = losses[: it + 1]
-                history.grad_norm = grad_norms[: it + 1]
-                break
+            diverged |= over_budget >= cfg.divergence_patience
         else:
             over_budget = 0
+        if diverged:
+            history.diverged = True
+            history.loss = losses[: it + 1]
+            history.grad_norm = grad_norms[: it + 1]
+            break
     return net, history
 
 

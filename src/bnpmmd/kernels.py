@@ -6,7 +6,7 @@ Every kernel here has the form k(x, y) = h(||x - y|| / sigma) with h mapping
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -17,10 +17,53 @@ GAUSSIAN = "gaussian"
 EXPONENTIAL = "exponential"
 RATIONAL_QUADRATIC = "rational-quadratic"
 MATERN = "matern"
-FAMILIES = (GAUSSIAN, EXPONENTIAL, RATIONAL_QUADRATIC, MATERN)
 
-DEFAULT_RQ_ALPHA = 1.0
-DEFAULT_MATERN_NU = 1.5
+
+def _exponential_g(u, r, sigma, shape):
+    # the kink at r = 0 gets coefficient 0 (the symmetric point is stationary)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.exp(-u) / (sigma * r)
+    return np.where(r > 0, g, 0.0)
+
+
+# Matern is implemented only at nu = 3/2: h(u) = (1 + cu) exp(-cu), c = sqrt(2 nu)
+_MATERN_C = np.sqrt(2.0 * 1.5)
+
+
+class _Family(NamedTuple):
+    """Radial profile of one kernel family.
+
+    ``h(u, shape)`` is the kernel value at scaled distance u = r / sigma and
+    ``g(u, r, sigma, shape)`` the gradient coefficient, d k(v, y) / d y =
+    g * (v - y).  A ``fixed_shape`` family implements only its default shape.
+    """
+
+    default_shape: float | None
+    h: Callable[..., np.ndarray]
+    g: Callable[..., np.ndarray]
+    fixed_shape: bool = False
+
+
+_FAMILY_TABLE = {
+    GAUSSIAN: _Family(
+        None,
+        lambda u, shape: np.exp(-0.5 * u * u),
+        lambda u, r, sigma, shape: np.exp(-0.5 * u * u) / sigma**2),
+    EXPONENTIAL: _Family(
+        None,
+        lambda u, shape: np.exp(-u),
+        _exponential_g),
+    RATIONAL_QUADRATIC: _Family(
+        1.0,
+        lambda u, alpha: (1.0 + u * u / (2.0 * alpha)) ** (-alpha),
+        lambda u, r, sigma, alpha: (1.0 + u * u / (2.0 * alpha)) ** (-alpha - 1.0) / sigma**2),
+    MATERN: _Family(
+        1.5,
+        lambda u, nu: (1.0 + _MATERN_C * u) * np.exp(-_MATERN_C * u),
+        lambda u, r, sigma, nu: (_MATERN_C / sigma) ** 2 * np.exp(-_MATERN_C * u),
+        fixed_shape=True),
+}
+FAMILIES = tuple(_FAMILY_TABLE)
 
 # Standard bandwidth ladder for mixture kernels in generator training.
 MIXTURE_BANDWIDTHS = (2.0, 5.0, 10.0, 20.0, 40.0, 80.0)
@@ -41,12 +84,16 @@ class KernelComponent:
     shape: float | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        family = _FAMILY_TABLE.get(self.family)
+        if family is None:
             raise InvalidParameterError(f"unknown kernel family {self.family!r}")
         if self.bandwidth is not None and not self.bandwidth > 0:
             raise InvalidParameterError("kernel bandwidth must be positive")
         if self.shape is not None and not self.shape > 0:
             raise InvalidParameterError("kernel shape parameter must be positive")
+        if family.fixed_shape and self.shape not in (None, family.default_shape):
+            raise InvalidParameterError(f"{self.family} kernel implements only shape "
+                                        f"{family.default_shape:g}")
 
 
 @dataclass(frozen=True)
@@ -76,49 +123,14 @@ def gaussian_mixture(bandwidths=MIXTURE_BANDWIDTHS) -> KernelSpec:
     return KernelSpec(tuple(KernelComponent(GAUSSIAN, float(b)) for b in bandwidths))
 
 
-def _component_values(comp: KernelComponent, dist: np.ndarray) -> np.ndarray:
-    """Apply h to scaled distances u = dist / sigma."""
+def _component(comp: KernelComponent, dist: np.ndarray, grad: bool) -> np.ndarray:
+    """One component's kernel values, or its gradient coefficients, at ``dist``."""
     if comp.bandwidth is None:
         raise UnsupportedKernelError("median bandwidth not resolved; call resolve_median first")
+    family = _FAMILY_TABLE[comp.family]
+    shape = family.default_shape if comp.shape is None else comp.shape
     u = dist / comp.bandwidth
-    if comp.family == GAUSSIAN:
-        return np.exp(-0.5 * u * u)
-    if comp.family == EXPONENTIAL:
-        return np.exp(-u)
-    if comp.family == RATIONAL_QUADRATIC:
-        alpha = comp.shape if comp.shape is not None else DEFAULT_RQ_ALPHA
-        return (1.0 + u * u / (2.0 * alpha)) ** (-alpha)
-    if comp.family == MATERN:
-        nu = comp.shape if comp.shape is not None else DEFAULT_MATERN_NU
-        c = np.sqrt(2.0 * nu)
-        return (1.0 + c * u) * np.exp(-c * u)
-    raise UnsupportedKernelError(f"unknown kernel family {comp.family!r}")
-
-
-def _component_grad_coeff(comp: KernelComponent, dist: np.ndarray) -> np.ndarray:
-    """g(r) such that d k(v, y) / d y = g(||v - y||) * (v - y).
-
-    The exponential family has a kink at r = 0; the coefficient is set to 0
-    there (the symmetric point is stationary).
-    """
-    if comp.bandwidth is None:
-        raise UnsupportedKernelError("median bandwidth not resolved; call resolve_median first")
-    sigma = comp.bandwidth
-    u = dist / sigma
-    if comp.family == GAUSSIAN:
-        return np.exp(-0.5 * u * u) / sigma**2
-    if comp.family == EXPONENTIAL:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.exp(-u) / (sigma * dist)
-        return np.where(dist > 0, g, 0.0)
-    if comp.family == RATIONAL_QUADRATIC:
-        alpha = comp.shape if comp.shape is not None else DEFAULT_RQ_ALPHA
-        return (1.0 + u * u / (2.0 * alpha)) ** (-alpha - 1.0) / sigma**2
-    if comp.family == MATERN:
-        nu = comp.shape if comp.shape is not None else DEFAULT_MATERN_NU
-        c = np.sqrt(2.0 * nu)
-        return (c / sigma) ** 2 * np.exp(-c * u)
-    raise UnsupportedKernelError(f"unknown kernel family {comp.family!r}")
+    return family.g(u, dist, comp.bandwidth, shape) if grad else family.h(u, shape)
 
 
 def gram(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -130,7 +142,7 @@ def gram(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     dist = cdist(X, Y)
     out = np.zeros_like(dist)
     for comp in spec.components:
-        out += _component_values(comp, dist)
+        out += _component(comp, dist, grad=False)
     return out
 
 
@@ -138,7 +150,7 @@ def gram_grad_coeff(spec: KernelSpec, dist: np.ndarray) -> np.ndarray:
     """Matrix of gradient coefficients g(r), summed over components."""
     out = np.zeros_like(dist)
     for comp in spec.components:
-        out += _component_grad_coeff(comp, dist)
+        out += _component(comp, dist, grad=True)
     return out
 
 
@@ -196,6 +208,7 @@ def parse_kernel(text: str) -> KernelSpec:
         gaussian:80              single component, sigma 80
         gaussian:median          sigma from the median heuristic at run time
         matern:5:1.5             optional shape parameter after the bandwidth
+                                 (Matern implements only nu = 1.5)
         mix:gaussian:2,5,10,20,40,80   mixture over a bandwidth list
     """
     parts = text.strip().split(":")

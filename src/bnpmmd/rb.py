@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import discrepancy
-from .dp import (BaseSampler, DPParams, PosteriorParams, StoppingRuleResult,
-                 sample_dp_posterior, sample_dp_prior, stopping_rule_N)
+from .dp import (DEFAULT_MAX_TERMS, BaseSampler, DPParams, PosteriorParams,
+                 StoppingRuleResult, sample_dp_posterior, sample_dp_prior, stopping_rule_N)
 from .errors import DegeneratePriorError, InvalidInputError, InvalidParameterError
 from .kernels import KernelSpec, gaussian_kernel, resolve_median
 
@@ -40,7 +40,7 @@ class RBConfig:
     kernel: KernelSpec = field(default_factory=gaussian_kernel)
     truncation_epsilon: float | None = 1e-3
     explicit_terms: int | None = None
-    max_terms: int = 10000
+    max_terms: int = DEFAULT_MAX_TERMS
     model_size: int | None = None
     resample_model_per_rep: bool = False
 
@@ -53,6 +53,8 @@ class RBConfig:
             raise InvalidParameterError("mc_reps must be at least grid_cells")
         if (self.truncation_epsilon is None) == (self.explicit_terms is None):
             raise InvalidParameterError("set exactly one of truncation_epsilon and explicit_terms")
+        if self.explicit_terms is not None and self.explicit_terms < 1:
+            raise InvalidParameterError("explicit_terms (a fixed n_terms) must be >= 1")
 
     @property
     def rb_cap(self) -> float:
@@ -88,7 +90,7 @@ def empirical_quantile(samples: np.ndarray, p: float) -> float:
     if not 0.0 < p <= 1.0:
         raise InvalidInputError("p must lie in (0, 1]")
     k = math.ceil(p * samples.size)
-    return float(np.sort(samples)[k - 1])
+    return float(np.partition(samples, k - 1)[k - 1])
 
 
 def estimate_rb_strength(prior_samples: np.ndarray, posterior_samples: np.ndarray,
@@ -118,36 +120,19 @@ def estimate_rb_strength(prior_samples: np.ndarray, posterior_samples: np.ndarra
         raise DegeneratePriorError("constant prior Monte Carlo sample",
                                    prior_samples=prior, posterior_samples=post)
 
-    prior_sorted = np.sort(prior)
-    post_sorted = np.sort(post)
-    ell = prior_sorted.size
+    # both ECDFs at the prior quantiles i/M; entry 0 stands for the open
+    # lower end of the first cell, which carries no mass
+    quantiles = [empirical_quantile(prior, i / grid_cells) for i in range(1, grid_cells + 1)]
+    prior_cdf = [0.0] + [ecdf_eval(prior, q) for q in quantiles]
+    post_cdf = [0.0] + [ecdf_eval(post, q) for q in quantiles]
 
-    def prior_cdf(x: float) -> float:
-        return np.searchsorted(prior_sorted, x, side="right") / ell
-
-    def post_cdf(x: float) -> float:
-        return np.searchsorted(post_sorted, x, side="right") / post_sorted.size
-
-    def prior_quantile(i: int) -> float:
-        # grid point i/M; i = 0 is the open lower end of the first cell
-        if i == 0:
-            return -np.inf
-        k = math.ceil(i / grid_cells * ell)
-        return prior_sorted[k - 1]
-
-    anchor = prior_quantile(anchor_cell)
-    denom = prior_cdf(anchor)
-    rb = post_cdf(anchor) / denom
-    cap = grid_cells / anchor_cell
-    rb = min(rb, cap)
-
+    rb = min(post_cdf[anchor_cell] / prior_cdf[anchor_cell], grid_cells / anchor_cell)
     strength = 0.0
     for i in range(grid_cells):
-        lo, hi = prior_quantile(i), prior_quantile(i + 1)
-        prior_mass = prior_cdf(hi) - (prior_cdf(lo) if i > 0 else 0.0)
+        prior_mass = prior_cdf[i + 1] - prior_cdf[i]
         if prior_mass <= 0.0:
             continue
-        post_mass = post_cdf(hi) - (post_cdf(lo) if i > 0 else 0.0)
+        post_mass = post_cdf[i + 1] - post_cdf[i]
         if post_mass / prior_mass <= rb:
             strength += post_mass
     return float(rb), float(strength)
@@ -161,11 +146,25 @@ def _decide(rb: float) -> str:
     return INCONCLUSIVE
 
 
-def _draw_model(model, m: int, rng: np.random.Generator) -> np.ndarray:
+def _draw_model(model: BaseSampler, m: int, rng: np.random.Generator) -> np.ndarray:
     out = np.atleast_2d(np.asarray(model(m, rng), dtype=float))
     if out.shape[0] != m:
         raise InvalidInputError("model sampler returned the wrong number of rows")
     return out
+
+
+def _model_sample(model, cfg: RBConfig, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The model sample to compare against: ``model`` itself when it is a
+    fixed sample, else ``cfg.model_size`` (default n) rows drawn from it."""
+    if not callable(model):
+        fixed = np.atleast_2d(np.asarray(model, dtype=float))
+        if fixed.shape[0] == 0:
+            raise InvalidInputError("model sample must be non-empty")
+        return fixed
+    m = cfg.model_size if cfg.model_size is not None else n
+    if m < 1:
+        raise InvalidInputError("model sample size must be positive")
+    return _draw_model(model, m, rng)
 
 
 def simulate_mmd_samples(data: np.ndarray, model, cfg: RBConfig, which: str,
@@ -187,20 +186,11 @@ def simulate_mmd_samples(data: np.ndarray, model, cfg: RBConfig, which: str,
     if which not in ("prior", "posterior"):
         raise InvalidParameterError(f"which must be 'prior' or 'posterior', got {which!r}")
     data = np.atleast_2d(np.asarray(data, dtype=float))
-    n, d = data.shape
 
     model_sampler = model if callable(model) else None
     if base_sampler is None:
         base_sampler = model_sampler
-    if model_sampler is None:
-        fixed_model = np.atleast_2d(np.asarray(model, dtype=float))
-        if fixed_model.shape[0] == 0:
-            raise InvalidInputError("model sample must be non-empty")
-    else:
-        m = cfg.model_size if cfg.model_size is not None else n
-        if m == 0:
-            raise InvalidInputError("model sample size must be positive")
-        fixed_model = _draw_model(model_sampler, m, rng)
+    fixed_model = _model_sample(model, cfg, data.shape[0], rng)
     if cfg.resample_model_per_rep and model_sampler is None:
         raise InvalidParameterError("per-replication model resampling needs a sampler, not a fixed sample")
 
@@ -210,8 +200,7 @@ def simulate_mmd_samples(data: np.ndarray, model, cfg: RBConfig, which: str,
     if which == "prior":
         if base_sampler is None:
             raise InvalidParameterError("prior simulation needs a base sampler")
-        params = DPParams(cfg.concentration, base_sampler,
-                          explicit_terms=n_terms, max_terms=cfg.max_terms)
+        params = DPParams(cfg.concentration, base_sampler)
         draw = lambda r: sample_dp_prior(params, n_terms, r)
     else:
         post = PosteriorParams.from_prior(cfg.concentration, data, base_sampler)
@@ -233,14 +222,7 @@ def draw_truncation_level(cfg: RBConfig, rng: np.random.Generator) -> StoppingRu
     """One truncation draw per test run, shared by prior and posterior paths."""
     if cfg.explicit_terms is not None:
         return StoppingRuleResult(cfg.explicit_terms, False)
-    params = DPParams(cfg.concentration, _NO_BASE,
-                      truncation_epsilon=cfg.truncation_epsilon, max_terms=cfg.max_terms)
-    return stopping_rule_N(params, rng)
-
-
-def _NO_BASE(k: int, rng: np.random.Generator) -> np.ndarray:
-    # placeholder base for truncation draws, which never touch atoms
-    raise InvalidParameterError("no base sampler configured")
+    return stopping_rule_N(cfg.concentration, cfg.truncation_epsilon, cfg.max_terms, rng)
 
 
 def run_gof_test(data: np.ndarray, model_sampler: BaseSampler, cfg: RBConfig,
@@ -263,19 +245,14 @@ def run_gof_test(data: np.ndarray, model_sampler: BaseSampler, cfg: RBConfig,
                       "the prior may dominate the update", stacklevel=2)
 
     level = draw_truncation_level(cfg, rng)
-    m = cfg.model_size if cfg.model_size is not None else n
-    model: np.ndarray | BaseSampler
-    if cfg.resample_model_per_rep:
-        model = model_sampler
-    else:
-        model = _draw_model(model_sampler, m, rng)
-
+    # prior and posterior share one model sample unless each replication redraws it
+    model = (model_sampler if cfg.resample_model_per_rep
+             else _model_sample(model_sampler, cfg, n, rng))
+    base = base_sampler or model_sampler
     prior = simulate_mmd_samples(data, model, cfg, "prior", rng,
-                                 n_terms=level.n_terms,
-                                 base_sampler=base_sampler or model_sampler)
+                                 n_terms=level.n_terms, base_sampler=base)
     posterior = simulate_mmd_samples(data, model, cfg, "posterior", rng,
-                                     n_terms=level.n_terms,
-                                     base_sampler=base_sampler or model_sampler)
+                                     n_terms=level.n_terms, base_sampler=base)
     rb, strength = estimate_rb_strength(prior, posterior, cfg.grid_cells, cfg.anchor_cell)
     return RBReport(rb=rb, strength=strength, prior_samples=prior,
                     posterior_samples=posterior, n_terms=level.n_terms,

@@ -145,10 +145,6 @@ class RocCurve:
     fpr: np.ndarray
     tpr: np.ndarray
     auc: float
-    tp: np.ndarray
-    fp: np.ndarray
-    tn: np.ndarray
-    fn: np.ndarray
     excluded: int = 0
 
 
@@ -159,24 +155,20 @@ def roc_from_scores(h0_scores: np.ndarray, h1_scores: np.ndarray, *,
     """Build a ROC curve from test scores where small means reject.
 
     A replication counts as positive (reject) at threshold t when its score
-    is strictly below t.  H1 scores feed TP/FN, H0 scores feed FP/TN.
+    is strictly below t: H1 scores give the true-positive rate, H0 scores
+    the false-positive rate.
     """
     h0 = np.asarray(h0_scores, dtype=float)
     h1 = np.asarray(h1_scores, dtype=float)
     if h0.size < 1 or h1.size < 1:
         raise InvalidInputError("need scores under both hypotheses")
     ts = np.linspace(0.0, threshold_max, num_thresholds)
-    tp = np.count_nonzero(h1[None, :] < ts[:, None], axis=1)
-    fp = np.count_nonzero(h0[None, :] < ts[:, None], axis=1)
-    fn = h1.size - tp
-    tn = h0.size - fp
-    tpr = tp / h1.size
-    fpr = fp / h0.size
+    tpr = np.count_nonzero(h1[None, :] < ts[:, None], axis=1) / h1.size
+    fpr = np.count_nonzero(h0[None, :] < ts[:, None], axis=1) / h0.size
     fpr_full = np.concatenate([[0.0], fpr, [1.0]])
     tpr_full = np.concatenate([[0.0], tpr, [1.0]])
     auc = float(np.trapezoid(tpr_full, fpr_full))
-    return RocCurve(thresholds=ts, fpr=fpr, tpr=tpr, auc=auc,
-                    tp=tp, fp=fp, tn=tn, fn=fn, excluded=excluded)
+    return RocCurve(thresholds=ts, fpr=fpr, tpr=tpr, auc=auc, excluded=excluded)
 
 
 def _rb_one_rep(args):

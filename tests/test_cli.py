@@ -44,6 +44,16 @@ def test_runtime_error_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gof-test", "dp-sample"])
+def test_zero_n_terms_rejected(matrices, command, capsys):
+    tmp_path, xpath, _ = matrices
+    args = {"gof-test": ["--data", str(xpath), "--model", "no_difference"],
+            "dp-sample": ["--a", "5"]}[command]
+    code = dispatch([command, *args, "--n-terms", "0", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "n_terms" in capsys.readouterr().err
+
+
 def test_matrix_roundtrip_17_digits(tmp_path):
     path = tmp_path / "m.csv"
     X = np.random.default_rng(1).standard_normal((5, 2))

@@ -166,7 +166,7 @@ class TestBounds:
         rng = np.random.default_rng(7)
         base = lambda k, r: r.standard_normal((k, 1))
         spec = gaussian_kernel(SQRT2)
-        params = DPParams(25.0, base, explicit_terms=36)
+        params = DPParams(25.0, base)
         Y = base(50, rng)
         vals = [mmd2_weighted(sample_dp_prior(params, 36, rng), Y, spec)
                 for _ in range(1000)]
@@ -214,7 +214,7 @@ class TestAsymptoticBehavior:
         rng = np.random.default_rng(8)
         base = lambda k, r: r.standard_normal((k, 1))
         spec = gaussian_kernel(SQRT2)
-        params = DPParams(1e6, base, explicit_terms=50)
+        params = DPParams(1e6, base)
         Y = base(50, rng)
         gaps = []
         for _ in range(200):

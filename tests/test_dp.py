@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from bnpmmd.dp import (DiscreteMeasure, DPParams, PosteriorParams,
+from bnpmmd.dp import (DEFAULT_MAX_TERMS, DiscreteMeasure, DPParams, PosteriorParams,
                        sample_dp_posterior, sample_dp_prior, sample_stick_breaking,
                        stopping_rule_N, symmetric_dirichlet)
 from bnpmmd.errors import InvalidParameterError
+from bnpmmd.gan import GeneratorNet, TrainConfig, train
+from bnpmmd.rb import RBConfig, run_gof_test
 
 
 def normal_base(dim=1):
@@ -22,21 +24,19 @@ class TestStoppingRule:
     def test_never_stops_at_one(self):
         # the ratio at j=1 is identically 1, so any eps < 1 forces N >= 2
         rng = np.random.default_rng(0)
-        params = DPParams(5.0, zero_base(), truncation_epsilon=0.5)
         for _ in range(200):
-            assert stopping_rule_N(params, rng).n_terms >= 2
+            assert stopping_rule_N(5.0, 0.5, DEFAULT_MAX_TERMS, rng).n_terms >= 2
 
     def test_clamp_contract(self):
         rng = np.random.default_rng(1)
-        params = DPParams(25.0, zero_base(), truncation_epsilon=1e-3, max_terms=3)
-        res = stopping_rule_N(params, rng)
+        res = stopping_rule_N(25.0, 1e-3, 3, rng)
         assert res.n_terms == 3
         assert res.clamped
 
     def test_zero_concentration_rejected(self):
         rng = np.random.default_rng(2)
         with pytest.raises(InvalidParameterError):
-            stopping_rule_N(DPParams(0.0, zero_base(), truncation_epsilon=0.5), rng)
+            stopping_rule_N(0.0, 0.5, DEFAULT_MAX_TERMS, rng)
 
     def test_distribution_matches_independent_oracle(self):
         # oracle: the mass ratio at step j is Beta(a/j, a(j-1)/j), independent
@@ -44,8 +44,8 @@ class TestStoppingRule:
         # j >= 2 where that Beta variable drops below eps
         a, eps, draws = 25.0, 1e-3, 10000
         rng = np.random.default_rng(101)
-        params = DPParams(a, zero_base(), truncation_epsilon=eps)
-        impl = np.array([stopping_rule_N(params, rng).n_terms for _ in range(draws)])
+        impl = np.array([stopping_rule_N(a, eps, DEFAULT_MAX_TERMS, rng).n_terms
+                         for _ in range(draws)])
 
         orng = np.random.default_rng(202)
         alive = np.ones(draws, dtype=bool)
@@ -64,7 +64,7 @@ class TestStoppingRule:
 class TestPriorSampling:
     def test_simplex(self):
         rng = np.random.default_rng(3)
-        params = DPParams(25.0, normal_base(2), truncation_epsilon=1e-3)
+        params = DPParams(25.0, normal_base(2))
         m = sample_dp_prior(params, 40, rng)
         assert np.all(m.weights >= 0)
         assert m.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -73,7 +73,7 @@ class TestPriorSampling:
     def test_huge_concentration_flattens_weights(self):
         # Monte Carlo check of the almost-sure weight limit 1/N
         rng = np.random.default_rng(4)
-        params = DPParams(1e7, normal_base(), truncation_epsilon=1e-3)
+        params = DPParams(1e7, normal_base())
         hits = 0
         for _ in range(1000):
             m = sample_dp_prior(params, 10, rng)
@@ -85,7 +85,7 @@ class TestPriorSampling:
         rng = np.random.default_rng(5)
         gaps = []
         for a in [1e2, 1e4, 1e6]:
-            params = DPParams(a, zero_base(), explicit_terms=20)
+            params = DPParams(a, zero_base())
             vals = [np.max(np.abs(sample_dp_prior(params, 20, rng).weights - 1 / 20))
                     for _ in range(2000)]
             gaps.append(np.mean(vals))
@@ -95,7 +95,7 @@ class TestPriorSampling:
         # E[J] = 1/N, Var[J] = (N-1)/(N^2 (a+1))
         a, N, reps = 25.0, 50, 20000
         rng = np.random.default_rng(6)
-        params = DPParams(a, zero_base(), explicit_terms=N)
+        params = DPParams(a, zero_base())
         first = np.array([sample_dp_prior(params, N, rng).weights[0] for _ in range(reps)])
         assert first.mean() == pytest.approx(1.0 / N, abs=3 * first.std() / np.sqrt(reps))
         target_var = (N - 1) / (N**2 * (a + 1))
@@ -106,7 +106,7 @@ class TestPriorSampling:
 
     def test_zero_concentration_prior_rejected(self):
         rng = np.random.default_rng(7)
-        params = DPParams(0.0, normal_base(), explicit_terms=5)
+        params = DPParams(0.0, normal_base())
         with pytest.raises(InvalidParameterError):
             sample_dp_prior(params, 5, rng)
 
@@ -203,7 +203,7 @@ def test_gamma_and_stick_breaking_samplers_agree():
     # test function under each by a two-sample t-test at the 1% level
     rng = np.random.default_rng(17)
     a, terms, draws = 5.0, 500, 10000
-    params = DPParams(a, normal_base(), explicit_terms=terms)
+    params = DPParams(a, normal_base())
 
     def measure_mass(m):
         return m.weights[m.atoms[:, 0] <= 0.3].sum()
@@ -220,23 +220,45 @@ def test_gamma_and_stick_breaking_samplers_agree():
 @given(st.floats(0.5, 50.0), st.integers(1, 60), st.integers(0, 2**32 - 1))
 def test_prior_simplex_property(a, n_terms, seed):
     rng = np.random.default_rng(seed)
-    params = DPParams(a, zero_base(), explicit_terms=n_terms)
+    params = DPParams(a, zero_base())
     m = sample_dp_prior(params, n_terms, rng)
     assert np.all(m.weights >= 0)
     assert abs(m.weights.sum() - 1.0) <= 1e-12
 
 
-class TestValidation:
-    def test_params_need_exactly_one_truncation(self):
-        with pytest.raises(InvalidParameterError):
-            DPParams(1.0, zero_base())
-        with pytest.raises(InvalidParameterError):
-            DPParams(1.0, zero_base(), truncation_epsilon=0.5, explicit_terms=3)
-        with pytest.raises(InvalidParameterError):
-            DPParams(1.0, zero_base(), truncation_epsilon=1.5)
-        with pytest.raises(InvalidParameterError):
-            DPParams(-1.0, zero_base(), truncation_epsilon=0.5)
+def _run_gof(**cfg):
+    rng = np.random.default_rng(18)
+    run_gof_test(rng.standard_normal((10, 1)), normal_base(),
+                 RBConfig(concentration=2.0, mc_reps=20, **cfg), rng)
 
+
+def _run_train(**cfg):
+    rng = np.random.default_rng(19)
+    net = GeneratorNet.initialize([1, 4, 2], rng)
+    train(net, rng.random((16, 2)),
+          TrainConfig(minibatch=8, iterations=1, checkpoint_every=0, **cfg), rng)
+
+
+@pytest.mark.parametrize("invalid", [
+    lambda: _run_gof(truncation_epsilon=0.0),
+    lambda: _run_gof(truncation_epsilon=1.5),
+    lambda: _run_gof(max_terms=0),
+    lambda: _run_gof(truncation_epsilon=None, explicit_terms=0),
+    lambda: _run_gof(explicit_terms=3),
+    lambda: _run_train(truncation_epsilon=1.5),
+    lambda: stopping_rule_N(0.0, 1e-3, DEFAULT_MAX_TERMS, np.random.default_rng(20)),
+    lambda: stopping_rule_N(25.0, 1.5, DEFAULT_MAX_TERMS, np.random.default_rng(20)),
+    lambda: stopping_rule_N(25.0, 1e-3, 0, np.random.default_rng(20)),
+    lambda: DPParams(-1.0, zero_base()),
+], ids=["rb-eps-0", "rb-eps-1.5", "rb-max-terms-0", "rb-explicit-0", "rb-both-set",
+        "train-eps-1.5", "rule-concentration-0", "rule-eps-1.5", "rule-max-terms-0",
+        "params-negative-concentration"])
+def test_invalid_truncation_settings_rejected(invalid):
+    with pytest.raises(InvalidParameterError):
+        invalid()
+
+
+class TestValidation:
     def test_measure_validation(self):
         with pytest.raises(InvalidParameterError):
             DiscreteMeasure(np.array([0.6, 0.6]), np.zeros((2, 1)))

@@ -139,6 +139,19 @@ class TestTrain:
         assert hist.diverged
         assert hist.loss.shape == (5,)
 
+    def test_nan_loss_diverges_at_once(self):
+        # NaN > factor * initial is never true, so the patience counter alone
+        # would let a poisoned run finish as if it were healthy
+        rng = np.random.default_rng(33)
+        data = eight_gaussian_ring(512, rng)
+        data[7] = np.nan
+        net = make_net([1, 8, 8, 8, 8, 2], seed=34)
+        cfg = TrainConfig(minibatch=256, iterations=60, checkpoint_every=0)
+        net, hist = train(net, data, cfg, rng)
+        assert hist.diverged
+        assert np.isnan(hist.loss[-1])
+        assert np.all(np.isfinite(hist.loss[:-1]))
+
     def test_minibatch_larger_than_dataset_rejected(self):
         rng = np.random.default_rng(18)
         data = eight_gaussian_ring(16, rng)
