@@ -20,7 +20,7 @@ from . import __version__
 from .dp import (DEFAULT_MAX_TERMS, DPParams, sample_dp_prior, sample_stick_breaking,
                  stopping_rule_N)
 from .discrepancy import mmd2_empirical
-from .errors import InvalidParameterError
+from .errors import InvalidInputError, InvalidParameterError
 from .gan import GeneratorNet, TrainConfig, generator_forward, mmds_score, train
 from .idx import load_idx_images
 from .kernels import format_kernel, gaussian_kernel, parse_kernel
@@ -41,8 +41,12 @@ def fmt(x: float) -> str:
 
 def read_matrix(path: str, header: bool) -> np.ndarray:
     if path.endswith(".idx") or path.endswith(".idx3-ubyte") or path.endswith("-ubyte"):
-        return load_idx_images(path)
-    return np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
+        X = load_idx_images(path)
+    else:
+        X = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
+    if not np.isfinite(X).all():
+        raise InvalidInputError(f"{path}: non-finite values (NaN or inf) in input")
+    return X
 
 
 def write_matrix(path, X: np.ndarray) -> None:
@@ -113,18 +117,17 @@ def scenario_or_fail(name: str) -> str:
     return name
 
 
-def rb_config_from_args(args, kernel) -> RBConfig:
-    explicit = getattr(args, "n_terms", None)
+def rb_config_from_args(args, kernel, model_size: int | None = None) -> RBConfig:
     return RBConfig(
         concentration=args.a,
         mc_reps=args.ell,
         grid_cells=args.M,
         anchor_cell=args.i0,
         kernel=kernel,
-        truncation_epsilon=args.eps if explicit is None else None,
-        explicit_terms=explicit,
-        model_size=getattr(args, "m", None),
-        resample_model_per_rep=getattr(args, "resample_model", False),
+        truncation_epsilon=args.eps if args.n_terms is None else None,
+        explicit_terms=args.n_terms,
+        model_size=model_size,
+        resample_model_per_rep=args.resample_model,
     )
 
 
@@ -138,7 +141,7 @@ def cmd_gof_test(args, argv) -> int:
     rng = np.random.default_rng(seed)
     data = read_matrix(args.data, args.header)
     kernel = parse_kernel(args.kernel)
-    cfg = rb_config_from_args(args, kernel)
+    cfg = rb_config_from_args(args, kernel, model_size=args.m)
     model = scenario_sampler(scenario_or_fail(args.model), data.shape[1])
     base = scenario_sampler(scenario_or_fail(args.base), data.shape[1]) if args.base else None
     report = run_gof_test(data, model, cfg, rng, base_sampler=base)
@@ -192,7 +195,7 @@ def cmd_roc(args, argv) -> int:
     null_spec = ScenarioSpec(scenario_or_fail(args.null), args.d, args.n)
     alt_spec = ScenarioSpec(scenario_or_fail(args.alt), args.d, args.n)
     curve = run_roc_study(null_spec, alt_spec, cfg, args.reps, rng,
-                          num_thresholds=args.thresholds, threads=args.threads)
+                          num_thresholds=args.thresholds)
 
     rows = np.column_stack([curve.thresholds, curve.fpr, curve.tpr])
     write_matrix(args.out, rows)
@@ -204,6 +207,7 @@ def cmd_roc(args, argv) -> int:
     config = {"null": args.null, "alt": args.alt, "d": args.d, "n": args.n,
               "reps": args.reps, "a": args.a, "ell": args.ell, "M": args.M,
               "i0": args.i0, "kernel": format_kernel(kernel),
+              "resample_model": args.resample_model,
               "thresholds": args.thresholds, "auc": curve.auc,
               "excluded": curve.excluded}
     write_manifest("roc", argv, config, seed, outputs, started)
@@ -326,14 +330,15 @@ def cmd_bandwidth_sweep(args, argv) -> int:
         cfg = rb_config_from_args(args, kernel)
         rng = np.random.default_rng(root.bit_generator.seed_seq.spawn(1)[0])
         curve = run_roc_study(null_spec, alt_spec, cfg, args.reps, rng,
-                              num_thresholds=args.thresholds, threads=args.threads)
+                              num_thresholds=args.thresholds)
         results[sig] = curve.auc
         lines.append(f"{sig},{fmt(curve.auc)}")
         print(f"sigma={sig} auc={fmt(curve.auc)}")
     Path(args.out).write_text("\n".join(lines) + "\n")
     write_manifest("bandwidth-sweep", argv,
                    {"null": args.null, "alt": args.alt, "d": args.d, "n": args.n,
-                    "reps": args.reps, "auc": results}, seed, [args.out], started)
+                    "reps": args.reps, "resample_model": args.resample_model,
+                    "auc": results}, seed, [args.out], started)
     return 0
 
 
@@ -350,6 +355,8 @@ def _add_common_rb_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-terms", type=int, default=None, dest="n_terms",
                    help="fixed truncation level (overrides --eps)")
     p.add_argument("--kernel", default="gaussian:80")
+    p.add_argument("--resample-model", action="store_true", dest="resample_model",
+                   help="redraw the model sample for every Monte Carlo draw")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", default=None, help="override base measure (defaults to the model)")
     _add_common_rb_flags(p)
     p.add_argument("--m", type=int, default=None, help="model sample size (default n)")
-    p.add_argument("--resample-model", action="store_true", dest="resample_model")
     p.add_argument("--header", action="store_true")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="report JSON path")
@@ -380,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=100)
     _add_common_rb_flags(p)
     p.add_argument("--thresholds", type=int, default=401)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="CSV of threshold,fpr,tpr")
     p.add_argument("--svg", default=None)
@@ -443,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=20)
     _add_common_rb_flags(p)
     p.add_argument("--thresholds", type=int, default=401)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="CSV of sigma,auc")
     p.set_defaults(func=cmd_bandwidth_sweep)

@@ -87,10 +87,11 @@ class KernelComponent:
         family = _FAMILY_TABLE.get(self.family)
         if family is None:
             raise InvalidParameterError(f"unknown kernel family {self.family!r}")
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise InvalidParameterError("kernel bandwidth must be positive")
-        if self.shape is not None and not self.shape > 0:
-            raise InvalidParameterError("kernel shape parameter must be positive")
+        # an infinite bandwidth or shape makes the kernel constant, so every MMD is 0
+        if self.bandwidth is not None and not 0 < self.bandwidth < np.inf:
+            raise InvalidParameterError("kernel bandwidth must be finite and positive")
+        if self.shape is not None and not 0 < self.shape < np.inf:
+            raise InvalidParameterError("kernel shape parameter must be finite and positive")
         if family.fixed_shape and self.shape not in (None, family.default_shape):
             raise InvalidParameterError(f"{self.family} kernel implements only shape "
                                         f"{family.default_shape:g}")
@@ -189,10 +190,18 @@ def median_heuristic(X: np.ndarray, Y: np.ndarray, floor: float = 1e-8) -> Media
 
 
 def resolve_median(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> KernelSpec:
-    """Fill every unset bandwidth in ``spec`` from the median heuristic."""
+    """Fill every unset bandwidth in ``spec`` from the median heuristic.
+
+    Raises:
+        InvalidInputError: every cross-distance is zero, so the heuristic
+            has no scale to offer.
+    """
     if not spec.needs_median:
         return spec
-    sigma = median_heuristic(X, Y).value
+    sigma, degenerate = median_heuristic(X, Y)
+    if degenerate:
+        raise InvalidInputError("median bandwidth is degenerate: every cross-distance "
+                                "between the samples is zero; set an explicit bandwidth")
     comps = tuple(
         KernelComponent(c.family, sigma if c.bandwidth is None else c.bandwidth, c.shape)
         for c in spec.components

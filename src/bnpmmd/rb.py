@@ -240,6 +240,8 @@ def run_gof_test(data: np.ndarray, model_sampler: BaseSampler, cfg: RBConfig,
     n = data.shape[0]
     if n < 2:
         raise InvalidInputError("need at least two observations")
+    if not np.isfinite(data).all():
+        raise InvalidInputError("data contain non-finite values (NaN or inf)")
     if cfg.concentration >= n / 2:
         warnings.warn(f"concentration {cfg.concentration} >= n/2 = {n / 2}; "
                       "the prior may dominate the update", stacklevel=2)

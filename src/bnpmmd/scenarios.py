@@ -5,7 +5,6 @@ names the data-generating alternative (or the null itself).
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,44 +170,37 @@ def roc_from_scores(h0_scores: np.ndarray, h1_scores: np.ndarray, *,
     return RocCurve(thresholds=ts, fpr=fpr, tpr=tpr, auc=auc, excluded=excluded)
 
 
-def _rb_one_rep(args):
-    name, dim, n, cfg, seed = args
-    rng = np.random.default_rng(seed)
-    data = scenario_sampler(name, dim)(n, rng)
-    try:
-        report = run_gof_test(data, null_model_sampler(dim), cfg, rng)
-    except DegeneratePriorError:
-        return None
-    return report.rb
+def _rb_scores(spec: ScenarioSpec, cfg: RBConfig,
+               seeds: list[np.random.SeedSequence]) -> list[float]:
+    """Ratios of one test per child seed of fresh scenario data against the
+    standard-normal model, leaving out degenerate-prior replications."""
+    scores = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        data = sample_scenario(spec, rng)
+        try:
+            scores.append(run_gof_test(data, null_model_sampler(spec.dim), cfg, rng).rb)
+        except DegeneratePriorError:
+            pass
+    return scores
 
 
 def run_roc_study(null_spec: ScenarioSpec, alt_spec: ScenarioSpec, cfg: RBConfig,
                   reps: int, rng: np.random.Generator, *,
-                  num_thresholds: int = DEFAULT_NUM_THRESHOLDS,
-                  threads: int = 1) -> RocCurve:
+                  num_thresholds: int = DEFAULT_NUM_THRESHOLDS) -> RocCurve:
     """Relative-belief ROC study: ``reps`` test replications per hypothesis.
 
-    Each replication draws fresh data from its scenario, runs the test
-    against the standard-normal model, and records the ratio.  Thresholds
-    sweep [0, 20], the full range of the ratio at the default grid.
-    Replications run on independent child streams, so the result does not
-    depend on ``threads``.
+    Each replication runs on its own child stream of ``rng``.  Thresholds
+    sweep [0, M/i0], the full range of the ratio; ``excluded`` counts the
+    replications dropped for a degenerate prior sample.
     """
     if reps < 2:
         raise InvalidParameterError("need at least 2 replications per hypothesis")
     if null_spec.dim != alt_spec.dim:
         raise InvalidParameterError("null and alternative scenarios must share a dimension")
     seeds = rng.bit_generator.seed_seq.spawn(2 * reps)
-    jobs = [(null_spec.name, null_spec.dim, null_spec.n, cfg, s) for s in seeds[:reps]]
-    jobs += [(alt_spec.name, alt_spec.dim, alt_spec.n, cfg, s) for s in seeds[reps:]]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_rb_one_rep, jobs))
-    else:
-        results = [_rb_one_rep(job) for job in jobs]
-    h0 = [r for r in results[:reps] if r is not None]
-    h1 = [r for r in results[reps:] if r is not None]
-    excluded = 2 * reps - len(h0) - len(h1)
+    h0 = _rb_scores(null_spec, cfg, seeds[:reps])
+    h1 = _rb_scores(alt_spec, cfg, seeds[reps:])
     return roc_from_scores(np.array(h0), np.array(h1),
                            threshold_max=cfg.rb_cap, num_thresholds=num_thresholds,
-                           excluded=excluded)
+                           excluded=2 * reps - len(h0) - len(h1))

@@ -5,7 +5,6 @@ Every check is seeded, so outcomes are reproducible run to run.  Replication
 studies regenerate the model sample per Monte Carlo draw, which is the
 harness configuration that reproduces the published strength calibration.
 """
-import os
 import time
 import warnings
 
@@ -26,7 +25,6 @@ from bnpmmd.scenarios import (ScenarioSpec, null_model_sampler, roc_from_scores,
 
 warnings.filterwarnings("ignore", message="concentration")
 
-THREADS = os.cpu_count() or 1
 SQRT2 = np.sqrt(2.0)
 
 
@@ -70,7 +68,7 @@ def test_criterion_02_mean_shift_power():
     rbs, strengths = replicate_rb("mean_shift", 20, 50, cfg, seed=8)
     curve = run_roc_study(ScenarioSpec("no_difference", 20, 50),
                           ScenarioSpec("mean_shift", 20, 50),
-                          cfg, 30, np.random.default_rng(9), threads=THREADS)
+                          cfg, 30, np.random.default_rng(9))
     elapsed = time.time() - started
     ok = (rbs.mean() < 0.5 and strengths.mean() < 0.1 and curve.auc >= 0.95
           and elapsed <= 900)
@@ -120,7 +118,7 @@ def test_criterion_06_bandwidth_study():
         cfg = table_config(sigma=sigma)
         curve = run_roc_study(ScenarioSpec("no_difference", 60, 50),
                               ScenarioSpec("variance_shift", 60, 50),
-                              cfg, 20, np.random.default_rng(13), threads=THREADS)
+                              cfg, 20, np.random.default_rng(13))
         aucs[sigma] = curve.auc
     elapsed = time.time() - started
     ok = aucs[80.0] >= aucs[2.0] + 0.1

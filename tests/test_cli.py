@@ -44,6 +44,41 @@ def test_runtime_error_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_finite_input_exits_1(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    X = np.random.default_rng(1).standard_normal((50, 5))
+    X[3, 1] = np.nan
+    write_matrix(data, X)
+    code = dispatch(["gof-test", "--data", str(data), "--model", "no_difference",
+                     "--ell", "60", "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "non-finite" in err and str(data) in err
+
+
+def test_threads_flag_removed(tmp_path, capsys):
+    code = dispatch(["roc", "--null", "no_difference", "--alt", "mean_shift",
+                     "--d", "2", "--n", "10", "--threads", "2",
+                     "--out", str(tmp_path / "roc.csv")])
+    assert code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("resample, aucs", [
+    (True, ["0.96875", "0.71875", "0.84375"]),
+    (False, ["1", "0.78125", "0.9375"]),
+])
+def test_bandwidth_sweep_resample_model(tmp_path, capsys, resample, aucs):
+    out = tmp_path / "sweep.csv"
+    argv = ["bandwidth-sweep", "--null", "no_difference", "--alt", "variance_shift",
+            "--d", "4", "--n", "30", "--sigmas", "2,80,median", "--reps", "4",
+            "--a", "5", "--ell", "100", "--seed", "13", "--out", str(out)]
+    assert dispatch(argv + (["--resample-model"] if resample else [])) == 0
+    assert out.read_text().splitlines() == [f"{s},{a}" for s, a in zip(["2", "80", "median"], aucs)]
+    manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
+    assert manifest["config"]["resample_model"] is resample
+
+
 @pytest.mark.parametrize("command", ["gof-test", "dp-sample"])
 def test_zero_n_terms_rejected(matrices, command, capsys):
     tmp_path, xpath, _ = matrices
@@ -134,7 +169,7 @@ def test_roc_outputs_and_manifest_roundtrip(tmp_path, capsys):
     argv = ["roc", "--null", "no_difference", "--alt", "mean_shift",
             "--d", "4", "--n", "30", "--reps", "3", "--a", "5", "--ell", "80",
             "--n-terms", "20", "--seed", "9", "--thresholds", "41",
-            "--threads", "2", "--out", str(out), "--svg", str(svg)]
+            "--out", str(out), "--svg", str(svg)]
     assert dispatch(argv) == 0
     rows = read_matrix(str(out), header=False)
     assert rows.shape == (41, 3)
@@ -193,8 +228,7 @@ def test_bandwidth_sweep_trend(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     argv = ["bandwidth-sweep", "--null", "no_difference", "--alt", "heavy_tail",
             "--d", "60", "--n", "50", "--sigmas", "2,80", "--reps", "6",
-            "--a", "25", "--ell", "300", "--seed", "21",
-            "--threads", "4", "--out", str(out)]
+            "--a", "25", "--ell", "300", "--seed", "21", "--out", str(out)]
     assert dispatch(argv) == 0
     lines = out.read_text().strip().splitlines()
     aucs = {line.split(",")[0]: float(line.split(",")[1]) for line in lines}

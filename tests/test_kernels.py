@@ -121,6 +121,13 @@ class TestMedianHeuristic:
         with pytest.raises(UnsupportedKernelError):
             gram(spec, X, Y)
 
+    def test_resolve_median_rejects_degenerate(self):
+        # constant samples have no scale; the floor would be a silent sigma
+        X = np.full((5, 2), 3.0)
+        Y = np.full((4, 2), 3.0)
+        with pytest.raises(InvalidInputError, match="degenerate"):
+            resolve_median(gaussian_kernel(None), X, Y)
+
 
 class TestParseKernel:
     def test_single(self):
@@ -145,7 +152,9 @@ class TestParseKernel:
             assert format_kernel(parse_kernel(text)) == text
 
     def test_rejects_garbage(self):
-        # Matern is implemented only at nu = 1.5
-        for bad in ["", "gaussian", "gaussian:-1", "mix:gaussian", "unknown:3", "matern:5:2.5"]:
+        # Matern is implemented only at nu = 1.5; an infinite bandwidth or
+        # shape would make the kernel constant
+        for bad in ["", "gaussian", "gaussian:-1", "mix:gaussian", "unknown:3", "matern:5:2.5",
+                    "gaussian:inf", "rational-quadratic:5:inf"]:
             with pytest.raises(InvalidParameterError):
                 parse_kernel(bad)

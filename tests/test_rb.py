@@ -229,6 +229,15 @@ class TestRunGofTest:
         with pytest.raises(InvalidInputError):
             run_gof_test(np.zeros((1, 1)), normal_base(), self._cfg(), rng)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_rejected(self, bad):
+        # one bad cell poisons about half the posterior draws yet the ratio
+        # would still yield a decision
+        X = normal_base(5)(50, np.random.default_rng(13))
+        X[17, 2] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            run_gof_test(X, normal_base(5), self._cfg(), np.random.default_rng(14))
+
     def test_prior_mean_respects_flat_bound(self):
         # the prior Monte Carlo mean never exceeds the model-vs-base squared
         # MMD plus three times the kernel bound

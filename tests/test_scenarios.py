@@ -166,15 +166,6 @@ class TestRocStudy:
         assert curve.auc >= 0.9
         assert curve.excluded == 0
 
-    def test_thread_count_does_not_change_result(self):
-        cfg = self._cfg()
-        curves = [run_roc_study(ScenarioSpec("no_difference", 4, 30),
-                                ScenarioSpec("variance_shift", 4, 30),
-                                cfg, 4, np.random.default_rng(10), threads=t)
-                  for t in (1, 4)]
-        assert curves[0].auc == curves[1].auc
-        assert np.array_equal(curves[0].tpr, curves[1].tpr)
-
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidParameterError):
             run_roc_study(ScenarioSpec("no_difference", 2, 30),
