@@ -5,7 +5,6 @@ Example:
     python scripts/scenario_table.py --d 5 --n 50 --reps 20 --seed 7
 """
 import argparse
-import warnings
 
 import numpy as np
 
@@ -27,7 +26,6 @@ def main():
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
 
-    warnings.filterwarnings("ignore", message="concentration")
     cfg = RBConfig(concentration=args.a, mc_reps=args.ell,
                    kernel=gaussian_kernel(args.sigma), resample_model_per_rep=True)
     model = null_model_sampler(args.d)

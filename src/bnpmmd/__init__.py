@@ -2,8 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .dp import (DiscreteMeasure, DPParams, PosteriorParams, sample_dp_posterior,
-                 sample_dp_prior, sample_stick_breaking, stopping_rule_N)
+from .dp import (DiscreteMeasure, PosteriorParams, sample_dp_posterior, sample_dp_prior,
+                 sample_stick_breaking, stopping_rule_N)
 from .discrepancy import (deviation_tail_bound, energy_weighted, generalization_bound,
                           grad_mmd2_atoms, mmd2_empirical, mmd2_weighted,
                           prior_mean_upper_bound)
@@ -18,8 +18,8 @@ from .gan import (GeneratorNet, TrainConfig, TrainHistory, eight_gaussian_ring,
 from .idx import load_idx_images, write_idx_images
 
 __all__ = [
-    "DiscreteMeasure", "DPParams", "PosteriorParams", "sample_dp_posterior",
-    "sample_dp_prior", "sample_stick_breaking", "stopping_rule_N",
+    "DiscreteMeasure", "PosteriorParams", "sample_dp_posterior", "sample_dp_prior",
+    "sample_stick_breaking", "stopping_rule_N",
     "deviation_tail_bound", "energy_weighted", "generalization_bound",
     "grad_mmd2_atoms", "mmd2_empirical", "mmd2_weighted", "prior_mean_upper_bound",
     "KernelComponent", "KernelSpec", "eval_kernel", "gaussian_kernel",

@@ -17,8 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dp import (DEFAULT_MAX_TERMS, DPParams, sample_dp_prior, sample_stick_breaking,
-                 stopping_rule_N)
+from .dp import DEFAULT_MAX_TERMS, sample_dp_prior, sample_stick_breaking, stopping_rule_N
 from .discrepancy import mmd2_empirical
 from .errors import InvalidInputError, InvalidParameterError
 from .gan import GeneratorNet, TrainConfig, generator_forward, mmds_score, train
@@ -111,12 +110,6 @@ def write_roc_svg(path, fpr: np.ndarray, tpr: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def scenario_or_fail(name: str) -> str:
-    if name not in SCENARIOS:
-        raise InvalidParameterError(f"unknown scenario {name!r}; choose from {', '.join(SCENARIOS)}")
-    return name
-
-
 def rb_config_from_args(args, kernel, model_size: int | None = None) -> RBConfig:
     return RBConfig(
         concentration=args.a,
@@ -142,8 +135,8 @@ def cmd_gof_test(args, argv) -> int:
     data = read_matrix(args.data, args.header)
     kernel = parse_kernel(args.kernel)
     cfg = rb_config_from_args(args, kernel, model_size=args.m)
-    model = scenario_sampler(scenario_or_fail(args.model), data.shape[1])
-    base = scenario_sampler(scenario_or_fail(args.base), data.shape[1]) if args.base else None
+    model = scenario_sampler(args.model, data.shape[1])
+    base = scenario_sampler(args.base, data.shape[1]) if args.base else None
     report = run_gof_test(data, model, cfg, rng, base_sampler=base)
 
     payload = {
@@ -192,8 +185,8 @@ def cmd_roc(args, argv) -> int:
     rng = np.random.default_rng(seed)
     kernel = parse_kernel(args.kernel)
     cfg = rb_config_from_args(args, kernel)
-    null_spec = ScenarioSpec(scenario_or_fail(args.null), args.d, args.n)
-    alt_spec = ScenarioSpec(scenario_or_fail(args.alt), args.d, args.n)
+    null_spec = ScenarioSpec(args.null, args.d, args.n)
+    alt_spec = ScenarioSpec(args.alt, args.d, args.n)
     curve = run_roc_study(null_spec, alt_spec, cfg, args.reps, rng,
                           num_thresholds=args.thresholds)
 
@@ -238,18 +231,17 @@ def cmd_dp_sample(args, argv) -> int:
     started = time.time()
     seed = resolve_seed(args)
     rng = np.random.default_rng(seed)
-    base = scenario_sampler(scenario_or_fail(args.base), args.d)
+    base = scenario_sampler(args.base, args.d)
     if args.method == "stick":
         if args.n_terms is None:
             raise InvalidParameterError("stick-breaking sampling needs an explicit --n-terms")
         measure = sample_stick_breaking(args.a, base, args.n_terms, rng)
         n_terms = args.n_terms
     else:
-        params = DPParams(args.a, base)
         n_terms = args.n_terms
         if n_terms is None:
             n_terms = stopping_rule_N(args.a, args.eps, DEFAULT_MAX_TERMS, rng).n_terms
-        measure = sample_dp_prior(params, n_terms, rng)
+        measure = sample_dp_prior(args.a, base, n_terms, rng)
     rows = np.column_stack([measure.weights, measure.atoms])
     write_matrix(args.out, rows)
     print(f"n_terms={n_terms}")
@@ -269,8 +261,8 @@ def cmd_gan_train(args, argv) -> int:
     dims = [args.noise_dim] + hidden + [dataset.shape[1]]
     net = GeneratorNet.initialize(dims, rng)
     cfg = TrainConfig(minibatch=args.batch, iterations=args.iters, kernel=kernel,
-                      concentration=args.a, truncation_epsilon=args.eps,
-                      step_size=args.step, checkpoint_every=args.checkpoint_every)
+                      truncation_epsilon=args.eps, step_size=args.step,
+                      checkpoint_every=args.checkpoint_every)
     net, history = train(net, dataset, cfg, rng)
 
     with open(args.out, "w") as fh:
@@ -288,7 +280,7 @@ def cmd_gan_train(args, argv) -> int:
     write_manifest("gan-train", argv,
                    {"data": args.data, "hidden": hidden, "noise_dim": args.noise_dim,
                     "iters": args.iters, "batch": args.batch,
-                    "kernel": format_kernel(kernel), "a": args.a, "eps": args.eps,
+                    "kernel": format_kernel(kernel), "eps": args.eps,
                     "step": args.step, "status": status}, seed, outputs, started)
     return 0
 
@@ -304,6 +296,9 @@ def cmd_gan_score(args, argv) -> int:
     generated = generator_forward(net, noise)
     kernel = parse_kernel(args.kernel)
     score = mmds_score(real, generated, args.nmb, args.rmb, kernel, rng)
+    if not np.isfinite(score):
+        raise InvalidInputError(f"{args.model}: matching score is {score}; "
+                                "the generator's output is not finite")
     print(fmt(score))
     outputs = []
     if args.out:
@@ -320,8 +315,8 @@ def cmd_bandwidth_sweep(args, argv) -> int:
     started = time.time()
     seed = resolve_seed(args)
     root = np.random.default_rng(seed)
-    null_spec = ScenarioSpec(scenario_or_fail(args.null), args.d, args.n)
-    alt_spec = ScenarioSpec(scenario_or_fail(args.alt), args.d, args.n)
+    null_spec = ScenarioSpec(args.null, args.d, args.n)
+    alt_spec = ScenarioSpec(args.alt, args.d, args.n)
     sigmas = [s.strip() for s in args.sigmas.split(",") if s.strip()]
     lines = []
     results = {}
@@ -418,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=2000)
     p.add_argument("--batch", type=int, default=256)
     p.add_argument("--kernel", default="mix:gaussian:2,5,10,20,40,80")
-    p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--eps", type=float, default=1e-3)
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--checkpoint-every", type=int, default=200, dest="checkpoint_every")

@@ -24,18 +24,6 @@ DEFAULT_MAX_TERMS = 10000
 
 
 @dataclass(frozen=True)
-class DPParams:
-    """Concentration and base sampler of one process."""
-
-    concentration: float
-    base_sampler: BaseSampler
-
-    def __post_init__(self):
-        if self.concentration < 0:
-            raise InvalidParameterError("concentration must be non-negative")
-
-
-@dataclass(frozen=True)
 class DiscreteMeasure:
     """Weighted atomic probability measure: weights on the simplex, one atom per weight."""
 
@@ -169,13 +157,14 @@ def symmetric_dirichlet(total_concentration: float, n_terms: int,
     raise NumericUnderflowError(f"Dirichlet normalizer stayed at zero after {_MAX_RETRIES} retries")
 
 
-def sample_dp_prior(params: DPParams, n_terms: int, rng: np.random.Generator) -> DiscreteMeasure:
+def sample_dp_prior(concentration: float, base_sampler: BaseSampler, n_terms: int,
+                    rng: np.random.Generator) -> DiscreteMeasure:
     """One truncated prior draw: Dirichlet(a/N) weights, atoms i.i.d. from the base."""
-    if params.concentration <= 0:
+    if concentration <= 0:
         raise InvalidParameterError("prior draws need positive concentration; "
                                     "zero concentration only arises through the posterior update")
-    weights = symmetric_dirichlet(params.concentration, n_terms, rng)
-    atoms = np.atleast_2d(np.asarray(params.base_sampler(n_terms, rng), dtype=float))
+    weights = symmetric_dirichlet(concentration, n_terms, rng)
+    atoms = np.atleast_2d(np.asarray(base_sampler(n_terms, rng), dtype=float))
     return DiscreteMeasure(weights, atoms)
 
 

@@ -114,6 +114,17 @@ def _backprop_params(net: GeneratorNet, activations: list[np.ndarray],
     return grads_w, grads_b
 
 
+# Fixed settings of every training run.
+MAX_TERMS = 4096  # cap on the per-iteration truncation level
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+SQRT_FLOOR = 1e-12  # MMD^2 floor under the square root
+MMDS_BATCH = 128  # checkpoint score: subset size
+MMDS_DRAWS = 16  # checkpoint score: subset pairs
+# divergence guard, see :func:`train`
+DIVERGENCE_FACTOR = 10.0
+DIVERGENCE_PATIENCE = 100
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters of one training run.
@@ -128,24 +139,13 @@ class TrainConfig:
     iterations: int = 2000
     concentration: float = 0.0
     truncation_epsilon: float = 1e-3
-    max_terms: int = 4096
     kernel: KernelSpec = field(default_factory=gaussian_mixture)
     step_size: float = 1e-3
     final_step_fraction: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    sqrt_floor: float = 1e-12
     base_sampler: object | None = None
     checkpoint_every: int = 200
-    mmds_batch: int = 128
-    mmds_draws: int = 16
-    divergence_factor: float = 10.0
-    divergence_patience: int = 100
 
     def __post_init__(self):
-        if self.sqrt_floor <= 0:
-            raise InvalidParameterError("sqrt_floor must be positive")
         if self.minibatch < 1 or self.iterations < 1:
             raise InvalidParameterError("minibatch and iterations must be positive")
         if not 0.0 < self.final_step_fraction <= 1.0:
@@ -168,7 +168,7 @@ def _draw_iteration_randomness(X_mb: np.ndarray, cfg: TrainConfig,
                                rng: np.random.Generator) -> tuple[DiscreteMeasure, int]:
     """Truncation level and bootstrap measure for one step."""
     n_terms = stopping_rule_N(cfg.concentration + X_mb.shape[0], cfg.truncation_epsilon,
-                              cfg.max_terms, rng).n_terms
+                              MAX_TERMS, rng).n_terms
     post = PosteriorParams.from_prior(cfg.concentration, X_mb, cfg.base_sampler)
     measure = sample_dp_posterior(post, n_terms, rng)
     return measure, n_terms
@@ -204,7 +204,7 @@ def loss_and_grad(net: GeneratorNet, X_mb: np.ndarray, cfg: TrainConfig,
     spec = cfg.kernel
     if spec.needs_median:
         spec = resolve_median(spec, X_mb, generator_forward(net, U))
-    return _loss_and_param_grads(net, measure, U, spec, cfg.sqrt_floor)
+    return _loss_and_param_grads(net, measure, U, spec, SQRT_FLOOR)
 
 
 def train(net: GeneratorNet, dataset: np.ndarray, cfg: TrainConfig,
@@ -213,8 +213,8 @@ def train(net: GeneratorNet, dataset: np.ndarray, cfg: TrainConfig,
 
     Each iteration: sample a minibatch, draw the bootstrap measure and a
     noise batch, backpropagate, update.  Aborts with ``diverged=True`` at
-    the first non-finite loss, or after ``divergence_patience`` consecutive
-    iterations above ``divergence_factor`` times the initial loss.
+    the first non-finite loss, or after ``DIVERGENCE_PATIENCE`` consecutive
+    iterations above ``DIVERGENCE_FACTOR`` times the initial loss.
     """
     dataset = np.atleast_2d(np.asarray(dataset, dtype=float))
     n = dataset.shape[0]
@@ -246,19 +246,19 @@ def train(net: GeneratorNet, dataset: np.ndarray, cfg: TrainConfig,
         sq_norm = 0.0
         for p, g, m_state, v_state in zip(params, flat, adam_m, adam_v):
             sq_norm += float(np.sum(g * g))
-            m_state += (1.0 - cfg.beta1) * (g - m_state)
-            v_state += (1.0 - cfg.beta2) * (g * g - v_state)
-            m_hat = m_state / (1.0 - cfg.beta1**t)
-            v_hat = v_state / (1.0 - cfg.beta2**t)
-            p -= step * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            m_state += (1.0 - ADAM_BETA1) * (g - m_state)
+            v_state += (1.0 - ADAM_BETA2) * (g * g - v_state)
+            m_hat = m_state / (1.0 - ADAM_BETA1**t)
+            v_hat = v_state / (1.0 - ADAM_BETA2**t)
+            p -= step * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         losses[it] = loss
         grad_norms[it] = np.sqrt(sq_norm)
 
         if cfg.checkpoint_every and it % cfg.checkpoint_every == 0:
-            size = min(cfg.mmds_batch * 2, n)
+            size = min(MMDS_BATCH * 2, n)
             real = dataset[rng.choice(n, size=size, replace=False)]
             fake = generator_forward(net, rng.uniform(-1.0, 1.0, size=(size, net.noise_dim)))
-            score = mmds_score(real, fake, min(cfg.mmds_batch, size), cfg.mmds_draws,
+            score = mmds_score(real, fake, min(MMDS_BATCH, size), MMDS_DRAWS,
                                cfg.kernel, rng)
             history.mmds_iters.append(it)
             history.mmds_values.append(score)
@@ -267,9 +267,9 @@ def train(net: GeneratorNet, dataset: np.ndarray, cfg: TrainConfig,
             initial_loss = loss
         # NaN never compares above the budget, so a non-finite loss stops the run itself
         diverged = not np.isfinite(loss)
-        if loss > cfg.divergence_factor * initial_loss:
+        if loss > DIVERGENCE_FACTOR * initial_loss:
             over_budget += 1
-            diverged |= over_budget >= cfg.divergence_patience
+            diverged |= over_budget >= DIVERGENCE_PATIENCE
         else:
             over_budget = 0
         if diverged:
@@ -283,7 +283,7 @@ def train(net: GeneratorNet, dataset: np.ndarray, cfg: TrainConfig,
 def mmds_score(real: np.ndarray, generated: np.ndarray, n_mb: int, r_mb: int,
                spec: KernelSpec, rng: np.random.Generator) -> float:
     """Matching score: the worst (largest) empirical squared MMD over random
-    same-size subset pairs of the real and generated data."""
+    same-size subset pairs of the real and generated data (NaN if any pair's is NaN)."""
     real = np.atleast_2d(np.asarray(real, dtype=float))
     generated = np.atleast_2d(np.asarray(generated, dtype=float))
     if n_mb > real.shape[0] or n_mb > generated.shape[0]:
@@ -291,24 +291,23 @@ def mmds_score(real: np.ndarray, generated: np.ndarray, n_mb: int, r_mb: int,
     if r_mb < 1:
         raise InvalidParameterError("need at least one subset draw")
     spec = resolve_median(spec, real, generated)
-    worst = -np.inf
+    values = []
     for _ in range(r_mb):
         i = rng.choice(real.shape[0], size=n_mb, replace=False)
         j = rng.choice(generated.shape[0], size=n_mb, replace=False)
-        worst = max(worst, mmd2_empirical(real[i], generated[j], spec))
-    return float(worst)
+        values.append(mmd2_empirical(real[i], generated[j], spec))
+    return float(np.max(values))
 
 
-def eight_gaussian_ring(n: int, rng: np.random.Generator, *, modes: int = 8,
-                        center: tuple[float, float] = (0.40, 0.60),
-                        radius: float = 0.32, spread: float = 0.02) -> np.ndarray:
-    """Toy dataset: a ring of Gaussian blobs inside the unit square.
+def eight_gaussian_ring(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Toy dataset: eight Gaussian blobs (sd 0.02) on a circle of radius 0.32
+    centered at (0.40, 0.60), inside the unit square.
 
     The ring sits off the square's center so that a flat uniform-noise cloud
     (whose mean is always the center) stays distinguishable from the data.
     """
-    angles = 2.0 * np.pi * rng.integers(0, modes, size=n) / modes
-    centers = np.column_stack([center[0] + radius * np.cos(angles),
-                               center[1] + radius * np.sin(angles)])
-    points = centers + spread * rng.standard_normal((n, 2))
+    angles = 2.0 * np.pi * rng.integers(0, 8, size=n) / 8
+    centers = np.column_stack([0.40 + 0.32 * np.cos(angles),
+                               0.60 + 0.32 * np.sin(angles)])
+    points = centers + 0.02 * rng.standard_normal((n, 2))
     return np.clip(points, 1e-3, 1.0 - 1e-3)

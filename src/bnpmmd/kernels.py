@@ -164,17 +164,14 @@ def eval_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
     return float(gram(spec, x[None, :], y[None, :])[0, 0])
 
 
-class MedianBandwidth(NamedTuple):
-    value: float
-    degenerate: bool
-
-
-def median_heuristic(X: np.ndarray, Y: np.ndarray, floor: float = 1e-8) -> MedianBandwidth:
+def median_heuristic(X: np.ndarray, Y: np.ndarray) -> float:
     """Median of all squared cross-distances ||X_i - Y_j||^2, used as sigma.
 
     The squared-distance median itself is returned (not its square root).
-    When every cross-distance is zero the configured floor is returned with
-    the degenerate flag set.
+
+    Raises:
+        InvalidInputError: every cross-distance is zero, so the heuristic
+            has no scale to offer.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -185,23 +182,16 @@ def median_heuristic(X: np.ndarray, Y: np.ndarray, floor: float = 1e-8) -> Media
     sq = cdist(X, Y, "sqeuclidean").ravel()
     med = float(np.median(sq))
     if med <= 0.0:
-        return MedianBandwidth(floor, True)
-    return MedianBandwidth(med, False)
+        raise InvalidInputError("median bandwidth is degenerate: every cross-distance "
+                                "between the samples is zero; set an explicit bandwidth")
+    return med
 
 
 def resolve_median(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> KernelSpec:
-    """Fill every unset bandwidth in ``spec`` from the median heuristic.
-
-    Raises:
-        InvalidInputError: every cross-distance is zero, so the heuristic
-            has no scale to offer.
-    """
+    """Fill every unset bandwidth in ``spec`` from :func:`median_heuristic`."""
     if not spec.needs_median:
         return spec
-    sigma, degenerate = median_heuristic(X, Y)
-    if degenerate:
-        raise InvalidInputError("median bandwidth is degenerate: every cross-distance "
-                                "between the samples is zero; set an explicit bandwidth")
+    sigma = median_heuristic(X, Y)
     comps = tuple(
         KernelComponent(c.family, sigma if c.bandwidth is None else c.bandwidth, c.shape)
         for c in spec.components

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import discrepancy
-from .dp import (DEFAULT_MAX_TERMS, BaseSampler, DPParams, PosteriorParams,
-                 StoppingRuleResult, sample_dp_posterior, sample_dp_prior, stopping_rule_N)
+from .dp import (DEFAULT_MAX_TERMS, BaseSampler, PosteriorParams, StoppingRuleResult,
+                 sample_dp_posterior, sample_dp_prior, stopping_rule_N)
 from .errors import DegeneratePriorError, InvalidInputError, InvalidParameterError
 from .kernels import KernelSpec, gaussian_kernel, resolve_median
 
@@ -40,7 +40,6 @@ class RBConfig:
     kernel: KernelSpec = field(default_factory=gaussian_kernel)
     truncation_epsilon: float | None = 1e-3
     explicit_terms: int | None = None
-    max_terms: int = DEFAULT_MAX_TERMS
     model_size: int | None = None
     resample_model_per_rep: bool = False
 
@@ -168,7 +167,7 @@ def _model_sample(model, cfg: RBConfig, n: int, rng: np.random.Generator) -> np.
 
 
 def simulate_mmd_samples(data: np.ndarray, model, cfg: RBConfig, which: str,
-                         rng: np.random.Generator, *, n_terms: int | None = None,
+                         rng: np.random.Generator, *, n_terms: int,
                          base_sampler: BaseSampler | None = None) -> np.ndarray:
     """Monte Carlo draws of the weighted squared MMD against the model sample.
 
@@ -181,27 +180,30 @@ def simulate_mmd_samples(data: np.ndarray, model, cfg: RBConfig, which: str,
 
     Args:
         which: "prior" or "posterior".
-        n_terms: truncation level; drawn from the stopping rule when None.
+        n_terms: truncation level of every draw (see :func:`draw_truncation_level`).
+
+    Raises:
+        InvalidInputError: ``data`` or the fixed model sample holds NaN or inf.
     """
     if which not in ("prior", "posterior"):
         raise InvalidParameterError(f"which must be 'prior' or 'posterior', got {which!r}")
     data = np.atleast_2d(np.asarray(data, dtype=float))
+    if not np.isfinite(data).all():
+        raise InvalidInputError("data contain non-finite values (NaN or inf)")
 
     model_sampler = model if callable(model) else None
     if base_sampler is None:
         base_sampler = model_sampler
     fixed_model = _model_sample(model, cfg, data.shape[0], rng)
+    if not np.isfinite(fixed_model).all():
+        raise InvalidInputError("model sample contains non-finite values (NaN or inf)")
     if cfg.resample_model_per_rep and model_sampler is None:
         raise InvalidParameterError("per-replication model resampling needs a sampler, not a fixed sample")
-
-    if n_terms is None:
-        n_terms = draw_truncation_level(cfg, rng).n_terms
 
     if which == "prior":
         if base_sampler is None:
             raise InvalidParameterError("prior simulation needs a base sampler")
-        params = DPParams(cfg.concentration, base_sampler)
-        draw = lambda r: sample_dp_prior(params, n_terms, r)
+        draw = lambda r: sample_dp_prior(cfg.concentration, base_sampler, n_terms, r)
     else:
         post = PosteriorParams.from_prior(cfg.concentration, data, base_sampler)
         draw = lambda r: sample_dp_posterior(post, n_terms, r)
@@ -222,7 +224,7 @@ def draw_truncation_level(cfg: RBConfig, rng: np.random.Generator) -> StoppingRu
     """One truncation draw per test run, shared by prior and posterior paths."""
     if cfg.explicit_terms is not None:
         return StoppingRuleResult(cfg.explicit_terms, False)
-    return stopping_rule_N(cfg.concentration, cfg.truncation_epsilon, cfg.max_terms, rng)
+    return stopping_rule_N(cfg.concentration, cfg.truncation_epsilon, DEFAULT_MAX_TERMS, rng)
 
 
 def run_gof_test(data: np.ndarray, model_sampler: BaseSampler, cfg: RBConfig,
@@ -233,8 +235,8 @@ def run_gof_test(data: np.ndarray, model_sampler: BaseSampler, cfg: RBConfig,
 
     The hypothesized model doubles as the base measure unless an explicit
     ``base_sampler`` decouples them (useful for studying misconfiguration).
-    A concentration at or above n/2 drowns the data in the prior; that is
-    allowed but warned about.
+    A concentration above n/2 drowns the data in the prior; that is allowed
+    but warned about.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     n = data.shape[0]
@@ -242,8 +244,8 @@ def run_gof_test(data: np.ndarray, model_sampler: BaseSampler, cfg: RBConfig,
         raise InvalidInputError("need at least two observations")
     if not np.isfinite(data).all():
         raise InvalidInputError("data contain non-finite values (NaN or inf)")
-    if cfg.concentration >= n / 2:
-        warnings.warn(f"concentration {cfg.concentration} >= n/2 = {n / 2}; "
+    if cfg.concentration > n / 2:
+        warnings.warn(f"concentration {cfg.concentration} > n/2 = {n / 2}; "
                       "the prior may dominate the update", stacklevel=2)
 
     level = draw_truncation_level(cfg, rng)

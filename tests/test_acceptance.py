@@ -6,14 +6,13 @@ studies regenerate the model sample per Monte Carlo draw, which is the
 harness configuration that reproduces the published strength calibration.
 """
 import time
-import warnings
 
 import numpy as np
 import pytest
 
 from bnpmmd.discrepancy import (generalization_bound, mmd2_empirical,
                                 mmd2_weighted, prior_mean_upper_bound)
-from bnpmmd.dp import (DEFAULT_MAX_TERMS, DPParams, PosteriorParams, sample_dp_posterior,
+from bnpmmd.dp import (DEFAULT_MAX_TERMS, PosteriorParams, sample_dp_posterior,
                        sample_dp_prior, stopping_rule_N)
 from bnpmmd.gan import (GeneratorNet, TrainConfig, _loss_and_param_grads,
                         eight_gaussian_ring, generator_forward, mmds_score, train)
@@ -22,8 +21,6 @@ from bnpmmd.rb import (RBConfig, ecdf_eval, empirical_quantile,
                        estimate_rb_strength, run_gof_test)
 from bnpmmd.scenarios import (ScenarioSpec, null_model_sampler, roc_from_scores,
                               run_roc_study, scenario_sampler)
-
-warnings.filterwarnings("ignore", message="concentration")
 
 SQRT2 = np.sqrt(2.0)
 
@@ -136,8 +133,7 @@ def test_criterion_07_theory_properties():
     # flattening ladder: mean of max_i |J_i - 1/N| strictly decreasing in a
     gaps = []
     for a in (1e2, 1e4, 1e6):
-        params = DPParams(a, base1)
-        vals = [np.max(np.abs(sample_dp_prior(params, 20, rng).weights - 1 / 20))
+        vals = [np.max(np.abs(sample_dp_prior(a, base1, 20, rng).weights - 1 / 20))
                 for _ in range(2000)]
         gaps.append(float(np.mean(vals)))
     ladder_ok = gaps[0] > gaps[1] > gaps[2]
@@ -145,8 +141,7 @@ def test_criterion_07_theory_properties():
 
     # weight moments at a=25, N=50 over 1e5 draws, three standard errors
     a, N, reps = 25.0, 50, 100000
-    params = DPParams(a, base1)
-    first = np.array([sample_dp_prior(params, N, rng).weights[0] for _ in range(reps)])
+    first = np.array([sample_dp_prior(a, base1, N, rng).weights[0] for _ in range(reps)])
     mean_ok = abs(first.mean() - 1 / N) <= 3 * first.std(ddof=1) / np.sqrt(reps)
     target_var = (N - 1) / (N**2 * (a + 1))
     centered = (first - first.mean()) ** 2
@@ -157,9 +152,8 @@ def test_criterion_07_theory_properties():
     # prior-mean estimate stays below the flat bound (base equals the model)
     spec = gaussian_kernel(SQRT2)
     level = stopping_rule_N(25.0, 1e-3, DEFAULT_MAX_TERMS, rng).n_terms
-    params = DPParams(25.0, base1)
     Y = base1(50, rng)
-    prior_vals = [mmd2_weighted(sample_dp_prior(params, level, rng), Y, spec)
+    prior_vals = [mmd2_weighted(sample_dp_prior(25.0, base1, level, rng), Y, spec)
                   for _ in range(1000)]
     bound1 = prior_mean_upper_bound(spec.kernel_bound, 0.0)
     prior_ok = np.mean(prior_vals) < bound1

@@ -207,6 +207,43 @@ def test_gan_train_and_score(tmp_path, capsys):
     assert score >= 0.0
 
 
+def test_gan_train_a_flag_removed(tmp_path, capsys):
+    # the CLI has no base measure to give a positive prior mass, so --a is gone
+    from bnpmmd.gan import eight_gaussian_ring
+    data = tmp_path / "ring.csv"
+    write_matrix(data, eight_gaussian_ring(64, np.random.default_rng(15)))
+    code = dispatch(["gan-train", "--data", str(data), "--hidden", "4", "--iters", "2",
+                     "--batch", "16", "--a", "1", "--out", str(tmp_path / "model.json")])
+    assert code == 2
+    assert "--a" in capsys.readouterr().err
+
+
+def test_gan_score_non_finite_model_exits_1(tmp_path, capsys):
+    from bnpmmd.gan import GeneratorNet
+    net = GeneratorNet.initialize([1, 4, 2], np.random.default_rng(16))
+    net.weights[-1][0, 0] = np.nan
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(net.to_dict()) + "\n")
+    real = tmp_path / "real.csv"
+    write_matrix(real, np.random.default_rng(17).random((64, 2)))
+    code = dispatch(["gan-score", "--real", str(real), "--model", str(model),
+                     "--nmb", "32", "--rmb", "3", "--out", str(tmp_path / "score.txt")])
+    assert code == 1
+    assert "matching score" in capsys.readouterr().err
+    assert not (tmp_path / "score.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gof-test", "--model", "nope"],
+    ["roc", "--null", "no_difference", "--alt", "nope", "--d", "2", "--n", "10"],
+], ids=["gof-test-model", "roc-alt"])
+def test_unknown_scenario_exits_1(matrices, argv, capsys):
+    tmp_path, xpath, _ = matrices
+    data = ["--data", str(xpath)] if argv[0] == "gof-test" else []
+    assert dispatch([*argv, *data, "--out", str(tmp_path / "out")]) == 1
+    assert "nope" in capsys.readouterr().err
+
+
 def test_seed_env_var(tmp_path, monkeypatch, capsys):
     rng = np.random.default_rng(20)
     data = tmp_path / "d.csv"

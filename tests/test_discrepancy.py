@@ -5,7 +5,7 @@ from bnpmmd.discrepancy import (deviation_tail_bound, energy_weighted,
                                 generalization_bound, grad_mmd2_atoms,
                                 mmd2_empirical, mmd2_weighted,
                                 prior_mean_upper_bound)
-from bnpmmd.dp import DiscreteMeasure, DPParams, PosteriorParams, sample_dp_posterior, sample_dp_prior
+from bnpmmd.dp import DiscreteMeasure, PosteriorParams, sample_dp_posterior, sample_dp_prior
 from bnpmmd.errors import InvalidInputError, InvalidParameterError
 from bnpmmd.kernels import (KernelComponent, KernelSpec, eval_kernel,
                             gaussian_kernel, gaussian_mixture)
@@ -166,9 +166,8 @@ class TestBounds:
         rng = np.random.default_rng(7)
         base = lambda k, r: r.standard_normal((k, 1))
         spec = gaussian_kernel(SQRT2)
-        params = DPParams(25.0, base)
         Y = base(50, rng)
-        vals = [mmd2_weighted(sample_dp_prior(params, 36, rng), Y, spec)
+        vals = [mmd2_weighted(sample_dp_prior(25.0, base, 36, rng), Y, spec)
                 for _ in range(1000)]
         assert np.mean(vals) < prior_mean_upper_bound(spec.kernel_bound, 0.0)
 
@@ -214,11 +213,10 @@ class TestAsymptoticBehavior:
         rng = np.random.default_rng(8)
         base = lambda k, r: r.standard_normal((k, 1))
         spec = gaussian_kernel(SQRT2)
-        params = DPParams(1e6, base)
         Y = base(50, rng)
         gaps = []
         for _ in range(200):
-            m = sample_dp_prior(params, 50, rng)
+            m = sample_dp_prior(1e6, base, 50, rng)
             gaps.append(abs(mmd2_weighted(m, Y, spec) - mmd2_empirical(m.atoms, Y, spec)))
         assert np.median(gaps) < 0.01
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from bnpmmd.dp import (DEFAULT_MAX_TERMS, DiscreteMeasure, DPParams, PosteriorParams,
+from bnpmmd.dp import (DEFAULT_MAX_TERMS, DiscreteMeasure, PosteriorParams,
                        sample_dp_posterior, sample_dp_prior, sample_stick_breaking,
                        stopping_rule_N, symmetric_dirichlet)
 from bnpmmd.errors import InvalidParameterError
@@ -64,8 +64,7 @@ class TestStoppingRule:
 class TestPriorSampling:
     def test_simplex(self):
         rng = np.random.default_rng(3)
-        params = DPParams(25.0, normal_base(2))
-        m = sample_dp_prior(params, 40, rng)
+        m = sample_dp_prior(25.0, normal_base(2), 40, rng)
         assert np.all(m.weights >= 0)
         assert m.weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert m.atoms.shape == (40, 2)
@@ -73,10 +72,9 @@ class TestPriorSampling:
     def test_huge_concentration_flattens_weights(self):
         # Monte Carlo check of the almost-sure weight limit 1/N
         rng = np.random.default_rng(4)
-        params = DPParams(1e7, normal_base())
         hits = 0
         for _ in range(1000):
-            m = sample_dp_prior(params, 10, rng)
+            m = sample_dp_prior(1e7, normal_base(), 10, rng)
             if np.max(np.abs(m.weights - 0.1)) < 0.01:
                 hits += 1
         assert hits >= 990
@@ -85,8 +83,7 @@ class TestPriorSampling:
         rng = np.random.default_rng(5)
         gaps = []
         for a in [1e2, 1e4, 1e6]:
-            params = DPParams(a, zero_base())
-            vals = [np.max(np.abs(sample_dp_prior(params, 20, rng).weights - 1 / 20))
+            vals = [np.max(np.abs(sample_dp_prior(a, zero_base(), 20, rng).weights - 1 / 20))
                     for _ in range(2000)]
             gaps.append(np.mean(vals))
         assert gaps[0] > gaps[1] > gaps[2]
@@ -95,8 +92,8 @@ class TestPriorSampling:
         # E[J] = 1/N, Var[J] = (N-1)/(N^2 (a+1))
         a, N, reps = 25.0, 50, 20000
         rng = np.random.default_rng(6)
-        params = DPParams(a, zero_base())
-        first = np.array([sample_dp_prior(params, N, rng).weights[0] for _ in range(reps)])
+        first = np.array([sample_dp_prior(a, zero_base(), N, rng).weights[0]
+                          for _ in range(reps)])
         assert first.mean() == pytest.approx(1.0 / N, abs=3 * first.std() / np.sqrt(reps))
         target_var = (N - 1) / (N**2 * (a + 1))
         s2 = first.var(ddof=1)
@@ -106,9 +103,8 @@ class TestPriorSampling:
 
     def test_zero_concentration_prior_rejected(self):
         rng = np.random.default_rng(7)
-        params = DPParams(0.0, normal_base())
         with pytest.raises(InvalidParameterError):
-            sample_dp_prior(params, 5, rng)
+            sample_dp_prior(0.0, normal_base(), 5, rng)
 
     def test_tiny_shape_survives_underflow(self):
         # per-coordinate shape 1e-4: log-space sampling keeps the normalizer alive
@@ -203,12 +199,11 @@ def test_gamma_and_stick_breaking_samplers_agree():
     # test function under each by a two-sample t-test at the 1% level
     rng = np.random.default_rng(17)
     a, terms, draws = 5.0, 500, 10000
-    params = DPParams(a, normal_base())
 
     def measure_mass(m):
         return m.weights[m.atoms[:, 0] <= 0.3].sum()
 
-    via_gamma = np.array([measure_mass(sample_dp_prior(params, terms, rng))
+    via_gamma = np.array([measure_mass(sample_dp_prior(a, normal_base(), terms, rng))
                           for _ in range(draws)])
     via_stick = np.array([measure_mass(sample_stick_breaking(a, normal_base(), terms, rng))
                           for _ in range(draws)])
@@ -220,8 +215,7 @@ def test_gamma_and_stick_breaking_samplers_agree():
 @given(st.floats(0.5, 50.0), st.integers(1, 60), st.integers(0, 2**32 - 1))
 def test_prior_simplex_property(a, n_terms, seed):
     rng = np.random.default_rng(seed)
-    params = DPParams(a, zero_base())
-    m = sample_dp_prior(params, n_terms, rng)
+    m = sample_dp_prior(a, zero_base(), n_terms, rng)
     assert np.all(m.weights >= 0)
     assert abs(m.weights.sum() - 1.0) <= 1e-12
 
@@ -242,15 +236,14 @@ def _run_train(**cfg):
 @pytest.mark.parametrize("invalid", [
     lambda: _run_gof(truncation_epsilon=0.0),
     lambda: _run_gof(truncation_epsilon=1.5),
-    lambda: _run_gof(max_terms=0),
     lambda: _run_gof(truncation_epsilon=None, explicit_terms=0),
     lambda: _run_gof(explicit_terms=3),
     lambda: _run_train(truncation_epsilon=1.5),
     lambda: stopping_rule_N(0.0, 1e-3, DEFAULT_MAX_TERMS, np.random.default_rng(20)),
     lambda: stopping_rule_N(25.0, 1.5, DEFAULT_MAX_TERMS, np.random.default_rng(20)),
     lambda: stopping_rule_N(25.0, 1e-3, 0, np.random.default_rng(20)),
-    lambda: DPParams(-1.0, zero_base()),
-], ids=["rb-eps-0", "rb-eps-1.5", "rb-max-terms-0", "rb-explicit-0", "rb-both-set",
+    lambda: sample_dp_prior(-1.0, zero_base(), 5, np.random.default_rng(20)),
+], ids=["rb-eps-0", "rb-eps-1.5", "rb-explicit-0", "rb-both-set",
         "train-eps-1.5", "rule-concentration-0", "rule-eps-1.5", "rule-max-terms-0",
         "params-negative-concentration"])
 def test_invalid_truncation_settings_rejected(invalid):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bnpmmd import gan
 from bnpmmd.discrepancy import mmd2_empirical
 from bnpmmd.dp import DiscreteMeasure
 from bnpmmd.errors import InvalidInputError, InvalidParameterError
@@ -127,14 +128,15 @@ class TestTrain:
         assert hist.loss.shape == (400,)
         assert np.median(hist.loss[-40:]) < np.median(hist.loss[:40])
 
-    def test_divergence_guard_mechanics(self):
+    def test_divergence_guard_mechanics(self, monkeypatch):
         # an impossible improvement factor makes every iteration count as
         # over budget, so the loop aborts after the configured patience
+        monkeypatch.setattr(gan, "DIVERGENCE_FACTOR", 0.01)
+        monkeypatch.setattr(gan, "DIVERGENCE_PATIENCE", 5)
         rng = np.random.default_rng(16)
         data = eight_gaussian_ring(256, rng)
         net = make_net([1, 8, 8, 8, 8, 2], seed=17)
-        cfg = TrainConfig(minibatch=32, iterations=500, checkpoint_every=0,
-                          divergence_factor=0.01, divergence_patience=5)
+        cfg = TrainConfig(minibatch=32, iterations=500, checkpoint_every=0)
         net, hist = train(net, data, cfg, rng)
         assert hist.diverged
         assert hist.loss.shape == (5,)
@@ -220,6 +222,16 @@ class TestMMDS:
         perm = np.random.default_rng(27).permutation(60)
         scrambled = mmds_score(real[perm], fake, 60, 3, spec, np.random.default_rng(26))
         assert scrambled == pytest.approx(base, abs=1e-14)
+
+    def test_nan_propagates(self):
+        # Python's max(worst, nan) keeps worst, which hid NaN subset pairs
+        rng = np.random.default_rng(36)
+        real = rng.random((50, 2))
+        assert np.isnan(mmds_score(real, np.full((50, 2), np.nan), 20, 5,
+                                   gaussian_mixture(), rng))
+        fake = rng.random((50, 2))
+        fake[3] = np.nan
+        assert np.isnan(mmds_score(real, fake, 50, 5, gaussian_mixture(), rng))
 
     def test_oversized_subset_rejected(self):
         rng = np.random.default_rng(28)

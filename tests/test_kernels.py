@@ -96,15 +96,12 @@ class TestMedianHeuristic:
     def test_hand_enumeration(self):
         X = np.array([[0.0], [0.0]])
         Y = np.array([[3.0], [4.0]])
-        res = median_heuristic(X, Y)
-        assert res.value == pytest.approx(12.5)
-        assert not res.degenerate
+        assert median_heuristic(X, Y) == pytest.approx(12.5)
 
     def test_degenerate_single_identical_point(self):
         X = np.array([[1.0, 2.0]])
-        res = median_heuristic(X, X.copy())
-        assert res.degenerate
-        assert res.value == pytest.approx(1e-8)
+        with pytest.raises(InvalidInputError, match="degenerate"):
+            median_heuristic(X, X.copy())
 
     def test_swap_invariance(self):
         rng = np.random.default_rng(3)
@@ -122,7 +119,7 @@ class TestMedianHeuristic:
             gram(spec, X, Y)
 
     def test_resolve_median_rejects_degenerate(self):
-        # constant samples have no scale; the floor would be a silent sigma
+        # constant samples have no scale to offer as sigma
         X = np.full((5, 2), 3.0)
         Y = np.full((4, 2), 3.0)
         with pytest.raises(InvalidInputError, match="degenerate"):

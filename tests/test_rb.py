@@ -133,7 +133,7 @@ class TestSimulate:
                        explicit_terms=20, kernel=gaussian_kernel(SQRT2))
         X = rng.standard_normal((30, 1))
         for which in ("prior", "posterior"):
-            v = simulate_mmd_samples(X, normal_base(), cfg, which, rng)
+            v = simulate_mmd_samples(X, normal_base(), cfg, which, rng, n_terms=20)
             assert v.shape == (50,)
             assert np.all(np.isfinite(v))
             assert np.all(v >= -1e-12)
@@ -177,7 +177,19 @@ class TestSimulate:
         rng = np.random.default_rng(5)
         cfg = RBConfig(mc_reps=30, truncation_epsilon=None, explicit_terms=5)
         with pytest.raises(InvalidParameterError):
-            simulate_mmd_samples(np.zeros((5, 1)), normal_base(), cfg, "both", rng)
+            simulate_mmd_samples(np.zeros((5, 1)), normal_base(), cfg, "both", rng,
+                                 n_terms=5)
+
+    @pytest.mark.parametrize("poisoned", ["data", "model"])
+    def test_non_finite_input_rejected(self, poisoned):
+        # one NaN cell in 50x5 data left 30 of 100 posterior draws NaN, silently
+        rng = np.random.default_rng(34)
+        X, Y = normal_base(5)(50, rng), normal_base(5)(50, rng)
+        {"data": X, "model": Y}[poisoned][17, 2] = np.nan
+        cfg = RBConfig(concentration=25.0, mc_reps=100, kernel=gaussian_kernel(80.0))
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            simulate_mmd_samples(X, Y, cfg, "posterior", rng, n_terms=30,
+                                 base_sampler=normal_base(5))
 
 
 class TestRunGofTest:
@@ -223,6 +235,14 @@ class TestRunGofTest:
         X = normal_base()(10, rng)
         with pytest.warns(UserWarning, match="n/2"):
             run_gof_test(X, normal_base(), self._cfg(concentration=20.0), rng)
+
+    def test_no_warning_at_half_n(self):
+        # a = n/2 is the paper's own setting (a=25, n=50)
+        rng = np.random.default_rng(35)
+        X = normal_base()(50, rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_gof_test(X, normal_base(), self._cfg(concentration=25.0, mc_reps=50), rng)
 
     def test_too_few_observations(self):
         rng = np.random.default_rng(10)
