@@ -1,9 +1,10 @@
 """Command-line entry point: seeded, reproducible runs with manifest sidecars.
 
 Subcommands: gof-test, roc, mmd, dp-sample, gan-train, gan-score,
-bandwidth-sweep.  Every run that writes files also writes a JSON manifest
-next to the first output; re-running the manifest's argv reproduces the
-outputs byte for byte.
+bandwidth-sweep.  ``dispatch`` gives each run its seed, its generator and
+its clock; every run that writes files also gets a JSON manifest next to the
+first output, and re-running the manifest's argv reproduces the outputs byte
+for byte.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .discrepancy import mmd2_empirical
 from .errors import InvalidInputError, InvalidParameterError
 from .gan import GeneratorNet, TrainConfig, generator_forward, mmds_score, train
 from .idx import load_idx_images
-from .kernels import format_kernel, gaussian_kernel, parse_kernel
+from .kernels import format_kernel, gaussian_kernel, parse_kernel, resolve_median
 from .rb import RBConfig, run_gof_test
 from .scenarios import SCENARIOS, ScenarioSpec, run_roc_study, scenario_sampler
 
@@ -52,6 +53,12 @@ def write_matrix(path, X: np.ndarray) -> None:
     np.savetxt(path, np.atleast_2d(X), delimiter=",", fmt=FLOAT_FMT)
 
 
+def write_json(path, obj, indent: int | None = None) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=indent)
+        fh.write("\n")
+
+
 def write_manifest(command: str, argv: list[str], config: dict, seed: int,
                    outputs: list[str], started: float) -> None:
     if not outputs:
@@ -66,10 +73,7 @@ def write_manifest(command: str, argv: list[str], config: dict, seed: int,
         "wall_time_s": time.time() - started,
         "outputs": [str(o) for o in outputs],
     }
-    path = primary.with_name(primary.stem + ".manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_json(primary.with_name(primary.stem + ".manifest.json"), manifest, indent=2)
 
 
 def resolve_seed(args) -> int:
@@ -125,13 +129,11 @@ def rb_config_from_args(args, kernel, model_size: int | None = None) -> RBConfig
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed args and the run's generator and returns
+# (config, outputs) for the manifest that ``dispatch`` writes
 
 
-def cmd_gof_test(args, argv) -> int:
-    started = time.time()
-    seed = resolve_seed(args)
-    rng = np.random.default_rng(seed)
+def cmd_gof_test(args, rng) -> tuple[dict, list[str]]:
     data = read_matrix(args.data, args.header)
     kernel = parse_kernel(args.kernel)
     cfg = rb_config_from_args(args, kernel, model_size=args.m)
@@ -153,15 +155,13 @@ def cmd_gof_test(args, argv) -> int:
         "M": args.M,
         "i0": args.i0,
         "kernel": format_kernel(kernel),
-        "seed": seed,
+        "seed": args.seed,
         "prior_summary": _summary(report.prior_samples),
         "posterior_summary": _summary(report.posterior_samples),
     }
     outputs = []
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        write_json(args.out, payload, indent=2)
         outputs.append(args.out)
     else:
         print(json.dumps(payload, indent=2))
@@ -170,8 +170,7 @@ def cmd_gof_test(args, argv) -> int:
                      np.column_stack([report.prior_samples, report.posterior_samples]))
         outputs.append(args.samples_out)
     print(f"rb={fmt(report.rb)} strength={fmt(report.strength)} decision={report.decision}")
-    write_manifest("gof-test", argv, payload, seed, outputs, started)
-    return 0
+    return payload, outputs
 
 
 def _summary(v: np.ndarray) -> dict:
@@ -179,10 +178,7 @@ def _summary(v: np.ndarray) -> dict:
             "min": float(np.min(v)), "max": float(np.max(v))}
 
 
-def cmd_roc(args, argv) -> int:
-    started = time.time()
-    seed = resolve_seed(args)
-    rng = np.random.default_rng(seed)
+def cmd_roc(args, rng) -> tuple[dict, list[str]]:
     kernel = parse_kernel(args.kernel)
     cfg = rb_config_from_args(args, kernel)
     null_spec = ScenarioSpec(args.null, args.d, args.n)
@@ -203,58 +199,39 @@ def cmd_roc(args, argv) -> int:
               "resample_model": args.resample_model,
               "thresholds": args.thresholds, "auc": curve.auc,
               "excluded": curve.excluded}
-    write_manifest("roc", argv, config, seed, outputs, started)
-    return 0
+    return config, outputs
 
 
-def cmd_mmd(args, argv) -> int:
-    started = time.time()
-    seed = resolve_seed(args)
+def cmd_mmd(args, rng) -> tuple[dict, list[str]]:
     X = read_matrix(args.x, args.header)
     Y = read_matrix(args.y, args.header)
-    kernel = parse_kernel(args.kernel)
-    from .kernels import resolve_median
-    kernel = resolve_median(kernel, X, Y)
+    kernel = resolve_median(parse_kernel(args.kernel), X, Y)
     value = mmd2_empirical(X, Y, kernel)
     print(fmt(value))
     outputs = []
     if args.out:
         Path(args.out).write_text(fmt(value) + "\n")
         outputs.append(args.out)
-    write_manifest("mmd", argv, {"x": args.x, "y": args.y,
-                                 "kernel": format_kernel(kernel), "value": value},
-                   seed, outputs, started)
-    return 0
+    return {"x": args.x, "y": args.y, "kernel": format_kernel(kernel), "value": value}, outputs
 
 
-def cmd_dp_sample(args, argv) -> int:
-    started = time.time()
-    seed = resolve_seed(args)
-    rng = np.random.default_rng(seed)
+def cmd_dp_sample(args, rng) -> tuple[dict, list[str]]:
     base = scenario_sampler(args.base, args.d)
-    if args.method == "stick":
-        if args.n_terms is None:
+    n_terms = args.n_terms
+    if n_terms is None:
+        if args.method == "stick":
             raise InvalidParameterError("stick-breaking sampling needs an explicit --n-terms")
-        measure = sample_stick_breaking(args.a, base, args.n_terms, rng)
-        n_terms = args.n_terms
-    else:
-        n_terms = args.n_terms
-        if n_terms is None:
-            n_terms = stopping_rule_N(args.a, args.eps, DEFAULT_MAX_TERMS, rng).n_terms
-        measure = sample_dp_prior(args.a, base, n_terms, rng)
+        n_terms = stopping_rule_N(args.a, args.eps, DEFAULT_MAX_TERMS, rng).n_terms
+    sample = sample_stick_breaking if args.method == "stick" else sample_dp_prior
+    measure = sample(args.a, base, n_terms, rng)
     rows = np.column_stack([measure.weights, measure.atoms])
     write_matrix(args.out, rows)
     print(f"n_terms={n_terms}")
-    write_manifest("dp-sample", argv,
-                   {"a": args.a, "d": args.d, "base": args.base, "method": args.method,
-                    "n_terms": n_terms}, seed, [args.out], started)
-    return 0
+    return ({"a": args.a, "d": args.d, "base": args.base, "method": args.method,
+             "n_terms": n_terms}, [args.out])
 
 
-def cmd_gan_train(args, argv) -> int:
-    started = time.time()
-    seed = resolve_seed(args)
-    rng = np.random.default_rng(seed)
+def cmd_gan_train(args, rng) -> tuple[dict, list[str]]:
     dataset = read_matrix(args.data, args.header)
     kernel = parse_kernel(args.kernel)
     hidden = [int(h) for h in args.hidden.split(",") if h]
@@ -265,9 +242,7 @@ def cmd_gan_train(args, argv) -> int:
                       checkpoint_every=args.checkpoint_every)
     net, history = train(net, dataset, cfg, rng)
 
-    with open(args.out, "w") as fh:
-        json.dump(net.to_dict(), fh)
-        fh.write("\n")
+    write_json(args.out, net.to_dict())
     outputs = [args.out]
     if args.history:
         write_matrix(args.history,
@@ -277,18 +252,12 @@ def cmd_gan_train(args, argv) -> int:
     status = "diverged" if history.diverged else "ok"
     print(f"status={status} final_loss={fmt(history.loss[-1])} "
           f"iterations={history.loss.size}")
-    write_manifest("gan-train", argv,
-                   {"data": args.data, "hidden": hidden, "noise_dim": args.noise_dim,
-                    "iters": args.iters, "batch": args.batch,
-                    "kernel": format_kernel(kernel), "eps": args.eps,
-                    "step": args.step, "status": status}, seed, outputs, started)
-    return 0
+    return ({"data": args.data, "hidden": hidden, "noise_dim": args.noise_dim,
+             "iters": args.iters, "batch": args.batch, "kernel": format_kernel(kernel),
+             "eps": args.eps, "step": args.step, "status": status}, outputs)
 
 
-def cmd_gan_score(args, argv) -> int:
-    started = time.time()
-    seed = resolve_seed(args)
-    rng = np.random.default_rng(seed)
+def cmd_gan_score(args, rng) -> tuple[dict, list[str]]:
     real = read_matrix(args.real, args.header)
     with open(args.model) as fh:
         net = GeneratorNet.from_dict(json.load(fh))
@@ -304,17 +273,11 @@ def cmd_gan_score(args, argv) -> int:
     if args.out:
         Path(args.out).write_text(fmt(score) + "\n")
         outputs.append(args.out)
-    write_manifest("gan-score", argv,
-                   {"real": args.real, "model": args.model, "nmb": args.nmb,
-                    "rmb": args.rmb, "kernel": format_kernel(kernel), "score": score},
-                   seed, outputs, started)
-    return 0
+    return ({"real": args.real, "model": args.model, "nmb": args.nmb, "rmb": args.rmb,
+             "kernel": format_kernel(kernel), "score": score}, outputs)
 
 
-def cmd_bandwidth_sweep(args, argv) -> int:
-    started = time.time()
-    seed = resolve_seed(args)
-    root = np.random.default_rng(seed)
+def cmd_bandwidth_sweep(args, root) -> tuple[dict, list[str]]:
     null_spec = ScenarioSpec(args.null, args.d, args.n)
     alt_spec = ScenarioSpec(args.alt, args.d, args.n)
     sigmas = [s.strip() for s in args.sigmas.split(",") if s.strip()]
@@ -330,11 +293,9 @@ def cmd_bandwidth_sweep(args, argv) -> int:
         lines.append(f"{sig},{fmt(curve.auc)}")
         print(f"sigma={sig} auc={fmt(curve.auc)}")
     Path(args.out).write_text("\n".join(lines) + "\n")
-    write_manifest("bandwidth-sweep", argv,
-                   {"null": args.null, "alt": args.alt, "d": args.d, "n": args.n,
-                    "reps": args.reps, "resample_model": args.resample_model,
-                    "auc": results}, seed, [args.out], started)
-    return 0
+    return ({"null": args.null, "alt": args.alt, "d": args.d, "n": args.n,
+             "reps": args.reps, "resample_model": args.resample_model,
+             "auc": results}, [args.out])
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +310,19 @@ def _add_common_rb_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps", type=float, default=1e-3, help="random-truncation threshold")
     p.add_argument("--n-terms", type=int, default=None, dest="n_terms",
                    help="fixed truncation level (overrides --eps)")
-    p.add_argument("--kernel", default="gaussian:80")
     p.add_argument("--resample-model", action="store_true", dest="resample_model",
                    help="redraw the model sample for every Monte Carlo draw")
+
+
+def _add_study_flags(p: argparse.ArgumentParser, reps: int) -> None:
+    """Scenario pair, sizes and ROC grid shared by ``roc`` and ``bandwidth-sweep``."""
+    p.add_argument("--null", required=True)
+    p.add_argument("--alt", required=True)
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--reps", type=int, default=reps)
+    p.add_argument("--thresholds", type=int, default=401, help="ROC grid points (>= 2)")
+    _add_common_rb_flags(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,54 +330,51 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Weighted-bootstrap MMD testing and training tools")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None,
+                        help=f"run seed (default: ${SEED_ENV_VAR}, then 0)")
 
-    p = sub.add_parser("gof-test", help="relative-belief goodness-of-fit test")
+    p = sub.add_parser("gof-test", parents=[seeded], help="relative-belief goodness-of-fit test")
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True, help=f"one of {', '.join(SCENARIOS)}")
     p.add_argument("--base", default=None, help="override base measure (defaults to the model)")
     _add_common_rb_flags(p)
+    p.add_argument("--kernel", default="gaussian:80")
     p.add_argument("--m", type=int, default=None, help="model sample size (default n)")
     p.add_argument("--header", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="report JSON path")
     p.add_argument("--samples-out", default=None, dest="samples_out",
                    help="CSV of prior/posterior Monte Carlo draws")
     p.set_defaults(func=cmd_gof_test)
 
-    p = sub.add_parser("roc", help="ROC/AUC replication study of the test")
-    p.add_argument("--null", required=True)
-    p.add_argument("--alt", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--reps", type=int, default=100)
-    _add_common_rb_flags(p)
-    p.add_argument("--thresholds", type=int, default=401)
-    p.add_argument("--seed", type=int, default=None)
+    p = sub.add_parser("roc", parents=[seeded], help="ROC/AUC replication study of the test")
+    _add_study_flags(p, reps=100)
+    p.add_argument("--kernel", default="gaussian:80")
     p.add_argument("--out", required=True, help="CSV of threshold,fpr,tpr")
     p.add_argument("--svg", default=None)
     p.set_defaults(func=cmd_roc)
 
-    p = sub.add_parser("mmd", help="empirical squared MMD between two CSV matrices")
+    p = sub.add_parser("mmd", parents=[seeded],
+                       help="empirical squared MMD between two CSV matrices")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--kernel", default="gaussian:80")
     p.add_argument("--header", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_mmd)
 
-    p = sub.add_parser("dp-sample", help="emit one weighted-measure draw as CSV")
+    p = sub.add_parser("dp-sample", parents=[seeded], help="emit one weighted-measure draw as CSV")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--base", default="no_difference")
     p.add_argument("--method", choices=["dirichlet", "stick"], default="dirichlet")
     p.add_argument("--eps", type=float, default=1e-3)
     p.add_argument("--n-terms", type=int, default=None, dest="n_terms")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_dp_sample)
 
-    p = sub.add_parser("gan-train", help="train the MLP generator on CSV or IDX data")
+    p = sub.add_parser("gan-train", parents=[seeded],
+                       help="train the MLP generator on CSV or IDX data")
     p.add_argument("--data", required=True)
     p.add_argument("--hidden", default="64,64,64,64")
     p.add_argument("--noise-dim", type=int, default=10, dest="noise_dim")
@@ -417,49 +385,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--checkpoint-every", type=int, default=200, dest="checkpoint_every")
     p.add_argument("--header", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="model JSON path")
     p.add_argument("--history", default=None, help="CSV of iteration,loss,grad_norm")
     p.set_defaults(func=cmd_gan_train)
 
-    p = sub.add_parser("gan-score", help="matching score of a trained generator")
+    p = sub.add_parser("gan-score", parents=[seeded], help="matching score of a trained generator")
     p.add_argument("--real", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--nmb", type=int, default=100)
     p.add_argument("--rmb", type=int, default=50)
     p.add_argument("--kernel", default="mix:gaussian:2,5,10,20,40,80")
     p.add_argument("--header", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gan_score)
 
-    p = sub.add_parser("bandwidth-sweep", help="AUC of the test across bandwidths")
-    p.add_argument("--null", required=True)
-    p.add_argument("--alt", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--sigmas", default="2,5,10,20,40,80,median")
-    p.add_argument("--reps", type=int, default=20)
-    _add_common_rb_flags(p)
-    p.add_argument("--thresholds", type=int, default=401)
-    p.add_argument("--seed", type=int, default=None)
+    p = sub.add_parser("bandwidth-sweep", parents=[seeded],
+                       help="AUC of the test across Gaussian bandwidths")
+    _add_study_flags(p, reps=20)
+    p.add_argument("--sigmas", default="2,5,10,20,40,80,median",
+                   help="Gaussian bandwidths, 'median' for the median heuristic")
     p.add_argument("--out", required=True, help="CSV of sigma,auc")
     p.set_defaults(func=cmd_bandwidth_sweep)
     return parser
 
 
 def dispatch(argv: list[str]) -> int:
-    """Run one subcommand; 0 on success, 2 on usage errors, 1 on runtime errors."""
+    """Run one subcommand in its run frame: seed, generator, clock and manifest.
+
+    Returns 0 on success, 2 on usage errors and 1 on runtime errors.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    started = time.time()
     try:
-        return args.func(args, argv)
+        args.seed = resolve_seed(args)
+        config, outputs = args.func(args, np.random.default_rng(args.seed))
+        write_manifest(args.command, argv, config, args.seed, outputs, started)
     except Exception as exc:  # noqa: BLE001 - single reporting point for the CLI
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

@@ -106,7 +106,7 @@ def stopping_rule_N(concentration: float, eps: float, max_terms: int,
     ``max_terms`` the cap is returned with ``clamped=True``.
     """
     if concentration <= 0:
-        raise InvalidParameterError("stopping rule undefined for zero concentration")
+        raise InvalidParameterError(f"stopping rule needs a positive concentration, got {concentration}")
     if not 0.0 < eps < 1.0:
         raise InvalidParameterError("truncation_epsilon must lie in (0, 1)")
     if max_terms < 1:

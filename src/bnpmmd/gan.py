@@ -150,6 +150,10 @@ class TrainConfig:
             raise InvalidParameterError("minibatch and iterations must be positive")
         if not 0.0 < self.final_step_fraction <= 1.0:
             raise InvalidParameterError("final_step_fraction must lie in (0, 1]")
+        if not (np.isfinite(self.step_size) and self.step_size > 0):
+            raise InvalidParameterError(f"step_size must be finite and positive, got {self.step_size}")
+        if self.checkpoint_every < 0:
+            raise InvalidParameterError("checkpoint_every must be >= 0 (0 disables checkpoints)")
 
 
 @dataclass

@@ -161,6 +161,8 @@ def roc_from_scores(h0_scores: np.ndarray, h1_scores: np.ndarray, *,
     h1 = np.asarray(h1_scores, dtype=float)
     if h0.size < 1 or h1.size < 1:
         raise InvalidInputError("need scores under both hypotheses")
+    if num_thresholds < 2:
+        raise InvalidParameterError(f"num_thresholds must be >= 2, got {num_thresholds}")
     ts = np.linspace(0.0, threshold_max, num_thresholds)
     tpr = np.count_nonzero(h1[None, :] < ts[:, None], axis=1) / h1.size
     fpr = np.count_nonzero(h0[None, :] < ts[:, None], axis=1) / h0.size

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,3 +272,90 @@ def test_bandwidth_sweep_trend(tmp_path, capsys):
     aucs = {line.split(",")[0]: float(line.split(",")[1]) for line in lines}
     assert set(aucs) == {"2", "80"}
     assert aucs["80"] > aucs["2"]
+
+
+STUDY = ["--null", "no_difference", "--alt", "mean_shift", "--d", "2", "--n", "10",
+         "--reps", "2", "--a", "2", "--ell", "20", "--n-terms", "5"]
+
+
+def test_bandwidth_sweep_has_no_kernel_flag(tmp_path, capsys):
+    # the sweep always uses Gaussian kernels at --sigmas; a kernel flag was ignored
+    code = dispatch(["bandwidth-sweep", *STUDY, "--sigmas", "2", "--kernel", "exponential:2",
+                     "--out", str(tmp_path / "sweep.csv")])
+    assert code == 2
+    assert "--kernel" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["gof-test", "--model", "no_difference", "--a", "0"], "concentration"),
+    (["dp-sample", "--a", "-1"], "got -1.0"),
+    (["roc", *STUDY, "--thresholds", "0"], "thresholds"),
+    (["roc", *STUDY, "--thresholds", "1"], "thresholds"),
+    (["gan-train", "--iters", "2", "--batch", "8", "--hidden", "4", "--step", "-1"],
+     "step_size"),
+    (["gan-train", "--iters", "2", "--batch", "8", "--hidden", "4",
+      "--checkpoint-every", "-1"], "checkpoint_every"),
+], ids=["gof-a-0", "dp-sample-a-negative", "roc-thresholds-0", "roc-thresholds-1",
+        "gan-train-step-negative", "gan-train-checkpoint-negative"])
+def test_invalid_value_exits_1(matrices, argv, named, capsys):
+    tmp_path, xpath, _ = matrices
+    data = ["--data", str(xpath)] if argv[0] in ("gof-test", "gan-train") else []
+    assert dispatch([*argv, *data, "--out", str(tmp_path / "out")]) == 1
+    assert named in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
+@pytest.fixture()
+def run_inputs(tmp_path):
+    from bnpmmd.gan import GeneratorNet, eight_gaussian_ring
+    rng = np.random.default_rng(30)
+    (tmp_path / "in").mkdir()
+    (tmp_path / "out").mkdir()
+    paths = {name: tmp_path / "in" / f"{name}.csv" for name in ("x", "y", "ring")}
+    write_matrix(paths["x"], rng.standard_normal((20, 2)))
+    write_matrix(paths["y"], rng.standard_normal((15, 2)) + 0.5)
+    write_matrix(paths["ring"], eight_gaussian_ring(64, rng))
+    paths["model"] = tmp_path / "in" / "model.json"
+    paths["model"].write_text(json.dumps(GeneratorNet.initialize([1, 4, 2], rng).to_dict()))
+    return {k: str(v) for k, v in paths.items()}, tmp_path / "out"
+
+
+def _run_frame_argv(command, inputs, out):
+    return [command, *{
+        "gof-test": ["--data", inputs["x"], "--model", "no_difference", "--a", "5",
+                     "--ell", "40", "--out", f"{out}/report.json",
+                     "--samples-out", f"{out}/samples.csv"],
+        "roc": [*STUDY, "--thresholds", "11", "--out", f"{out}/roc.csv",
+                "--svg", f"{out}/roc.svg"],
+        "mmd": ["--x", inputs["x"], "--y", inputs["y"], "--kernel", "gaussian:median",
+                "--out", f"{out}/mmd.txt"],
+        "dp-sample": ["--a", "5", "--d", "2", "--out", f"{out}/draw.csv"],
+        "gan-train": ["--data", inputs["ring"], "--hidden", "4", "--noise-dim", "1",
+                      "--iters", "4", "--batch", "16", "--checkpoint-every", "2",
+                      "--out", f"{out}/model.json", "--history", f"{out}/history.csv"],
+        "gan-score": ["--real", inputs["ring"], "--model", inputs["model"], "--nmb", "16",
+                      "--rmb", "3", "--out", f"{out}/score.txt"],
+        "bandwidth-sweep": [*STUDY, "--sigmas", "2,median", "--out", f"{out}/sweep.csv"],
+    }[command], "--seed", "31"]
+
+
+@pytest.mark.parametrize("command", ["gof-test", "roc", "mmd", "dp-sample", "gan-train",
+                                     "gan-score", "bandwidth-sweep"])
+def test_every_subcommand_writes_a_replayable_manifest(run_inputs, command, capsys):
+    inputs, out = run_inputs
+    assert dispatch(_run_frame_argv(command, inputs, out)) == 0
+    manifests = list(out.glob("*.manifest.json"))
+    assert len(manifests) == 1
+    manifest = json.loads(manifests[0].read_text())
+    assert set(manifest) == {"command", "argv", "config", "seed", "tool_version",
+                             "wall_time_s", "outputs"}
+    assert manifest["command"] == command
+    assert manifest["seed"] == 31
+
+    first = {}
+    for path in map(Path, manifest["outputs"]):
+        first[path] = path.read_bytes()
+        path.unlink()
+    assert dispatch(manifest["argv"]) == 0
+    assert {path: path.read_bytes() for path in first} == first

@@ -223,14 +223,14 @@ def test_prior_simplex_property(a, n_terms, seed):
 def _run_gof(**cfg):
     rng = np.random.default_rng(18)
     run_gof_test(rng.standard_normal((10, 1)), normal_base(),
-                 RBConfig(concentration=2.0, mc_reps=20, **cfg), rng)
+                 RBConfig(**{"concentration": 2.0, "mc_reps": 20, **cfg}), rng)
 
 
 def _run_train(**cfg):
     rng = np.random.default_rng(19)
     net = GeneratorNet.initialize([1, 4, 2], rng)
     train(net, rng.random((16, 2)),
-          TrainConfig(minibatch=8, iterations=1, checkpoint_every=0, **cfg), rng)
+          TrainConfig(**{"minibatch": 8, "iterations": 1, "checkpoint_every": 0, **cfg}), rng)
 
 
 @pytest.mark.parametrize("invalid", [
@@ -238,17 +238,31 @@ def _run_train(**cfg):
     lambda: _run_gof(truncation_epsilon=1.5),
     lambda: _run_gof(truncation_epsilon=None, explicit_terms=0),
     lambda: _run_gof(explicit_terms=3),
+    lambda: _run_gof(concentration=0.0),
+    lambda: _run_gof(concentration=0.0, truncation_epsilon=None, explicit_terms=3),
     lambda: _run_train(truncation_epsilon=1.5),
+    lambda: _run_train(step_size=-1.0),
+    lambda: _run_train(step_size=0.0),
+    lambda: _run_train(step_size=float("nan")),
+    lambda: _run_train(checkpoint_every=-1),
     lambda: stopping_rule_N(0.0, 1e-3, DEFAULT_MAX_TERMS, np.random.default_rng(20)),
     lambda: stopping_rule_N(25.0, 1.5, DEFAULT_MAX_TERMS, np.random.default_rng(20)),
     lambda: stopping_rule_N(25.0, 1e-3, 0, np.random.default_rng(20)),
     lambda: sample_dp_prior(-1.0, zero_base(), 5, np.random.default_rng(20)),
 ], ids=["rb-eps-0", "rb-eps-1.5", "rb-explicit-0", "rb-both-set",
-        "train-eps-1.5", "rule-concentration-0", "rule-eps-1.5", "rule-max-terms-0",
-        "params-negative-concentration"])
+        "gof-concentration-0", "gof-concentration-0-explicit",
+        "train-eps-1.5", "train-step-negative", "train-step-0", "train-step-nan",
+        "train-checkpoint-negative", "rule-concentration-0", "rule-eps-1.5",
+        "rule-max-terms-0", "params-negative-concentration"])
 def test_invalid_truncation_settings_rejected(invalid):
     with pytest.raises(InvalidParameterError):
         invalid()
+
+
+@pytest.mark.parametrize("concentration", [0.0, -1.0])
+def test_stopping_rule_names_the_concentration_it_got(concentration):
+    with pytest.raises(InvalidParameterError, match=f"positive concentration, got {concentration}"):
+        stopping_rule_N(concentration, 1e-3, DEFAULT_MAX_TERMS, np.random.default_rng(20))
 
 
 class TestValidation:

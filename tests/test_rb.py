@@ -244,6 +244,17 @@ class TestRunGofTest:
             warnings.simplefilter("error")
             run_gof_test(X, normal_base(), self._cfg(concentration=25.0, mc_reps=50), rng)
 
+    @pytest.mark.parametrize("terms", [{}, {"truncation_epsilon": None, "explicit_terms": 5}],
+                             ids=["eps", "explicit"])
+    def test_zero_concentration_rejected_before_any_draw(self, terms):
+        # a = 0 is a valid RBConfig (posterior-only simulation) but no test
+        rng = np.random.default_rng(36)
+        state = rng.bit_generator.state
+        X = normal_base()(20, np.random.default_rng(37))
+        with pytest.raises(InvalidParameterError, match="positive concentration, got 0.0"):
+            run_gof_test(X, normal_base(), self._cfg(concentration=0.0, **terms), rng)
+        assert rng.bit_generator.state == state
+
     def test_too_few_observations(self):
         rng = np.random.default_rng(10)
         with pytest.raises(InvalidInputError):

@@ -143,6 +143,13 @@ class TestRocCurve:
             curve = roc_from_scores(h0, h1, num_thresholds=401)
             assert abs(curve.auc - auc_pairwise_oracle(h0, h1)) <= 0.02
 
+    @pytest.mark.parametrize("num_thresholds", [0, 1])
+    def test_too_few_thresholds_rejected(self, num_thresholds):
+        # one grid point or none has no curve, so no area to report
+        with pytest.raises(InvalidParameterError, match="num_thresholds"):
+            roc_from_scores(np.array([2.0, 10.0]), np.array([1.0, 3.0]),
+                            num_thresholds=num_thresholds)
+
     def test_monotone_rates(self):
         rng = np.random.default_rng(8)
         curve = roc_from_scores(rng.uniform(0, 20, 30), rng.uniform(0, 20, 30))
