@@ -25,7 +25,8 @@ from .gan import GeneratorNet, TrainConfig, generator_forward, mmds_score, train
 from .idx import load_idx_images
 from .kernels import format_kernel, gaussian_kernel, parse_kernel, resolve_median
 from .rb import RBConfig, run_gof_test
-from .scenarios import SCENARIOS, ScenarioSpec, run_roc_study, scenario_sampler
+from .scenarios import (DEFAULT_NUM_THRESHOLDS, SCENARIOS, ScenarioSpec, run_roc_study,
+                        scenario_sampler)
 
 SEED_ENV_VAR = "BNPMMD_SEED"
 FLOAT_FMT = "%.17g"
@@ -281,10 +282,15 @@ def cmd_bandwidth_sweep(args, root) -> tuple[dict, list[str]]:
     null_spec = ScenarioSpec(args.null, args.d, args.n)
     alt_spec = ScenarioSpec(args.alt, args.d, args.n)
     sigmas = [s.strip() for s in args.sigmas.split(",") if s.strip()]
+    if not sigmas:
+        raise InvalidParameterError(f"--sigmas {args.sigmas!r} lists no bandwidth")
+    kernels = [gaussian_kernel(None if sig == "median" else float(sig)) for sig in sigmas]
+    for i, kernel in enumerate(kernels):
+        if kernel in kernels[:i]:
+            raise InvalidParameterError(f"--sigmas repeats the bandwidth {sigmas[i]!r}")
     lines = []
     results = {}
-    for sig in sigmas:
-        kernel = gaussian_kernel(None if sig == "median" else float(sig))
+    for sig, kernel in zip(sigmas, kernels):
         cfg = rb_config_from_args(args, kernel)
         rng = np.random.default_rng(root.bit_generator.seed_seq.spawn(1)[0])
         curve = run_roc_study(null_spec, alt_spec, cfg, args.reps, rng,
@@ -321,7 +327,8 @@ def _add_study_flags(p: argparse.ArgumentParser, reps: int) -> None:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--reps", type=int, default=reps)
-    p.add_argument("--thresholds", type=int, default=401, help="ROC grid points (>= 2)")
+    p.add_argument("--thresholds", type=int, default=DEFAULT_NUM_THRESHOLDS,
+                   help="ROC grid points (>= 2)")
     _add_common_rb_flags(p)
 
 

@@ -38,12 +38,6 @@ def mmd2_empirical(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> float:
     return float(kxx - 2.0 * kxy + kyy)
 
 
-def weighted_self_term(P: DiscreteMeasure, spec: KernelSpec) -> float:
-    """w^T K(V, V) w for a weighted measure."""
-    kvv = gram(spec, P.atoms, P.atoms)
-    return float(P.weights @ kvv @ P.weights)
-
-
 def yy_mean_term(Y: np.ndarray, spec: KernelSpec) -> float:
     """mean(k(Y, Y)); precompute when Y is reused across many measures."""
     Y = _as_matrix(Y, "Y")
@@ -62,28 +56,11 @@ def mmd2_weighted(P: DiscreteMeasure, Y: np.ndarray, spec: KernelSpec,
     if Y.shape[1] != P.dim:
         raise InvalidInputError(f"dimension mismatch: atoms {P.dim}, sample {Y.shape[1]}")
     m = Y.shape[0]
-    term1 = weighted_self_term(P, spec)
+    term1 = float(P.weights @ gram(spec, P.atoms, P.atoms) @ P.weights)
     kvy = gram(spec, P.atoms, Y)
     term2 = -2.0 / m * float(P.weights @ kvy.sum(axis=1))
     term3 = yy_mean_term(Y, spec) if yy_term is None else yy_term
     return term1 + term2 + term3
-
-
-def energy_weighted(P: DiscreteMeasure, Y: np.ndarray) -> float:
-    """Energy distance between a weighted measure and a sample.
-
-    2 E||V - Y|| - E||V - V'|| - E||Y - Y'|| under the weighted/empirical
-    pairings.
-    """
-    Y = _as_matrix(Y, "Y")
-    if Y.shape[1] != P.dim:
-        raise InvalidInputError(f"dimension mismatch: atoms {P.dim}, sample {Y.shape[1]}")
-    m = Y.shape[0]
-    w = P.weights
-    cross = 2.0 / m * float(w @ cdist(P.atoms, Y).sum(axis=1))
-    self_v = float(w @ cdist(P.atoms, P.atoms) @ w)
-    self_y = float(cdist(Y, Y).sum() / (m * m))
-    return cross - self_v - self_y
 
 
 def grad_mmd2_atoms(P: DiscreteMeasure, Y: np.ndarray, spec: KernelSpec) -> np.ndarray:

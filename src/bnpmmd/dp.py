@@ -53,44 +53,6 @@ class DiscreteMeasure:
         return self.weights.shape[0]
 
 
-@dataclass(frozen=True)
-class PosteriorParams:
-    """Updated process after conditioning on data.
-
-    ``concentration`` is prior concentration plus sample size; the updated
-    base measure is the mixture ``mixture_weight_base * H + (1 - it) * F_n``
-    with F_n the empirical distribution of ``data``.
-    """
-
-    concentration: float
-    mixture_weight_base: float
-    data: np.ndarray
-    base_sampler: BaseSampler | None = None
-
-    def __post_init__(self):
-        data = np.atleast_2d(np.asarray(self.data, dtype=float))
-        if data.shape[0] == 0:
-            raise InvalidParameterError("posterior needs non-empty data")
-        if not 0.0 <= self.mixture_weight_base <= 1.0:
-            raise InvalidParameterError("mixture_weight_base must lie in [0, 1]")
-        if self.mixture_weight_base > 0 and self.base_sampler is None:
-            raise InvalidParameterError("base_sampler required when the base mixture weight is positive")
-        object.__setattr__(self, "data", data)
-
-    @classmethod
-    def from_prior(cls, concentration: float, data: np.ndarray,
-                   base_sampler: BaseSampler | None = None) -> "PosteriorParams":
-        """Conjugate update of a prior with the given concentration by ``data``."""
-        if concentration < 0:
-            raise InvalidParameterError("concentration must be non-negative")
-        data = np.atleast_2d(np.asarray(data, dtype=float))
-        n = data.shape[0]
-        if n == 0:
-            raise InvalidParameterError("posterior needs non-empty data")
-        total = concentration + n
-        return cls(total, concentration / total, data, base_sampler)
-
-
 class StoppingRuleResult(NamedTuple):
     n_terms: int
     clamped: bool
@@ -168,24 +130,32 @@ def sample_dp_prior(concentration: float, base_sampler: BaseSampler, n_terms: in
     return DiscreteMeasure(weights, atoms)
 
 
-def sample_dp_posterior(post: PosteriorParams, n_terms: int,
+def sample_dp_posterior(concentration: float, data: np.ndarray,
+                        base_sampler: BaseSampler | None, n_terms: int,
                         rng: np.random.Generator) -> DiscreteMeasure:
-    """One truncated posterior draw.
+    """One truncated draw from the posterior of a DP(a, H) prior given ``data``.
 
     Weights are Dirichlet((a+n)/N); each atom independently comes from the
     base with probability a/(a+n), otherwise it is a uniformly chosen data
-    row (with replacement).
+    row (with replacement).  ``base_sampler`` may be None only when a = 0.
     """
-    weights = symmetric_dirichlet(post.concentration, n_terms, rng)
-    n = post.data.shape[0]
-    d = post.data.shape[1]
+    if concentration < 0:
+        raise InvalidParameterError("concentration must be non-negative")
+    data = np.atleast_2d(np.asarray(data, dtype=float))
+    n, d = data.shape
+    if n == 0:
+        raise InvalidParameterError("posterior needs non-empty data")
+    if concentration > 0 and base_sampler is None:
+        raise InvalidParameterError("base_sampler required when the concentration is positive")
+    total = concentration + n
+    weights = symmetric_dirichlet(total, n_terms, rng)
     atoms = np.empty((n_terms, d))
-    from_base = rng.random(n_terms) < post.mixture_weight_base
+    from_base = rng.random(n_terms) < concentration / total
     k = int(from_base.sum())
     if k:
-        atoms[from_base] = np.atleast_2d(np.asarray(post.base_sampler(k, rng), dtype=float))
+        atoms[from_base] = np.atleast_2d(np.asarray(base_sampler(k, rng), dtype=float))
     if k < n_terms:
-        atoms[~from_base] = post.data[rng.integers(0, n, size=n_terms - k)]
+        atoms[~from_base] = data[rng.integers(0, n, size=n_terms - k)]
     return DiscreteMeasure(weights, atoms)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discrepancy import grad_mmd2_atoms, mmd2_empirical, mmd2_weighted
-from .dp import DiscreteMeasure, PosteriorParams, sample_dp_posterior, stopping_rule_N
+from .dp import DiscreteMeasure, sample_dp_posterior, stopping_rule_N
 from .errors import InvalidInputError, InvalidParameterError
 from .kernels import KernelSpec, gaussian_mixture, resolve_median
 
@@ -173,8 +173,7 @@ def _draw_iteration_randomness(X_mb: np.ndarray, cfg: TrainConfig,
     """Truncation level and bootstrap measure for one step."""
     n_terms = stopping_rule_N(cfg.concentration + X_mb.shape[0], cfg.truncation_epsilon,
                               MAX_TERMS, rng).n_terms
-    post = PosteriorParams.from_prior(cfg.concentration, X_mb, cfg.base_sampler)
-    measure = sample_dp_posterior(post, n_terms, rng)
+    measure = sample_dp_posterior(cfg.concentration, X_mb, cfg.base_sampler, n_terms, rng)
     return measure, n_terms
 
 

@@ -1,11 +1,11 @@
-"""Reader and writer for the IDX image container (big-endian, unsigned bytes)."""
+"""Reader for the IDX image container (big-endian, unsigned bytes)."""
 from __future__ import annotations
 
 import struct
 
 import numpy as np
 
-from .errors import IdxFormatError, InvalidInputError
+from .errors import IdxFormatError
 
 IMAGE_MAGIC = 0x00000803
 
@@ -28,18 +28,3 @@ def load_idx_images(path) -> np.ndarray:
         raise IdxFormatError(f"truncated pixel data, expected {expected} bytes", offset=len(raw))
     pixels = np.frombuffer(raw, dtype=np.uint8, count=count * rows * cols, offset=16)
     return pixels.reshape(count, rows * cols).astype(float) / 255.0
-
-
-def write_idx_images(path, images: np.ndarray, rows: int, cols: int) -> None:
-    """Write an (n, rows*cols) or (n, rows, cols) uint8 array as an IDX file."""
-    images = np.asarray(images)
-    flat = images.reshape(images.shape[0], -1)
-    if flat.shape[1] != rows * cols:
-        raise InvalidInputError(f"row length {flat.shape[1]} != rows*cols = {rows * cols}")
-    if flat.dtype != np.uint8:
-        if flat.min() < 0 or flat.max() > 255:
-            raise InvalidInputError("pixel values must fit in an unsigned byte")
-        flat = flat.astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IMAGE_MAGIC, flat.shape[0], rows, cols))
-        fh.write(flat.tobytes())

@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import discrepancy
-from .dp import (DEFAULT_MAX_TERMS, BaseSampler, PosteriorParams, StoppingRuleResult,
-                 sample_dp_posterior, sample_dp_prior, stopping_rule_N)
+from .dp import (DEFAULT_MAX_TERMS, BaseSampler, StoppingRuleResult, sample_dp_posterior,
+                 sample_dp_prior, stopping_rule_N)
 from .errors import DegeneratePriorError, InvalidInputError, InvalidParameterError
 from .kernels import KernelSpec, gaussian_kernel, resolve_median
 
@@ -155,15 +155,18 @@ def _draw_model(model: BaseSampler, m: int, rng: np.random.Generator) -> np.ndar
 def _model_sample(model, cfg: RBConfig, n: int, rng: np.random.Generator) -> np.ndarray:
     """The model sample to compare against: ``model`` itself when it is a
     fixed sample, else ``cfg.model_size`` (default n) rows drawn from it."""
-    if not callable(model):
-        fixed = np.atleast_2d(np.asarray(model, dtype=float))
-        if fixed.shape[0] == 0:
+    if callable(model):
+        m = cfg.model_size if cfg.model_size is not None else n
+        if m < 1:
+            raise InvalidInputError("model sample size must be positive")
+        sample = _draw_model(model, m, rng)
+    else:
+        sample = np.atleast_2d(np.asarray(model, dtype=float))
+        if sample.shape[0] == 0:
             raise InvalidInputError("model sample must be non-empty")
-        return fixed
-    m = cfg.model_size if cfg.model_size is not None else n
-    if m < 1:
-        raise InvalidInputError("model sample size must be positive")
-    return _draw_model(model, m, rng)
+    if not np.isfinite(sample).all():
+        raise InvalidInputError("model sample contains non-finite values (NaN or inf)")
+    return sample
 
 
 def simulate_mmd_samples(data: np.ndarray, model, cfg: RBConfig, which: str,
@@ -195,8 +198,6 @@ def simulate_mmd_samples(data: np.ndarray, model, cfg: RBConfig, which: str,
     if base_sampler is None:
         base_sampler = model_sampler
     fixed_model = _model_sample(model, cfg, data.shape[0], rng)
-    if not np.isfinite(fixed_model).all():
-        raise InvalidInputError("model sample contains non-finite values (NaN or inf)")
     if cfg.resample_model_per_rep and model_sampler is None:
         raise InvalidParameterError("per-replication model resampling needs a sampler, not a fixed sample")
 
@@ -205,8 +206,8 @@ def simulate_mmd_samples(data: np.ndarray, model, cfg: RBConfig, which: str,
             raise InvalidParameterError("prior simulation needs a base sampler")
         draw = lambda r: sample_dp_prior(cfg.concentration, base_sampler, n_terms, r)
     else:
-        post = PosteriorParams.from_prior(cfg.concentration, data, base_sampler)
-        draw = lambda r: sample_dp_posterior(post, n_terms, r)
+        draw = lambda r: sample_dp_posterior(cfg.concentration, data, base_sampler,
+                                             n_terms, r)
 
     spec = resolve_median(cfg.kernel, data, fixed_model)
     out = np.empty(cfg.mc_reps)
@@ -254,6 +255,10 @@ def run_gof_test(data: np.ndarray, model_sampler: BaseSampler, cfg: RBConfig,
     # prior and posterior share one model sample unless each replication redraws it
     model = (model_sampler if cfg.resample_model_per_rep
              else _model_sample(model_sampler, cfg, n, rng))
+    if cfg.kernel.needs_median:
+        # one bandwidth for both simulations, else the ratio compares two kernels
+        median_model = _model_sample(model, cfg, n, rng)
+        cfg = replace(cfg, kernel=resolve_median(cfg.kernel, data, median_model))
     base = base_sampler or model_sampler
     prior = simulate_mmd_samples(data, model, cfg, "prior", rng,
                                  n_terms=level.n_terms, base_sampler=base)

@@ -70,6 +70,8 @@ def scenario_sampler(name: str, dim: int) -> BaseSampler:
     The heavy-tail and kurtosis scenarios use i.i.d. coordinates with unit
     scale (coordinate variances 3 and pi^2/3 respectively).
     """
+    if dim < 1:
+        raise InvalidParameterError(f"scenario dimension must be positive, got {dim}")
     if name == NO_DIFFERENCE:
         return null_model_sampler(dim)
     if name == MEAN_SHIFT:
@@ -147,6 +149,11 @@ class RocCurve:
     excluded: int = 0
 
 
+def _check_num_thresholds(num_thresholds: int) -> None:
+    if num_thresholds < 2:
+        raise InvalidParameterError(f"num_thresholds must be >= 2, got {num_thresholds}")
+
+
 def roc_from_scores(h0_scores: np.ndarray, h1_scores: np.ndarray, *,
                     threshold_max: float = RB_THRESHOLD_MAX,
                     num_thresholds: int = DEFAULT_NUM_THRESHOLDS,
@@ -161,8 +168,7 @@ def roc_from_scores(h0_scores: np.ndarray, h1_scores: np.ndarray, *,
     h1 = np.asarray(h1_scores, dtype=float)
     if h0.size < 1 or h1.size < 1:
         raise InvalidInputError("need scores under both hypotheses")
-    if num_thresholds < 2:
-        raise InvalidParameterError(f"num_thresholds must be >= 2, got {num_thresholds}")
+    _check_num_thresholds(num_thresholds)
     ts = np.linspace(0.0, threshold_max, num_thresholds)
     tpr = np.count_nonzero(h1[None, :] < ts[:, None], axis=1) / h1.size
     fpr = np.count_nonzero(h0[None, :] < ts[:, None], axis=1) / h0.size
@@ -198,6 +204,7 @@ def run_roc_study(null_spec: ScenarioSpec, alt_spec: ScenarioSpec, cfg: RBConfig
     """
     if reps < 2:
         raise InvalidParameterError("need at least 2 replications per hypothesis")
+    _check_num_thresholds(num_thresholds)
     if null_spec.dim != alt_spec.dim:
         raise InvalidParameterError("null and alternative scenarios must share a dimension")
     seeds = rng.bit_generator.seed_seq.spawn(2 * reps)

@@ -12,8 +12,7 @@ import pytest
 
 from bnpmmd.discrepancy import (generalization_bound, mmd2_empirical,
                                 mmd2_weighted, prior_mean_upper_bound)
-from bnpmmd.dp import (DEFAULT_MAX_TERMS, PosteriorParams, sample_dp_posterior,
-                       sample_dp_prior, stopping_rule_N)
+from bnpmmd.dp import DEFAULT_MAX_TERMS, sample_dp_posterior, sample_dp_prior, stopping_rule_N
 from bnpmmd.gan import (GeneratorNet, TrainConfig, _loss_and_param_grads,
                         eight_gaussian_ring, generator_forward, mmds_score, train)
 from bnpmmd.kernels import eval_kernel, gaussian_kernel, gaussian_mixture
@@ -163,8 +162,7 @@ def test_criterion_07_theory_properties():
     n_data = 100
     X = base1(n_data, rng)
     Yg = base1(100, rng)
-    post = PosteriorParams.from_prior(0.0, X)
-    dist_vals = [np.sqrt(max(mmd2_weighted(sample_dp_posterior(post, 100, rng), Yg, spec), 0.0))
+    dist_vals = [np.sqrt(max(mmd2_weighted(sample_dp_posterior(0.0, X, None, 100, rng), Yg, spec), 0.0))
                  for _ in range(1000)]
     bound2 = generalization_bound(0.0, n_data, 100, spec.kernel_bound, 0.0)
     gen_ok = np.mean(dist_vals) < bound2
@@ -172,8 +170,8 @@ def test_criterion_07_theory_properties():
 
     # posterior second-moment identity
     a2, n2, N2 = 5.0, 20, 30
-    post2 = PosteriorParams.from_prior(a2, np.zeros((n2, 1)), base1)
-    sq = np.array([sample_dp_posterior(post2, N2, rng).weights[0] ** 2
+    X2 = np.zeros((n2, 1))
+    sq = np.array([sample_dp_posterior(a2, X2, base1, N2, rng).weights[0] ** 2
                    for _ in range(20000)])
     target_sq = (a2 + n2 + N2) / ((a2 + n2 + 1) * N2**2)
     moment_ok = abs(sq.mean() - target_sq) <= 3 * sq.std(ddof=1) / np.sqrt(sq.size)
@@ -184,8 +182,7 @@ def test_criterion_07_theory_properties():
     for n in (50, 200, 800):
         Xn = base1(n, rng)
         Yn = base1(n, rng)
-        postn = PosteriorParams.from_prior(0.0, Xn)
-        vals = [mmd2_weighted(sample_dp_posterior(postn, 100, rng), Yn, spec)
+        vals = [mmd2_weighted(sample_dp_posterior(0.0, Xn, None, 100, rng), Yn, spec)
                 for _ in range(400)]
         means.append(float(np.mean(vals)))
     trend_ok = means[0] > means[1] > means[2]

@@ -66,7 +66,7 @@ def test_threads_flag_removed(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("resample, aucs", [
-    (True, ["0.96875", "0.71875", "0.84375"]),
+    (True, ["0.96875", "0.71875", "1"]),
     (False, ["1", "0.78125", "0.9375"]),
 ])
 def test_bandwidth_sweep_resample_model(tmp_path, capsys, resample, aucs):
@@ -287,6 +287,22 @@ def test_bandwidth_sweep_has_no_kernel_flag(tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("sigmas, named", [("", "''"), ("2,2", "'2'"), ("2,80,2.0", "'2.0'")],
+                         ids=["empty", "repeated", "repeated-as-float"])
+def test_bandwidth_sweep_rejects_empty_or_repeated_sigmas(tmp_path, capsys, monkeypatch,
+                                                          sigmas, named):
+    # a repeated sigma wrote one CSV row per copy but kept one AUC in the manifest
+    import bnpmmd.cli as cli
+    studies = []
+    monkeypatch.setattr(cli, "run_roc_study", lambda *a, **k: studies.append(1))
+    code = dispatch(["bandwidth-sweep", *STUDY, "--sigmas", sigmas,
+                     "--out", str(tmp_path / "sweep.csv")])
+    assert code == 1
+    assert named in capsys.readouterr().err
+    assert studies == []
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv, named", [
     (["gof-test", "--model", "no_difference", "--a", "0"], "concentration"),
     (["dp-sample", "--a", "-1"], "got -1.0"),
@@ -296,8 +312,9 @@ def test_bandwidth_sweep_has_no_kernel_flag(tmp_path, capsys):
      "step_size"),
     (["gan-train", "--iters", "2", "--batch", "8", "--hidden", "4",
       "--checkpoint-every", "-1"], "checkpoint_every"),
+    (["dp-sample", "--a", "5", "--d", "0", "--n-terms", "4"], "dimension must be positive"),
 ], ids=["gof-a-0", "dp-sample-a-negative", "roc-thresholds-0", "roc-thresholds-1",
-        "gan-train-step-negative", "gan-train-checkpoint-negative"])
+        "gan-train-step-negative", "gan-train-checkpoint-negative", "dp-sample-d-0"])
 def test_invalid_value_exits_1(matrices, argv, named, capsys):
     tmp_path, xpath, _ = matrices
     data = ["--data", str(xpath)] if argv[0] in ("gof-test", "gan-train") else []

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from bnpmmd.discrepancy import (deviation_tail_bound, energy_weighted,
-                                generalization_bound, grad_mmd2_atoms,
-                                mmd2_empirical, mmd2_weighted,
+from bnpmmd.discrepancy import (deviation_tail_bound, generalization_bound,
+                                grad_mmd2_atoms, mmd2_empirical, mmd2_weighted,
                                 prior_mean_upper_bound)
-from bnpmmd.dp import DiscreteMeasure, PosteriorParams, sample_dp_posterior, sample_dp_prior
+from bnpmmd.dp import DiscreteMeasure, sample_dp_posterior, sample_dp_prior
 from bnpmmd.errors import InvalidInputError, InvalidParameterError
 from bnpmmd.kernels import (KernelComponent, KernelSpec, eval_kernel,
                             gaussian_kernel, gaussian_mixture)
@@ -90,20 +89,6 @@ class TestWeighted:
         from bnpmmd.discrepancy import yy_mean_term
         assert mmd2_weighted(P, Y, spec, yy_term=yy_mean_term(Y, spec)) == \
             mmd2_weighted(P, Y, spec)
-
-
-class TestEnergy:
-    def test_point_mass_on_same_point(self):
-        P = DiscreteMeasure(np.array([1.0]), np.array([[3.0, 1.0]]))
-        assert energy_weighted(P, [[3.0, 1.0]]) == pytest.approx(0.0, abs=1e-15)
-
-    def test_identical_discrete_distributions(self):
-        P = DiscreteMeasure(np.array([0.5, 0.5]), np.array([[0.0], [2.0]]))
-        assert energy_weighted(P, [[0.0], [2.0]]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_hand_value(self):
-        P = DiscreteMeasure(np.array([0.5, 0.5]), np.array([[0.0], [2.0]]))
-        assert energy_weighted(P, [[1.0]]) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestGradient:
@@ -230,8 +215,7 @@ class TestAsymptoticBehavior:
         for n in [50, 200, 800]:
             X = base(n, rng)
             Y = base(n, rng)
-            post = PosteriorParams.from_prior(0.0, X)
-            vals = [mmd2_weighted(sample_dp_posterior(post, 100, rng), Y, spec)
+            vals = [mmd2_weighted(sample_dp_posterior(0.0, X, None, 100, rng), Y, spec)
                     for _ in range(400)]
             means.append(np.mean(vals))
         assert means[0] > means[1] > means[2]

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from bnpmmd.dp import (DEFAULT_MAX_TERMS, DiscreteMeasure, PosteriorParams,
-                       sample_dp_posterior, sample_dp_prior, sample_stick_breaking,
-                       stopping_rule_N, symmetric_dirichlet)
+from bnpmmd.dp import (DEFAULT_MAX_TERMS, DiscreteMeasure, sample_dp_posterior,
+                       sample_dp_prior, sample_stick_breaking, stopping_rule_N,
+                       symmetric_dirichlet)
 from bnpmmd.errors import InvalidParameterError
 from bnpmmd.gan import GeneratorNet, TrainConfig, train
 from bnpmmd.rb import RBConfig, run_gof_test
@@ -118,16 +118,14 @@ class TestPosteriorSampling:
     def test_flat_prior_atoms_are_data_rows(self):
         rng = np.random.default_rng(9)
         data = rng.standard_normal((15, 3))
-        post = PosteriorParams.from_prior(0.0, data)
-        m = sample_dp_posterior(post, 60, rng)
+        m = sample_dp_posterior(0.0, data, None, 60, rng)
         row_set = {tuple(r) for r in data}
         assert all(tuple(r) in row_set for r in m.atoms)
 
     def test_simplex(self):
         rng = np.random.default_rng(10)
         data = rng.standard_normal((5, 1))
-        post = PosteriorParams.from_prior(3.0, data, normal_base())
-        m = sample_dp_posterior(post, 25, rng)
+        m = sample_dp_posterior(3.0, data, normal_base(), 25, rng)
         assert np.all(m.weights >= 0)
         assert m.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -136,9 +134,8 @@ class TestPosteriorSampling:
         rng = np.random.default_rng(11)
         n = 40
         data = np.zeros((n, 1))
-        post = PosteriorParams.from_prior(float(n), data, lambda k, r: np.ones((k, 1)))
         draws = 10000
-        m = sample_dp_posterior(post, draws, rng)
+        m = sample_dp_posterior(float(n), data, lambda k, r: np.ones((k, 1)), draws, rng)
         frac = np.mean(m.atoms[:, 0] == 1.0)
         se = np.sqrt(0.25 / draws)
         assert abs(frac - 0.5) <= 3 * se
@@ -148,16 +145,25 @@ class TestPosteriorSampling:
         rng = np.random.default_rng(12)
         a, n, N = 5.0, 20, 30
         data = np.zeros((n, 1))
-        post = PosteriorParams.from_prior(a, data, zero_base())
         reps = 20000
-        sq = np.array([sample_dp_posterior(post, N, rng).weights[0] ** 2
+        sq = np.array([sample_dp_posterior(a, data, zero_base(), N, rng).weights[0] ** 2
                        for _ in range(reps)])
         target = (a + n + N) / ((a + n + 1) * N**2)
         assert abs(sq.mean() - target) <= 3 * sq.std(ddof=1) / np.sqrt(reps)
 
     def test_empty_data_rejected(self):
         with pytest.raises(InvalidParameterError):
-            PosteriorParams.from_prior(1.0, np.zeros((0, 2)), zero_base())
+            sample_dp_posterior(1.0, np.zeros((0, 2)), zero_base(), 5, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("a, base, named", [(-1.0, zero_base(), "non-negative"),
+                                                (2.0, None, "base_sampler")],
+                             ids=["negative-concentration", "no-base"])
+    def test_bad_arguments_rejected_before_any_draw(self, a, base, named):
+        rng = np.random.default_rng(15)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidParameterError, match=named):
+            sample_dp_posterior(a, np.zeros((4, 1)), base, 5, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestStickBreaking:

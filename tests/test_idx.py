@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from bnpmmd.errors import IdxFormatError
-from bnpmmd.idx import load_idx_images, write_idx_images
+from bnpmmd.idx import IMAGE_MAGIC, load_idx_images
+
+
+def write_idx_images(path, images: np.ndarray, rows: int, cols: int) -> None:
+    """Write an (n, rows, cols) or (n, rows*cols) uint8 array as an IDX file."""
+    flat = np.asarray(images, dtype=np.uint8).reshape(len(images), rows * cols)
+    path.write_bytes(struct.pack(">IIII", IMAGE_MAGIC, len(flat), rows, cols) + flat.tobytes())
 
 
 def fixture_bytes():

@@ -1,0 +1,26 @@
+import bnpmmd
+
+# the public API; a name leaves or joins it only together with this list
+PUBLIC = {
+    "DiscreteMeasure", "sample_dp_posterior", "sample_dp_prior", "sample_stick_breaking",
+    "stopping_rule_N",
+    "deviation_tail_bound", "generalization_bound", "grad_mmd2_atoms", "mmd2_empirical",
+    "mmd2_weighted", "prior_mean_upper_bound",
+    "KernelComponent", "KernelSpec", "eval_kernel", "gaussian_kernel", "gaussian_mixture",
+    "median_heuristic", "parse_kernel",
+    "RBConfig", "RBReport", "ecdf_eval", "empirical_quantile", "estimate_rb_strength",
+    "run_gof_test", "simulate_mmd_samples",
+    "SCENARIOS", "RocCurve", "ScenarioSpec", "fnp_permutation_test", "roc_from_scores",
+    "run_roc_study", "sample_scenario",
+    "GeneratorNet", "TrainConfig", "TrainHistory", "eight_gaussian_ring", "generator_forward",
+    "loss_and_grad", "mmds_score", "train",
+    "load_idx_images",
+}
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from bnpmmd import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(bnpmmd.__all__) == PUBLIC
+    assert len(bnpmmd.__all__) == len(PUBLIC)

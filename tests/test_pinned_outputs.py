@@ -2,9 +2,10 @@
 
 The values were recorded from the package before its truncation rule,
 kernel families, ECDF/quantile helpers and model-sample handling were
-consolidated.  A change that reorders how the random stream is consumed, or
-alters the arithmetic, fails here; such a change must record new values
-deliberately and say so.
+consolidated, except ``median_resample``, re-recorded when the median
+bandwidth became one per test instead of one per simulation.  A change that
+reorders how the random stream is consumed, or alters the arithmetic, fails
+here; such a change must record new values deliberately and say so.
 """
 import warnings
 
@@ -34,9 +35,9 @@ GOF_CASES = {
         [4.592112097712153e-05, 3.296874565239527e-05, 9.077810400437425e-05]),
     "median_resample": (
         {"kernel": gaussian_kernel(None), "resample_model_per_rep": True, "mc_reps": 300},
-        0.7999999999999999, 0.30999999999999983, 42, "evidence_against_H0",
-        [0.003409676038829579, 0.004155574676355744, 0.0035434955460705853],
-        [0.005803092002089838, 0.005896719600773426, 0.004846578362802112]),
+        2.1999999999999997, 1.0, 42, "evidence_for_H0",
+        [0.0026792536646643716, 0.0029691800856954664, 0.012832883911918724],
+        [0.0065317587776050345, 0.004046833768025615, 0.002109718180856257]),
     "explicit30": (
         {"truncation_epsilon": None, "explicit_terms": 30},
         1.0199999999999998, 0.4359999999999999, 30, "evidence_for_H0",

@@ -283,6 +283,32 @@ class TestRunGofTest:
                                        mmd2_empirical(h_draws, y_draws, spec))
         assert report.prior_samples.mean() < bound
 
+    def test_median_resolved_once_per_test(self, monkeypatch):
+        # each simulation resolved its own median against its own model draw,
+        # so the ratio compared prior and posterior under two bandwidths
+        import bnpmmd.discrepancy as discrepancy
+        real = discrepancy.mmd2_weighted
+        specs = set()
+
+        def recorder(P, Y, spec, **kwargs):
+            specs.add(spec)
+            return real(P, Y, spec, **kwargs)
+
+        monkeypatch.setattr(discrepancy, "mmd2_weighted", recorder)
+        X = normal_base(5)(50, np.random.default_rng(38))
+        cfg = self._cfg(concentration=25.0, mc_reps=50, kernel=gaussian_kernel(None),
+                        resample_model_per_rep=True)
+        run_gof_test(X, normal_base(5), cfg, np.random.default_rng(39))
+        assert len(specs) == 1
+        assert not next(iter(specs)).needs_median
+
+    @pytest.mark.parametrize("resample", [False, True])
+    def test_non_finite_model_sample_rejected_before_median(self, resample):
+        X = normal_base(2)(30, np.random.default_rng(40))
+        cfg = self._cfg(kernel=gaussian_kernel(None), resample_model_per_rep=resample)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            run_gof_test(X, lambda k, r: np.full((k, 2), np.nan), cfg, np.random.default_rng(41))
+
     def test_resample_model_flag(self):
         rng = np.random.default_rng(12)
         X = normal_base()(30, rng)

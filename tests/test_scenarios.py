@@ -185,6 +185,16 @@ class TestRocStudy:
                           ScenarioSpec("mean_shift", 2, 30),
                           self._cfg(), 1, np.random.default_rng(12))
 
+    def test_too_few_thresholds_rejected_before_any_replication(self, monkeypatch):
+        import bnpmmd.scenarios as sc
+        calls = []
+        monkeypatch.setattr(sc, "run_gof_test", lambda *a, **k: calls.append(1))
+        with pytest.raises(InvalidParameterError, match="num_thresholds"):
+            run_roc_study(ScenarioSpec("no_difference", 2, 30),
+                          ScenarioSpec("mean_shift", 2, 30),
+                          self._cfg(), 4, np.random.default_rng(14), num_thresholds=1)
+        assert calls == []
+
     def test_degenerate_runs_are_excluded_with_count(self, monkeypatch):
         import bnpmmd.scenarios as sc
         from bnpmmd.errors import DegeneratePriorError
