@@ -131,7 +131,8 @@ def rb_config_from_args(args, kernel, model_size: int | None = None) -> RBConfig
 
 # ---------------------------------------------------------------------------
 # subcommands: each takes the parsed args and the run's generator and returns
-# (config, outputs) for the manifest that ``dispatch`` writes
+# (results, outputs); ``dispatch`` writes the manifest, whose config is every
+# parsed setting updated with the results
 
 
 def cmd_gof_test(args, rng) -> tuple[dict, list[str]]:
@@ -194,13 +195,7 @@ def cmd_roc(args, rng) -> tuple[dict, list[str]]:
         write_roc_svg(args.svg, curve.fpr, curve.tpr)
         outputs.append(args.svg)
     print(f"auc={fmt(curve.auc)} excluded={curve.excluded}")
-    config = {"null": args.null, "alt": args.alt, "d": args.d, "n": args.n,
-              "reps": args.reps, "a": args.a, "ell": args.ell, "M": args.M,
-              "i0": args.i0, "kernel": format_kernel(kernel),
-              "resample_model": args.resample_model,
-              "thresholds": args.thresholds, "auc": curve.auc,
-              "excluded": curve.excluded}
-    return config, outputs
+    return {"kernel": format_kernel(kernel), "auc": curve.auc, "excluded": curve.excluded}, outputs
 
 
 def cmd_mmd(args, rng) -> tuple[dict, list[str]]:
@@ -213,7 +208,7 @@ def cmd_mmd(args, rng) -> tuple[dict, list[str]]:
     if args.out:
         Path(args.out).write_text(fmt(value) + "\n")
         outputs.append(args.out)
-    return {"x": args.x, "y": args.y, "kernel": format_kernel(kernel), "value": value}, outputs
+    return {"kernel": format_kernel(kernel), "value": value}, outputs
 
 
 def cmd_dp_sample(args, rng) -> tuple[dict, list[str]]:
@@ -228,8 +223,7 @@ def cmd_dp_sample(args, rng) -> tuple[dict, list[str]]:
     rows = np.column_stack([measure.weights, measure.atoms])
     write_matrix(args.out, rows)
     print(f"n_terms={n_terms}")
-    return ({"a": args.a, "d": args.d, "base": args.base, "method": args.method,
-             "n_terms": n_terms}, [args.out])
+    return {"n_terms": n_terms}, [args.out]
 
 
 def cmd_gan_train(args, rng) -> tuple[dict, list[str]]:
@@ -253,9 +247,7 @@ def cmd_gan_train(args, rng) -> tuple[dict, list[str]]:
     status = "diverged" if history.diverged else "ok"
     print(f"status={status} final_loss={fmt(history.loss[-1])} "
           f"iterations={history.loss.size}")
-    return ({"data": args.data, "hidden": hidden, "noise_dim": args.noise_dim,
-             "iters": args.iters, "batch": args.batch, "kernel": format_kernel(kernel),
-             "eps": args.eps, "step": args.step, "status": status}, outputs)
+    return {"hidden": hidden, "kernel": format_kernel(kernel), "status": status}, outputs
 
 
 def cmd_gan_score(args, rng) -> tuple[dict, list[str]]:
@@ -274,8 +266,7 @@ def cmd_gan_score(args, rng) -> tuple[dict, list[str]]:
     if args.out:
         Path(args.out).write_text(fmt(score) + "\n")
         outputs.append(args.out)
-    return ({"real": args.real, "model": args.model, "nmb": args.nmb, "rmb": args.rmb,
-             "kernel": format_kernel(kernel), "score": score}, outputs)
+    return {"kernel": format_kernel(kernel), "score": score}, outputs
 
 
 def cmd_bandwidth_sweep(args, root) -> tuple[dict, list[str]]:
@@ -299,9 +290,7 @@ def cmd_bandwidth_sweep(args, root) -> tuple[dict, list[str]]:
         lines.append(f"{sig},{fmt(curve.auc)}")
         print(f"sigma={sig} auc={fmt(curve.auc)}")
     Path(args.out).write_text("\n".join(lines) + "\n")
-    return ({"null": args.null, "alt": args.alt, "d": args.d, "n": args.n,
-             "reps": args.reps, "resample_model": args.resample_model,
-             "auc": results}, [args.out])
+    return {"auc": results}, [args.out]
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +418,9 @@ def dispatch(argv: list[str]) -> int:
     started = time.time()
     try:
         args.seed = resolve_seed(args)
-        config, outputs = args.func(args, np.random.default_rng(args.seed))
-        write_manifest(args.command, argv, config, args.seed, outputs, started)
+        results, outputs = args.func(args, np.random.default_rng(args.seed))
+        config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+        write_manifest(args.command, argv, {**config, **results}, args.seed, outputs, started)
     except Exception as exc:  # noqa: BLE001 - single reporting point for the CLI
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -54,6 +54,8 @@ class RBConfig:
             raise InvalidParameterError("set exactly one of truncation_epsilon and explicit_terms")
         if self.explicit_terms is not None and self.explicit_terms < 1:
             raise InvalidParameterError("explicit_terms (a fixed n_terms) must be >= 1")
+        if self.model_size is not None and self.model_size < 1:
+            raise InvalidParameterError(f"model_size must be >= 1, got {self.model_size}")
 
     @property
     def rb_cap(self) -> float:
@@ -106,6 +108,7 @@ def estimate_rb_strength(prior_samples: np.ndarray, posterior_samples: np.ndarra
         (rb, strength), with rb capped at M/i0.
 
     Raises:
+        InvalidInputError: a draw is NaN or inf.
         DegeneratePriorError: all prior draws are identical, so the quantile
             grid carries no information.
     """
@@ -115,6 +118,8 @@ def estimate_rb_strength(prior_samples: np.ndarray, posterior_samples: np.ndarra
         raise InvalidInputError("need at least grid_cells prior draws and non-empty posterior draws")
     if not 1 <= anchor_cell < grid_cells:
         raise InvalidParameterError("need 1 <= anchor_cell < grid_cells")
+    if not (np.isfinite(prior).all() and np.isfinite(post).all()):
+        raise InvalidInputError("prior or posterior draws contain non-finite values (NaN or inf)")
     if np.all(prior == prior[0]):
         raise DegeneratePriorError("constant prior Monte Carlo sample",
                                    prior_samples=prior, posterior_samples=post)
@@ -145,25 +150,17 @@ def _decide(rb: float) -> str:
     return INCONCLUSIVE
 
 
-def _draw_model(model: BaseSampler, m: int, rng: np.random.Generator) -> np.ndarray:
-    out = np.atleast_2d(np.asarray(model(m, rng), dtype=float))
-    if out.shape[0] != m:
-        raise InvalidInputError("model sampler returned the wrong number of rows")
-    return out
-
-
-def _model_sample(model, cfg: RBConfig, n: int, rng: np.random.Generator) -> np.ndarray:
+def _model_sample(model, m: int, rng: np.random.Generator) -> np.ndarray:
     """The model sample to compare against: ``model`` itself when it is a
-    fixed sample, else ``cfg.model_size`` (default n) rows drawn from it."""
+    fixed sample, else ``m`` rows drawn from it; non-empty and finite."""
     if callable(model):
-        m = cfg.model_size if cfg.model_size is not None else n
-        if m < 1:
-            raise InvalidInputError("model sample size must be positive")
-        sample = _draw_model(model, m, rng)
+        sample = np.atleast_2d(np.asarray(model(m, rng), dtype=float))
+        if sample.shape[0] != m:
+            raise InvalidInputError("model sampler returned the wrong number of rows")
     else:
         sample = np.atleast_2d(np.asarray(model, dtype=float))
-        if sample.shape[0] == 0:
-            raise InvalidInputError("model sample must be non-empty")
+    if sample.shape[0] == 0:
+        raise InvalidInputError("model sample must be non-empty")
     if not np.isfinite(sample).all():
         raise InvalidInputError("model sample contains non-finite values (NaN or inf)")
     return sample
@@ -177,29 +174,32 @@ def simulate_mmd_samples(data: np.ndarray, model, cfg: RBConfig, which: str,
     ``model`` is either a fixed (m, d) sample or a sampler callable; a
     sampler is drawn once up front and the sample held fixed across the
     ``cfg.mc_reps`` replications unless ``cfg.resample_model_per_rep``.
+    The up-front draw is made even when resampling: it resolves a median
+    bandwidth here when called alone, and dropping it would move every
+    resampled stream at unchanged seeds.
     The base measure defaults to the model sampler itself (the test
     construction wants them equal); pass ``base_sampler`` to deliberately
     decouple them.
 
     Args:
         which: "prior" or "posterior".
-        n_terms: truncation level of every draw (see :func:`draw_truncation_level`).
+        n_terms: truncation level of every draw (one per test, see :func:`run_gof_test`).
 
     Raises:
-        InvalidInputError: ``data`` or the fixed model sample holds NaN or inf.
+        InvalidInputError: ``data`` or any model sample, fixed or redrawn, holds NaN or inf.
     """
     if which not in ("prior", "posterior"):
         raise InvalidParameterError(f"which must be 'prior' or 'posterior', got {which!r}")
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if not np.isfinite(data).all():
         raise InvalidInputError("data contain non-finite values (NaN or inf)")
-
-    model_sampler = model if callable(model) else None
-    if base_sampler is None:
-        base_sampler = model_sampler
-    fixed_model = _model_sample(model, cfg, data.shape[0], rng)
-    if cfg.resample_model_per_rep and model_sampler is None:
+    if cfg.resample_model_per_rep and not callable(model):
         raise InvalidParameterError("per-replication model resampling needs a sampler, not a fixed sample")
+
+    if base_sampler is None and callable(model):
+        base_sampler = model
+    m = cfg.model_size or data.shape[0]
+    sample = _model_sample(model, m, rng)
 
     if which == "prior":
         if base_sampler is None:
@@ -209,23 +209,15 @@ def simulate_mmd_samples(data: np.ndarray, model, cfg: RBConfig, which: str,
         draw = lambda r: sample_dp_posterior(cfg.concentration, data, base_sampler,
                                              n_terms, r)
 
-    spec = resolve_median(cfg.kernel, data, fixed_model)
+    spec = resolve_median(cfg.kernel, data, sample)
     out = np.empty(cfg.mc_reps)
-    model_now = fixed_model
-    yy = discrepancy.yy_mean_term(model_now, spec)
+    yy = discrepancy.yy_mean_term(sample, spec)
     for r in range(cfg.mc_reps):
         if cfg.resample_model_per_rep:
-            model_now = _draw_model(model_sampler, fixed_model.shape[0], rng)
-            yy = discrepancy.yy_mean_term(model_now, spec)
-        out[r] = discrepancy.mmd2_weighted(draw(rng), model_now, spec, yy_term=yy)
+            sample = _model_sample(model, m, rng)
+            yy = discrepancy.yy_mean_term(sample, spec)
+        out[r] = discrepancy.mmd2_weighted(draw(rng), sample, spec, yy_term=yy)
     return out
-
-
-def draw_truncation_level(cfg: RBConfig, rng: np.random.Generator) -> StoppingRuleResult:
-    """One truncation draw per test run, shared by prior and posterior paths."""
-    if cfg.explicit_terms is not None:
-        return StoppingRuleResult(cfg.explicit_terms, False)
-    return stopping_rule_N(cfg.concentration, cfg.truncation_epsilon, DEFAULT_MAX_TERMS, rng)
 
 
 def run_gof_test(data: np.ndarray, model_sampler: BaseSampler, cfg: RBConfig,
@@ -251,14 +243,16 @@ def run_gof_test(data: np.ndarray, model_sampler: BaseSampler, cfg: RBConfig,
         warnings.warn(f"concentration {cfg.concentration} > n/2 = {n / 2}; "
                       "the prior may dominate the update", stacklevel=2)
 
-    level = draw_truncation_level(cfg, rng)
+    # one truncation level per test, shared by prior and posterior
+    level = (StoppingRuleResult(cfg.explicit_terms, False) if cfg.explicit_terms is not None
+             else stopping_rule_N(cfg.concentration, cfg.truncation_epsilon,
+                                  DEFAULT_MAX_TERMS, rng))
+    m = cfg.model_size or n
     # prior and posterior share one model sample unless each replication redraws it
-    model = (model_sampler if cfg.resample_model_per_rep
-             else _model_sample(model_sampler, cfg, n, rng))
+    model = model_sampler if cfg.resample_model_per_rep else _model_sample(model_sampler, m, rng)
     if cfg.kernel.needs_median:
         # one bandwidth for both simulations, else the ratio compares two kernels
-        median_model = _model_sample(model, cfg, n, rng)
-        cfg = replace(cfg, kernel=resolve_median(cfg.kernel, data, median_model))
+        cfg = replace(cfg, kernel=resolve_median(cfg.kernel, data, _model_sample(model, m, rng)))
     base = base_sampler or model_sampler
     prior = simulate_mmd_samples(data, model, cfg, "prior", rng,
                                  n_terms=level.n_terms, base_sampler=base)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bnpmmd.cli import dispatch, fmt, read_matrix, write_matrix
+from bnpmmd.cli import build_parser, dispatch, fmt, read_matrix, write_matrix
 
 
 @pytest.fixture()
@@ -313,8 +313,10 @@ def test_bandwidth_sweep_rejects_empty_or_repeated_sigmas(tmp_path, capsys, monk
     (["gan-train", "--iters", "2", "--batch", "8", "--hidden", "4",
       "--checkpoint-every", "-1"], "checkpoint_every"),
     (["dp-sample", "--a", "5", "--d", "0", "--n-terms", "4"], "dimension must be positive"),
+    (["gof-test", "--model", "no_difference", "--m", "0"], "model_size"),
 ], ids=["gof-a-0", "dp-sample-a-negative", "roc-thresholds-0", "roc-thresholds-1",
-        "gan-train-step-negative", "gan-train-checkpoint-negative", "dp-sample-d-0"])
+        "gan-train-step-negative", "gan-train-checkpoint-negative", "dp-sample-d-0",
+        "gof-m-0"])
 def test_invalid_value_exits_1(matrices, argv, named, capsys):
     tmp_path, xpath, _ = matrices
     data = ["--data", str(xpath)] if argv[0] in ("gof-test", "gan-train") else []
@@ -361,7 +363,8 @@ def _run_frame_argv(command, inputs, out):
                                      "gan-score", "bandwidth-sweep"])
 def test_every_subcommand_writes_a_replayable_manifest(run_inputs, command, capsys):
     inputs, out = run_inputs
-    assert dispatch(_run_frame_argv(command, inputs, out)) == 0
+    argv = _run_frame_argv(command, inputs, out)
+    assert dispatch(argv) == 0
     manifests = list(out.glob("*.manifest.json"))
     assert len(manifests) == 1
     manifest = json.loads(manifests[0].read_text())
@@ -369,6 +372,9 @@ def test_every_subcommand_writes_a_replayable_manifest(run_inputs, command, caps
                              "wall_time_s", "outputs"}
     assert manifest["command"] == command
     assert manifest["seed"] == 31
+    # every setting that can change the outputs is recorded, defaults included
+    settings = set(vars(build_parser().parse_args(argv))) - {"command", "func"}
+    assert settings <= set(manifest["config"])
 
     first = {}
     for path in map(Path, manifest["outputs"]):

@@ -3,7 +3,9 @@
 The values were recorded from the package before its truncation rule,
 kernel families, ECDF/quantile helpers and model-sample handling were
 consolidated, except ``median_resample``, re-recorded when the median
-bandwidth became one per test instead of one per simulation.  A change that
+bandwidth became one per test instead of one per simulation, and
+``model30_resample``, recorded before every per-replication model draw went
+through the checked model-sample path.  A change that
 reorders how the random stream is consumed, or alters the arithmetic, fails
 here; such a change must record new values deliberately and say so.
 """
@@ -38,6 +40,11 @@ GOF_CASES = {
         2.1999999999999997, 1.0, 42, "evidence_for_H0",
         [0.0026792536646643716, 0.0029691800856954664, 0.012832883911918724],
         [0.0065317587776050345, 0.004046833768025615, 0.002109718180856257]),
+    "model30_resample": (
+        {"model_size": 30, "resample_model_per_rep": True, "mc_reps": 300},
+        2.0, 1.0, 42, "evidence_for_H0",
+        [9.068854693916606e-05, 0.0001125811079490946, 0.00011416949434173151],
+        [7.814362920044449e-05, 0.0001503738953401168, 0.00011965967457283622]),
     "explicit30": (
         {"truncation_epsilon": None, "explicit_terms": 30},
         1.0199999999999998, 0.4359999999999999, 30, "evidence_for_H0",

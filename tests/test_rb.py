@@ -97,6 +97,17 @@ class TestEstimateRB:
         with pytest.raises(InvalidInputError):
             estimate_rb_strength(np.arange(5.0), np.arange(20.0), 20, 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("poisoned", ["prior", "posterior"])
+    def test_non_finite_draws_rejected(self, poisoned, bad):
+        # NaN fails every ECDF comparison, so 300 NaN prior draws among 1000
+        # still gave a ratio and a strength
+        rng = np.random.default_rng(2)
+        draws = {"prior": rng.random(1000), "posterior": rng.random(1000) * 0.5}
+        draws[poisoned][rng.permutation(1000)[:300]] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            estimate_rb_strength(draws["prior"], draws["posterior"], 20, 1)
+
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 12))
@@ -121,6 +132,8 @@ class TestConfig:
             RBConfig(truncation_epsilon=None)
         with pytest.raises(InvalidParameterError):
             RBConfig(concentration=-1.0)
+        with pytest.raises(InvalidParameterError, match="model_size"):
+            RBConfig(model_size=0)
 
     def test_rb_cap(self):
         assert RBConfig().rb_cap == 20.0
@@ -308,6 +321,24 @@ class TestRunGofTest:
         cfg = self._cfg(kernel=gaussian_kernel(None), resample_model_per_rep=resample)
         with pytest.raises(InvalidInputError, match="non-finite"):
             run_gof_test(X, lambda k, r: np.full((k, 2), np.nan), cfg, np.random.default_rng(41))
+
+    def test_non_finite_redrawn_model_sample_rejected(self):
+        # only the 10th-40th model draws hold a NaN; the redraws skipped the
+        # finite check, so the test returned evidence for H0
+        calls = []
+
+        def model(k, rng):
+            calls.append(k)
+            sample = rng.standard_normal((k, 2))
+            if 10 <= len(calls) <= 40:
+                sample[0, 0] = np.nan
+            return sample
+
+        X = normal_base(2)(30, np.random.default_rng(42))
+        cfg = self._cfg(resample_model_per_rep=True)
+        with pytest.raises(InvalidInputError, match="model sample"):
+            run_gof_test(X, model, cfg, np.random.default_rng(43), base_sampler=normal_base(2))
+        assert len(calls) == 10
 
     def test_resample_model_flag(self):
         rng = np.random.default_rng(12)
