@@ -16,10 +16,12 @@ from .errors import InvalidInputError, InvalidParameterError
 from .kernels import KernelSpec, gram, gram_grad_coeff
 
 
-def _as_matrix(X, name: str) -> np.ndarray:
+def _as_matrix(X, name: str, dim: int | None = None) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] == 0:
         raise InvalidInputError(f"{name} must be non-empty")
+    if dim is not None and X.shape[1] != dim:
+        raise InvalidInputError(f"dimension mismatch: atoms {dim}, sample {X.shape[1]}")
     return X
 
 
@@ -31,11 +33,8 @@ def mmd2_empirical(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> float:
     """
     X = _as_matrix(X, "X")
     Y = _as_matrix(Y, "Y")
-    n, m = X.shape[0], Y.shape[0]
-    kxx = gram(spec, X, X).sum() / (n * n)
-    kxy = gram(spec, X, Y).sum() / (n * m)
-    kyy = gram(spec, Y, Y).sum() / (m * m)
-    return float(kxx - 2.0 * kxy + kyy)
+    kxy = gram(spec, X, Y).sum() / (X.shape[0] * Y.shape[0])
+    return float(yy_mean_term(X, spec) - 2.0 * kxy + yy_mean_term(Y, spec))
 
 
 def yy_mean_term(Y: np.ndarray, spec: KernelSpec) -> float:
@@ -52,9 +51,7 @@ def mmd2_weighted(P: DiscreteMeasure, Y: np.ndarray, spec: KernelSpec,
     sum_lt w_l w_t k(V_l, V_t) - (2/m) sum_lt w_l k(V_l, Y_t)
     + mean(k(Y, Y)).  Pass ``yy_term`` to reuse a precomputed last term.
     """
-    Y = _as_matrix(Y, "Y")
-    if Y.shape[1] != P.dim:
-        raise InvalidInputError(f"dimension mismatch: atoms {P.dim}, sample {Y.shape[1]}")
+    Y = _as_matrix(Y, "Y", P.dim)
     m = Y.shape[0]
     term1 = float(P.weights @ gram(spec, P.atoms, P.atoms) @ P.weights)
     kvy = gram(spec, P.atoms, Y)
@@ -67,21 +64,19 @@ def grad_mmd2_atoms(P: DiscreteMeasure, Y: np.ndarray, spec: KernelSpec) -> np.n
     """Analytic gradient of :func:`mmd2_weighted` in the sample points Y.
 
     Row t is d MMD^2 / d Y_t.  Every supported kernel family is radial with
-    d k(v, y)/d y = g(||v - y||)(v - y), so the gradient assembles from the
+    d k(v, y)/d y = g(||v - y||^2)(v - y), so the gradient assembles from the
     g-coefficient matrices of the cross and sample Gram blocks.
     """
-    Y = _as_matrix(Y, "Y")
-    if Y.shape[1] != P.dim:
-        raise InvalidInputError(f"dimension mismatch: atoms {P.dim}, sample {Y.shape[1]}")
+    Y = _as_matrix(Y, "Y", P.dim)
     m = Y.shape[0]
     V = P.atoms
     w = P.weights
 
-    gvy = gram_grad_coeff(spec, cdist(V, Y))          # (N, m)
+    gvy = gram_grad_coeff(spec, cdist(V, Y, "sqeuclidean"))  # (N, m)
     wg = w[:, None] * gvy
     cross = -2.0 / m * (wg.T @ V - wg.sum(axis=0)[:, None] * Y)
 
-    gyy = gram_grad_coeff(spec, cdist(Y, Y))          # (m, m); zero displacement on the diagonal
+    gyy = gram_grad_coeff(spec, cdist(Y, Y, "sqeuclidean"))  # (m, m); diagonal displacement 0
     self_term = 2.0 / (m * m) * (gyy @ Y - gyy.sum(axis=1)[:, None] * Y)
     return cross + self_term
 

@@ -225,6 +225,8 @@ def train(net: GeneratorNet, dataset: np.ndarray, cfg: TrainConfig,
         raise InvalidParameterError(f"minibatch {cfg.minibatch} exceeds dataset size {n}")
     if dataset.shape[1] != net.data_dim:
         raise InvalidInputError(f"dataset dimension {dataset.shape[1]} != net output {net.data_dim}")
+    if not np.isfinite(dataset).all():
+        raise InvalidInputError("training dataset contains non-finite values (NaN or inf)")
 
     adam_m = [np.zeros_like(w) for w in net.weights] + [np.zeros_like(b) for b in net.biases]
     adam_v = [np.zeros_like(p) for p in adam_m]

@@ -1,7 +1,8 @@
 """Radial basis kernels, mixtures of them, and bandwidth selection.
 
-Every kernel here has the form k(x, y) = h(||x - y|| / sigma) with h mapping
-[0, inf) into [0, 1] and h(0) = 1, so a T-component mixture is bounded by T.
+Every kernel here has the form k(x, y) = h(s, sigma, shape) in the squared
+distance s = ||x - y||^2 (scipy's ``sqeuclidean``), with h mapping [0, inf)
+into [0, 1] and h(0) = 1, so a T-component mixture is bounded by T.
 """
 from __future__ import annotations
 
@@ -19,23 +20,29 @@ RATIONAL_QUADRATIC = "rational-quadratic"
 MATERN = "matern"
 
 
-def _exponential_g(u, r, sigma, shape):
-    # the kink at r = 0 gets coefficient 0 (the symmetric point is stationary)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.exp(-u) / (sigma * r)
-    return np.where(r > 0, g, 0.0)
+def _exponential_g(s, sigma, shape):
+    # the kink at s = 0 gets coefficient 0 (the symmetric point is stationary)
+    r = np.sqrt(s)
+    with np.errstate(divide="ignore"):
+        g = np.exp(-r / sigma) / (sigma * r)
+    return np.where(s > 0, g, 0.0)
 
 
-# Matern is implemented only at nu = 3/2: h(u) = (1 + cu) exp(-cu), c = sqrt(2 nu)
+# Matern is implemented only at nu = 3/2: h = (1 + ct) exp(-ct), t = sqrt(s) / sigma
 _MATERN_C = np.sqrt(2.0 * 1.5)
 
 
-class _Family(NamedTuple):
-    """Radial profile of one kernel family.
+def _matern_h(s, sigma, nu):
+    ct = _MATERN_C * (np.sqrt(s) / sigma)
+    return (1.0 + ct) * np.exp(-ct)
 
-    ``h(u, shape)`` is the kernel value at scaled distance u = r / sigma and
-    ``g(u, r, sigma, shape)`` the gradient coefficient, d k(v, y) / d y =
-    g * (v - y).  A ``fixed_shape`` family implements only its default shape.
+
+class _Family(NamedTuple):
+    """Profile of one kernel family in the squared distance s.
+
+    ``h(s, sigma, shape)`` is the kernel value and ``g(s, sigma, shape)`` the
+    gradient coefficient, d k(v, y) / d y = g * (v - y).  A family with no
+    default shape takes none; a ``fixed_shape`` one takes only its default.
     """
 
     default_shape: float | None
@@ -47,23 +54,25 @@ class _Family(NamedTuple):
 _FAMILY_TABLE = {
     GAUSSIAN: _Family(
         None,
-        lambda u, shape: np.exp(-0.5 * u * u),
-        lambda u, r, sigma, shape: np.exp(-0.5 * u * u) / sigma**2),
+        lambda s, sigma, shape: np.exp(s * (-0.5 / sigma**2)),
+        lambda s, sigma, shape: np.exp(s * (-0.5 / sigma**2)) / sigma**2),
     EXPONENTIAL: _Family(
         None,
-        lambda u, shape: np.exp(-u),
+        lambda s, sigma, shape: np.exp(-np.sqrt(s) / sigma),
         _exponential_g),
     RATIONAL_QUADRATIC: _Family(
         1.0,
-        lambda u, alpha: (1.0 + u * u / (2.0 * alpha)) ** (-alpha),
-        lambda u, r, sigma, alpha: (1.0 + u * u / (2.0 * alpha)) ** (-alpha - 1.0) / sigma**2),
+        lambda s, sigma, alpha: (1.0 + s / (2.0 * alpha * sigma**2)) ** (-alpha),
+        lambda s, sigma, alpha: (1.0 + s / (2.0 * alpha * sigma**2)) ** (-alpha - 1.0) / sigma**2),
     MATERN: _Family(
         1.5,
-        lambda u, nu: (1.0 + _MATERN_C * u) * np.exp(-_MATERN_C * u),
-        lambda u, r, sigma, nu: (_MATERN_C / sigma) ** 2 * np.exp(-_MATERN_C * u),
+        _matern_h,
+        lambda s, sigma, nu: (_MATERN_C / sigma) ** 2 * np.exp(-_MATERN_C * (np.sqrt(s) / sigma)),
         fixed_shape=True),
 }
 FAMILIES = tuple(_FAMILY_TABLE)
+# the families divide by sigma^2, so it must be a finite normal float
+_SIGMA_MIN, _SIGMA_MAX = np.sqrt(np.finfo(float).tiny), np.sqrt(np.finfo(float).max)
 
 # Standard bandwidth ladder for mixture kernels in generator training.
 MIXTURE_BANDWIDTHS = (2.0, 5.0, 10.0, 20.0, 40.0, 80.0)
@@ -87,9 +96,12 @@ class KernelComponent:
         family = _FAMILY_TABLE.get(self.family)
         if family is None:
             raise InvalidParameterError(f"unknown kernel family {self.family!r}")
-        # an infinite bandwidth or shape makes the kernel constant, so every MMD is 0
-        if self.bandwidth is not None and not 0 < self.bandwidth < np.inf:
-            raise InvalidParameterError("kernel bandwidth must be finite and positive")
+        # an infinite bandwidth or shape would make the kernel constant, so every MMD 0
+        if self.bandwidth is not None and not _SIGMA_MIN <= self.bandwidth <= _SIGMA_MAX:
+            raise InvalidParameterError(f"kernel bandwidth must lie in [{_SIGMA_MIN:.3g}, "
+                                        f"{_SIGMA_MAX:.3g}], got {self.bandwidth:g}")
+        if self.shape is not None and family.default_shape is None:
+            raise InvalidParameterError(f"{self.family} kernel takes no shape parameter")
         if self.shape is not None and not 0 < self.shape < np.inf:
             raise InvalidParameterError("kernel shape parameter must be finite and positive")
         if family.fixed_shape and self.shape not in (None, family.default_shape):
@@ -124,35 +136,35 @@ def gaussian_mixture(bandwidths=MIXTURE_BANDWIDTHS) -> KernelSpec:
     return KernelSpec(tuple(KernelComponent(GAUSSIAN, float(b)) for b in bandwidths))
 
 
-def _component(comp: KernelComponent, dist: np.ndarray, grad: bool) -> np.ndarray:
-    """One component's kernel values, or its gradient coefficients, at ``dist``."""
-    if comp.bandwidth is None:
-        raise UnsupportedKernelError("median bandwidth not resolved; call resolve_median first")
-    family = _FAMILY_TABLE[comp.family]
-    shape = family.default_shape if comp.shape is None else comp.shape
-    u = dist / comp.bandwidth
-    return family.g(u, dist, comp.bandwidth, shape) if grad else family.h(u, shape)
+def _sum_components(spec: KernelSpec, sq: np.ndarray, grad: bool) -> np.ndarray:
+    """Kernel values, or gradient coefficients, at squared distances ``sq``,
+    summed over the components of ``spec``."""
+    out = np.zeros_like(sq)
+    for comp in spec.components:
+        if comp.bandwidth is None:
+            raise UnsupportedKernelError("median bandwidth not resolved; call resolve_median first")
+        family = _FAMILY_TABLE[comp.family]
+        shape = family.default_shape if comp.shape is None else comp.shape
+        out += (family.g if grad else family.h)(sq, comp.bandwidth, shape)
+    return out
 
 
 def gram(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Kernel matrix K[i, j] = k(X_i, Y_j) summed over mixture components."""
+    return _sum_components(spec, _sq_dist(X, Y), grad=False)
+
+
+def gram_grad_coeff(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
+    """Gradient coefficients g(s) at squared distances ``sq``, summed over components."""
+    return _sum_components(spec, sq, grad=True)
+
+
+def _sq_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != Y.shape[1]:
         raise InvalidInputError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    dist = cdist(X, Y)
-    out = np.zeros_like(dist)
-    for comp in spec.components:
-        out += _component(comp, dist, grad=False)
-    return out
-
-
-def gram_grad_coeff(spec: KernelSpec, dist: np.ndarray) -> np.ndarray:
-    """Matrix of gradient coefficients g(r), summed over components."""
-    out = np.zeros_like(dist)
-    for comp in spec.components:
-        out += _component(comp, dist, grad=True)
-    return out
+    return cdist(X, Y, "sqeuclidean")
 
 
 def eval_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
@@ -173,13 +185,9 @@ def median_heuristic(X: np.ndarray, Y: np.ndarray) -> float:
         InvalidInputError: every cross-distance is zero, so the heuristic
             has no scale to offer.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if X.shape[0] < 1 or Y.shape[0] < 1:
+    sq = _sq_dist(X, Y)
+    if sq.size == 0:
         raise InvalidInputError("median heuristic needs non-empty samples")
-    if X.shape[1] != Y.shape[1]:
-        raise InvalidInputError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    sq = cdist(X, Y, "sqeuclidean").ravel()
     med = float(np.median(sq))
     if med <= 0.0:
         raise InvalidInputError("median bandwidth is degenerate: every cross-distance "
@@ -207,7 +215,8 @@ def parse_kernel(text: str) -> KernelSpec:
         gaussian:80              single component, sigma 80
         gaussian:median          sigma from the median heuristic at run time
         matern:5:1.5             optional shape parameter after the bandwidth
-                                 (Matern implements only nu = 1.5)
+                                 (rational-quadratic and matern only; Matern
+                                 implements only nu = 1.5)
         mix:gaussian:2,5,10,20,40,80   mixture over a bandwidth list
     """
     parts = text.strip().split(":")
@@ -223,18 +232,20 @@ def parse_kernel(text: str) -> KernelSpec:
         raise InvalidParameterError(f"bad kernel {text!r}; want family:bandwidth[:shape]")
     family = parts[0]
     bandwidth = _parse_bandwidth(parts[1])
-    shape = float(parts[2]) if len(parts) == 3 else None
+    shape = _parse_float(parts[2], "shape") if len(parts) == 3 else None
     return KernelSpec((KernelComponent(family, bandwidth, shape),))
 
 
 def _parse_bandwidth(tok: str) -> float | None:
     tok = tok.strip()
-    if tok == "median":
-        return None
+    return None if tok == "median" else _parse_float(tok, "bandwidth")
+
+
+def _parse_float(tok: str, what: str) -> float:
     try:
         return float(tok)
     except ValueError:
-        raise InvalidParameterError(f"bad bandwidth {tok!r}") from None
+        raise InvalidParameterError(f"bad {what} {tok!r}") from None
 
 
 def format_kernel(spec: KernelSpec) -> str:

@@ -314,9 +314,11 @@ def test_bandwidth_sweep_rejects_empty_or_repeated_sigmas(tmp_path, capsys, monk
       "--checkpoint-every", "-1"], "checkpoint_every"),
     (["dp-sample", "--a", "5", "--d", "0", "--n-terms", "4"], "dimension must be positive"),
     (["gof-test", "--model", "no_difference", "--m", "0"], "model_size"),
+    (["gof-test", "--model", "no_difference", "--kernel", "gaussian:80:2"], "shape"),
+    (["gof-test", "--model", "no_difference", "--kernel", "gaussian:1e-300"], "bandwidth"),
 ], ids=["gof-a-0", "dp-sample-a-negative", "roc-thresholds-0", "roc-thresholds-1",
         "gan-train-step-negative", "gan-train-checkpoint-negative", "dp-sample-d-0",
-        "gof-m-0"])
+        "gof-m-0", "gof-kernel-shape", "gof-kernel-tiny-bandwidth"])
 def test_invalid_value_exits_1(matrices, argv, named, capsys):
     tmp_path, xpath, _ = matrices
     data = ["--data", str(xpath)] if argv[0] in ("gof-test", "gan-train") else []

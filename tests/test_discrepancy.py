@@ -6,7 +6,7 @@ from bnpmmd.discrepancy import (deviation_tail_bound, generalization_bound,
                                 prior_mean_upper_bound)
 from bnpmmd.dp import DiscreteMeasure, sample_dp_posterior, sample_dp_prior
 from bnpmmd.errors import InvalidInputError, InvalidParameterError
-from bnpmmd.kernels import (KernelComponent, KernelSpec, eval_kernel,
+from bnpmmd.kernels import (FAMILIES, KernelComponent, KernelSpec, eval_kernel,
                             gaussian_kernel, gaussian_mixture)
 
 SQRT2 = np.sqrt(2.0)
@@ -92,9 +92,11 @@ class TestWeighted:
 
 
 class TestGradient:
-    def test_stationary_at_coincident_point(self):
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_stationary_at_coincident_point(self, family):
+        # s = 0 is the exponential's kink, where its coefficient is set to 0
         P = DiscreteMeasure(np.array([1.0]), np.array([[0.5, -1.0]]))
-        g = grad_mmd2_atoms(P, [[0.5, -1.0]], gaussian_kernel(2.0))
+        g = grad_mmd2_atoms(P, [[0.5, -1.0]], KernelSpec((KernelComponent(family, 2.0),)))
         assert np.allclose(g, 0.0, atol=1e-14)
 
     @pytest.mark.parametrize("spec", [

@@ -141,18 +141,40 @@ class TestTrain:
         assert hist.diverged
         assert hist.loss.shape == (5,)
 
-    def test_nan_loss_diverges_at_once(self):
+    def test_nan_loss_diverges_at_once(self, monkeypatch):
         # NaN > factor * initial is never true, so the patience counter alone
         # would let a poisoned run finish as if it were healthy
+        real, calls = gan.loss_and_grad, []
+
+        def nan_from_eighth(net, batch, cfg, rng):
+            loss, grads_w, grads_b, clamped = real(net, batch, cfg, rng)
+            calls.append(loss)
+            return (np.nan if len(calls) >= 8 else loss), grads_w, grads_b, clamped
+
+        monkeypatch.setattr(gan, "loss_and_grad", nan_from_eighth)
         rng = np.random.default_rng(33)
         data = eight_gaussian_ring(512, rng)
-        data[7] = np.nan
         net = make_net([1, 8, 8, 8, 8, 2], seed=34)
         cfg = TrainConfig(minibatch=256, iterations=60, checkpoint_every=0)
         net, hist = train(net, data, cfg, rng)
         assert hist.diverged
+        assert hist.loss.shape == (8,)
         assert np.isnan(hist.loss[-1])
         assert np.all(np.isfinite(hist.loss[:-1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_dataset_rejected_before_first_draw(self, bad):
+        # unchecked, one NaN row trains until the loss turns NaN and leaves NaN weights
+        rng = np.random.default_rng(33)
+        data = eight_gaussian_ring(512, rng)
+        data[7] = bad
+        net = make_net([1, 8, 8, 8, 8, 2], seed=34)
+        weights = [w.copy() for w in net.weights]
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidInputError, match="dataset"):
+            train(net, data, TrainConfig(minibatch=256, iterations=60, checkpoint_every=0), rng)
+        assert rng.bit_generator.state == state
+        assert all(np.array_equal(a, b) for a, b in zip(weights, net.weights))
 
     def test_minibatch_larger_than_dataset_rejected(self):
         rng = np.random.default_rng(18)

@@ -150,8 +150,11 @@ class TestParseKernel:
 
     def test_rejects_garbage(self):
         # Matern is implemented only at nu = 1.5; an infinite bandwidth or
-        # shape would make the kernel constant
+        # shape would make the kernel constant; gaussian and exponential take
+        # no shape; sigma^2 must be a finite normal float
         for bad in ["", "gaussian", "gaussian:-1", "mix:gaussian", "unknown:3", "matern:5:2.5",
-                    "gaussian:inf", "rational-quadratic:5:inf"]:
+                    "gaussian:inf", "rational-quadratic:5:inf", "gaussian:80:2",
+                    "exponential:1:0.5", "rational-quadratic:5:abc", "gaussian:80:",
+                    "gaussian:1e-300", "gaussian:1e200", "exponential:1e-300"]:
             with pytest.raises(InvalidParameterError):
                 parse_kernel(bad)
