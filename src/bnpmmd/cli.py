@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .dp import DEFAULT_MAX_TERMS, sample_dp_prior, sample_stick_breaking, stopping_rule_N
 from .discrepancy import mmd2_empirical
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError, InvalidParameterError, as_sample
 from .gan import GeneratorNet, TrainConfig, generator_forward, mmds_score, train
 from .idx import load_idx_images
 from .kernels import format_kernel, gaussian_kernel, parse_kernel, resolve_median
@@ -45,9 +45,7 @@ def read_matrix(path: str, header: bool) -> np.ndarray:
         X = load_idx_images(path)
     else:
         X = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
-    if not np.isfinite(X).all():
-        raise InvalidInputError(f"{path}: non-finite values (NaN or inf) in input")
-    return X
+    return as_sample(X, path)
 
 
 def write_matrix(path, X: np.ndarray) -> None:

@@ -37,7 +37,7 @@ class DiscreteMeasure:
             raise InvalidParameterError("atoms row count must equal weights length")
         if np.any(w < 0):
             raise InvalidParameterError("weights must be non-negative")
-        if abs(float(w.sum()) - 1.0) > SIMPLEX_TOL:
+        if not abs(float(w.sum()) - 1.0) <= SIMPLEX_TOL:  # a NaN sum fails too
             raise InvalidParameterError(f"weights sum to {w.sum()!r}, not 1")
         w.flags.writeable = False
         a.flags.writeable = False

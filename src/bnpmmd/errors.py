@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input rule for samples."""
+import numpy as np
 
 
 class InvalidParameterError(ValueError):
@@ -7,6 +8,16 @@ class InvalidParameterError(ValueError):
 
 class InvalidInputError(ValueError):
     """An input array has the wrong shape, dimension, or is empty."""
+
+
+def as_sample(X, name: str) -> np.ndarray:
+    """``X`` as a 2-D float array; raises InvalidInputError naming it if empty or non-finite."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.size == 0:
+        raise InvalidInputError(f"{name} must be non-empty")
+    if not np.isfinite(X).all():
+        raise InvalidInputError(f"{name} contains non-finite values (NaN or inf)")
+    return X
 
 
 class NumericUnderflowError(ArithmeticError):

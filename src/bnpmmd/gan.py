@@ -13,7 +13,7 @@ import numpy as np
 
 from .discrepancy import grad_mmd2_atoms, mmd2_empirical, mmd2_weighted
 from .dp import DiscreteMeasure, sample_dp_posterior, stopping_rule_N
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError, InvalidParameterError, as_sample
 from .kernels import KernelSpec, gaussian_mixture, resolve_median
 
 
@@ -219,14 +219,12 @@ def train(net: GeneratorNet, dataset: np.ndarray, cfg: TrainConfig,
     the first non-finite loss, or after ``DIVERGENCE_PATIENCE`` consecutive
     iterations above ``DIVERGENCE_FACTOR`` times the initial loss.
     """
-    dataset = np.atleast_2d(np.asarray(dataset, dtype=float))
+    dataset = as_sample(dataset, "training dataset")
     n = dataset.shape[0]
     if cfg.minibatch > n:
         raise InvalidParameterError(f"minibatch {cfg.minibatch} exceeds dataset size {n}")
     if dataset.shape[1] != net.data_dim:
         raise InvalidInputError(f"dataset dimension {dataset.shape[1]} != net output {net.data_dim}")
-    if not np.isfinite(dataset).all():
-        raise InvalidInputError("training dataset contains non-finite values (NaN or inf)")
 
     adam_m = [np.zeros_like(w) for w in net.weights] + [np.zeros_like(b) for b in net.biases]
     adam_v = [np.zeros_like(p) for p in adam_m]

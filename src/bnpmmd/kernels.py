@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import InvalidInputError, InvalidParameterError, UnsupportedKernelError
+from .errors import InvalidInputError, InvalidParameterError, UnsupportedKernelError, as_sample
 
 GAUSSIAN = "gaussian"
 EXPONENTIAL = "exponential"
@@ -33,7 +33,8 @@ _MATERN_C = np.sqrt(2.0 * 1.5)
 
 
 def _matern_h(s, sigma, nu):
-    ct = _MATERN_C * (np.sqrt(s) / sigma)
+    # exp(-ct) is 0 past ct = 746; the cap makes s = inf give 0, not inf * 0 = NaN
+    ct = np.minimum(_MATERN_C * (np.sqrt(s) / sigma), 1e3)
     return (1.0 + ct) * np.exp(-ct)
 
 
@@ -182,12 +183,10 @@ def median_heuristic(X: np.ndarray, Y: np.ndarray) -> float:
     The squared-distance median itself is returned (not its square root).
 
     Raises:
-        InvalidInputError: every cross-distance is zero, so the heuristic
-            has no scale to offer.
+        InvalidInputError: a sample is empty or holds NaN or inf, or every
+            cross-distance is zero, so the heuristic has no scale to offer.
     """
-    sq = _sq_dist(X, Y)
-    if sq.size == 0:
-        raise InvalidInputError("median heuristic needs non-empty samples")
+    sq = _sq_dist(as_sample(X, "X"), as_sample(Y, "Y"))
     med = float(np.median(sq))
     if med <= 0.0:
         raise InvalidInputError("median bandwidth is degenerate: every cross-distance "

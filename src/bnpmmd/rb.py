@@ -6,7 +6,6 @@ mass near zero on a quantile grid of the prior Monte Carlo sample.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -15,7 +14,7 @@ import numpy as np
 from . import discrepancy
 from .dp import (DEFAULT_MAX_TERMS, BaseSampler, StoppingRuleResult, sample_dp_posterior,
                  sample_dp_prior, stopping_rule_N)
-from .errors import DegeneratePriorError, InvalidInputError, InvalidParameterError
+from .errors import DegeneratePriorError, InvalidInputError, InvalidParameterError, as_sample
 from .kernels import KernelSpec, gaussian_kernel, resolve_median
 
 EVIDENCE_FOR = "evidence_for_H0"
@@ -75,23 +74,27 @@ class RBReport:
     decision: str
 
 
-def ecdf_eval(samples: np.ndarray, x: float) -> float:
-    """Right-continuous empirical CDF: fraction of samples <= x."""
-    samples = np.asarray(samples, dtype=float)
+def ecdf_eval(samples: np.ndarray, x):
+    """Right-continuous empirical CDF: fraction of samples <= x, for a scalar or array x."""
+    samples = np.asarray(samples, dtype=float).ravel()
     if samples.size == 0:
         raise InvalidInputError("ecdf of an empty sample")
-    return float(np.count_nonzero(samples <= x)) / samples.size
+    x = np.asarray(x, dtype=float)
+    cdf = np.count_nonzero(samples <= x[..., None], axis=-1) / samples.size
+    return cdf if x.ndim else float(cdf)
 
 
-def empirical_quantile(samples: np.ndarray, p: float) -> float:
-    """Inverse-ECDF quantile: the ceil(p * len)-th order statistic, p in (0, 1]."""
+def empirical_quantile(samples: np.ndarray, p):
+    """Inverse-ECDF quantile: the ceil(p * len)-th order statistic, p (scalar or array) in (0, 1]."""
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise InvalidInputError("quantile of an empty sample")
-    if not 0.0 < p <= 1.0:
+    p = np.asarray(p, dtype=float)
+    if not np.all((0.0 < p) & (p <= 1.0)):
         raise InvalidInputError("p must lie in (0, 1]")
-    k = math.ceil(p * samples.size)
-    return float(np.partition(samples, k - 1)[k - 1])
+    k = np.ceil(p * samples.size).astype(int) - 1
+    q = np.partition(samples, k)[k]
+    return q if p.ndim else float(q)
 
 
 def estimate_rb_strength(prior_samples: np.ndarray, posterior_samples: np.ndarray,
@@ -126,20 +129,15 @@ def estimate_rb_strength(prior_samples: np.ndarray, posterior_samples: np.ndarra
 
     # both ECDFs at the prior quantiles i/M; entry 0 stands for the open
     # lower end of the first cell, which carries no mass
-    quantiles = [empirical_quantile(prior, i / grid_cells) for i in range(1, grid_cells + 1)]
-    prior_cdf = [0.0] + [ecdf_eval(prior, q) for q in quantiles]
-    post_cdf = [0.0] + [ecdf_eval(post, q) for q in quantiles]
+    quantiles = empirical_quantile(prior, np.arange(1, grid_cells + 1) / grid_cells)
+    prior_cdf = np.concatenate(([0.0], ecdf_eval(prior, quantiles)))
+    post_cdf = np.concatenate(([0.0], ecdf_eval(post, quantiles)))
 
     rb = min(post_cdf[anchor_cell] / prior_cdf[anchor_cell], grid_cells / anchor_cell)
-    strength = 0.0
-    for i in range(grid_cells):
-        prior_mass = prior_cdf[i + 1] - prior_cdf[i]
-        if prior_mass <= 0.0:
-            continue
-        post_mass = post_cdf[i + 1] - post_cdf[i]
-        if post_mass / prior_mass <= rb:
-            strength += post_mass
-    return float(rb), float(strength)
+    prior_mass, post_mass = np.diff(prior_cdf), np.diff(post_cdf)
+    cells = prior_mass > 0.0
+    selected = post_mass[cells][post_mass[cells] / prior_mass[cells] <= rb]
+    return float(rb), float(sum(selected.tolist()))  # summed cell by cell, left to right
 
 
 def _decide(rb: float) -> str:
@@ -153,16 +151,9 @@ def _decide(rb: float) -> str:
 def _model_sample(model, m: int, rng: np.random.Generator) -> np.ndarray:
     """The model sample to compare against: ``model`` itself when it is a
     fixed sample, else ``m`` rows drawn from it; non-empty and finite."""
-    if callable(model):
-        sample = np.atleast_2d(np.asarray(model(m, rng), dtype=float))
-        if sample.shape[0] != m:
-            raise InvalidInputError("model sampler returned the wrong number of rows")
-    else:
-        sample = np.atleast_2d(np.asarray(model, dtype=float))
-    if sample.shape[0] == 0:
-        raise InvalidInputError("model sample must be non-empty")
-    if not np.isfinite(sample).all():
-        raise InvalidInputError("model sample contains non-finite values (NaN or inf)")
+    sample = as_sample(model(m, rng) if callable(model) else model, "model sample")
+    if callable(model) and sample.shape[0] != m:
+        raise InvalidInputError("model sampler returned the wrong number of rows")
     return sample
 
 
@@ -190,9 +181,7 @@ def simulate_mmd_samples(data: np.ndarray, model, cfg: RBConfig, which: str,
     """
     if which not in ("prior", "posterior"):
         raise InvalidParameterError(f"which must be 'prior' or 'posterior', got {which!r}")
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    if not np.isfinite(data).all():
-        raise InvalidInputError("data contain non-finite values (NaN or inf)")
+    data = as_sample(data, "data")
     if cfg.resample_model_per_rep and not callable(model):
         raise InvalidParameterError("per-replication model resampling needs a sampler, not a fixed sample")
 
@@ -231,12 +220,10 @@ def run_gof_test(data: np.ndarray, model_sampler: BaseSampler, cfg: RBConfig,
     A concentration above n/2 drowns the data in the prior; that is allowed
     but warned about.
     """
-    data = np.atleast_2d(np.asarray(data, dtype=float))
+    data = as_sample(data, "data")
     n = data.shape[0]
     if n < 2:
         raise InvalidInputError("need at least two observations")
-    if not np.isfinite(data).all():
-        raise InvalidInputError("data contain non-finite values (NaN or inf)")
     if cfg.concentration <= 0:
         raise InvalidParameterError(f"the test needs a positive concentration, got {cfg.concentration}")
     if cfg.concentration > n / 2:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dp import BaseSampler
-from .errors import DegeneratePriorError, InvalidInputError, InvalidParameterError
+from .errors import DegeneratePriorError, InvalidInputError, InvalidParameterError, as_sample
 from .kernels import KernelSpec, gram
 from .rb import RBConfig, run_gof_test
 
@@ -113,8 +113,7 @@ def fnp_permutation_test(X: np.ndarray, Y: np.ndarray, spec: KernelSpec,
     """
     if num_perms < 1:
         raise InvalidParameterError("num_perms must be >= 1")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    X, Y = as_sample(X, "X"), as_sample(Y, "Y")
     n, m = X.shape[0], Y.shape[0]
     pool = np.vstack([X, Y])
     K = gram(spec, pool, pool)
@@ -162,12 +161,14 @@ def roc_from_scores(h0_scores: np.ndarray, h1_scores: np.ndarray, *,
 
     A replication counts as positive (reject) at threshold t when its score
     is strictly below t: H1 scores give the true-positive rate, H0 scores
-    the false-positive rate.
+    the false-positive rate.  Every score must be finite.
     """
     h0 = np.asarray(h0_scores, dtype=float)
     h1 = np.asarray(h1_scores, dtype=float)
     if h0.size < 1 or h1.size < 1:
         raise InvalidInputError("need scores under both hypotheses")
+    if not (np.isfinite(h0).all() and np.isfinite(h1).all()):
+        raise InvalidInputError("scores must be finite; a NaN one would never reject")
     _check_num_thresholds(num_thresholds)
     ts = np.linspace(0.0, threshold_max, num_thresholds)
     tpr = np.count_nonzero(h1[None, :] < ts[:, None], axis=1) / h1.size

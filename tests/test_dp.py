@@ -279,6 +279,9 @@ class TestValidation:
             DiscreteMeasure(np.array([-0.5, 1.5]), np.zeros((2, 1)))
         with pytest.raises(InvalidParameterError):
             DiscreteMeasure(np.array([0.5, 0.5]), np.zeros((3, 1)))
+        # abs(nan - 1) > tol is False, so a NaN weight once passed the simplex check
+        with pytest.raises(InvalidParameterError, match="not 1"):
+            DiscreteMeasure(np.array([np.nan, 1.0]), np.zeros((2, 1)))
 
     def test_measure_is_immutable(self):
         m = DiscreteMeasure(np.array([0.5, 0.5]), np.zeros((2, 1)))

@@ -176,6 +176,12 @@ class TestTrain:
         assert rng.bit_generator.state == state
         assert all(np.array_equal(a, b) for a, b in zip(weights, net.weights))
 
+    def test_empty_dataset_rejected(self):
+        net = make_net([1, 4, 2], seed=35)
+        with pytest.raises(InvalidInputError, match="training dataset must be non-empty"):
+            train(net, np.zeros((0, 2)), TrainConfig(minibatch=4, iterations=2),
+                  np.random.default_rng(35))
+
     def test_minibatch_larger_than_dataset_rejected(self):
         rng = np.random.default_rng(18)
         data = eight_gaussian_ring(16, rng)

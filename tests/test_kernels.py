@@ -59,6 +59,12 @@ class TestEvalKernel:
         val = eval_kernel(single(MATERN, 2.0, 1.5), np.array([0.0]), np.array([2.0]))
         assert val == pytest.approx((1 + c) * np.exp(-c), abs=1e-12)
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_overflowed_distance_gives_zero(self, family):
+        # ||x - y||^2 = 1e310 overflows to inf; Matern's (1 + inf) * exp(-inf) was NaN
+        K = gram(parse_kernel(f"{family}:2"), [[0.0]], [[1e155]])
+        assert K[0, 0] == 0.0
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=5),
@@ -117,6 +123,19 @@ class TestMedianHeuristic:
         assert resolved.components[0].bandwidth == pytest.approx(12.5)
         with pytest.raises(UnsupportedKernelError):
             gram(spec, X, Y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("poisoned", ["X", "Y"])
+    def test_non_finite_sample_rejected(self, poisoned, bad):
+        # a NaN cell made the median itself NaN, returned as a bandwidth
+        samples = {"X": np.arange(6.0).reshape(3, 2), "Y": np.ones((4, 2))}
+        samples[poisoned][1, 0] = bad
+        with pytest.raises(InvalidInputError, match=f"^{poisoned} contains non-finite"):
+            median_heuristic(samples["X"], samples["Y"])
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(InvalidInputError, match="^X must be non-empty"):
+            median_heuristic(np.zeros((0, 2)), np.ones((4, 2)))
 
     def test_resolve_median_rejects_degenerate(self):
         # constant samples have no scale to offer as sigma

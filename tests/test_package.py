@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import bnpmmd
 
 # the public API; a name leaves or joins it only together with this list
@@ -24,3 +27,27 @@ def test_star_import_binds_exactly_the_public_names():
     del namespace["__builtins__"]
     assert set(namespace) == set(bnpmmd.__all__) == PUBLIC
     assert len(bnpmmd.__all__) == len(PUBLIC)
+
+
+def _unused_imports(source: str) -> set[str]:
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_unused_import_check_sees_one():
+    assert _unused_imports("import math\nimport numpy as np\nfrom os import path, sep\n"
+                           "np.zeros(path)") == {"math", "sep"}
+
+
+def test_modules_use_every_name_they_import():
+    unused = {path.name: names
+              for path in sorted(Path(bnpmmd.__file__).parent.glob("*.py"))
+              if path.name != "__init__.py" and (names := _unused_imports(path.read_text()))}
+    assert unused == {}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bnpmmd.errors import InvalidParameterError
+from bnpmmd.errors import InvalidInputError, InvalidParameterError
 from bnpmmd.kernels import gaussian_kernel
 from bnpmmd.rb import RBConfig
 from bnpmmd.scenarios import (SCENARIOS, RocCurve, ScenarioSpec,
@@ -105,11 +105,35 @@ class TestPermutationTest:
             fnp_permutation_test(np.zeros((2, 1)), np.zeros((2, 1)),
                                  gaussian_kernel(1.0), 0, np.random.default_rng(6))
 
+    @pytest.mark.parametrize("poisoned", ["X", "Y"])
+    def test_non_finite_sample_rejected(self, poisoned):
+        # one NaN cell made every permuted statistic NaN, so none reached the
+        # observed one and p came out at its floor 1 / (num_perms + 1)
+        rng = np.random.default_rng(7)
+        samples = {"X": rng.standard_normal((20, 2)), "Y": rng.standard_normal((20, 2))}
+        samples[poisoned][4, 1] = np.nan
+        with pytest.raises(InvalidInputError, match=f"^{poisoned} contains non-finite"):
+            fnp_permutation_test(samples["X"], samples["Y"], gaussian_kernel(1.0), 99, rng)
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(InvalidInputError, match="^Y must be non-empty"):
+            fnp_permutation_test(np.zeros((3, 1)), np.zeros((0, 1)),
+                                 gaussian_kernel(1.0), 9, np.random.default_rng(8))
+
 
 class TestRocCurve:
     def test_perfect_separation(self):
         curve = roc_from_scores(np.full(10, 20.0), np.zeros(10))
         assert curve.auc == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        # a NaN ratio never falls below a threshold, so an all-NaN H1 sample
+        # read as a test that never rejects: AUC 0
+        with pytest.raises(InvalidInputError, match="finite"):
+            roc_from_scores(np.linspace(1.0, 19.0, 10), np.full(10, bad))
+        with pytest.raises(InvalidInputError, match="finite"):
+            roc_from_scores(np.array([2.0, bad]), np.array([1.0, 3.0]))
 
     def test_identical_scores_give_half(self):
         v = np.linspace(1.0, 19.0, 15)
