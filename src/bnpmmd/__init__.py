@@ -6,8 +6,8 @@ from .dp import (DiscreteMeasure, sample_dp_posterior, sample_dp_prior, sample_s
                  stopping_rule_N)
 from .discrepancy import (deviation_tail_bound, generalization_bound, grad_mmd2_atoms,
                           mmd2_empirical, mmd2_weighted, prior_mean_upper_bound)
-from .kernels import (KernelComponent, KernelSpec, eval_kernel, gaussian_kernel,
-                      gaussian_mixture, median_heuristic, parse_kernel)
+from .kernels import (KernelSpec, eval_kernel, gaussian_kernel, gaussian_mixture,
+                      median_heuristic, parse_kernel)
 from .rb import (RBConfig, RBReport, ecdf_eval, empirical_quantile,
                  estimate_rb_strength, run_gof_test, simulate_mmd_samples)
 from .scenarios import (SCENARIOS, RocCurve, ScenarioSpec, fnp_permutation_test,
@@ -21,8 +21,8 @@ __all__ = [
     "sample_stick_breaking", "stopping_rule_N",
     "deviation_tail_bound", "generalization_bound",
     "grad_mmd2_atoms", "mmd2_empirical", "mmd2_weighted", "prior_mean_upper_bound",
-    "KernelComponent", "KernelSpec", "eval_kernel", "gaussian_kernel",
-    "gaussian_mixture", "median_heuristic", "parse_kernel",
+    "KernelSpec", "eval_kernel", "gaussian_kernel", "gaussian_mixture",
+    "median_heuristic", "parse_kernel",
     "RBConfig", "RBReport", "ecdf_eval", "empirical_quantile",
     "estimate_rb_strength", "run_gof_test", "simulate_mmd_samples",
     "SCENARIOS", "RocCurve", "ScenarioSpec", "fnp_permutation_test",

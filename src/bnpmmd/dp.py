@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericUnderflowError
+from .errors import InvalidInputError, InvalidParameterError, NumericUnderflowError
 
 # Draws i.i.d. rows: sampler(size, rng) -> (size, d) array.
 BaseSampler = Callable[[int, np.random.Generator], np.ndarray]
@@ -119,6 +119,17 @@ def symmetric_dirichlet(total_concentration: float, n_terms: int,
     raise NumericUnderflowError(f"Dirichlet normalizer stayed at zero after {_MAX_RETRIES} retries")
 
 
+def _draw_base(base_sampler: BaseSampler, k: int, rng: np.random.Generator,
+               dim: int | None = None) -> np.ndarray:
+    """``k`` atoms from the base; raises unless they come back as k rows of width ``dim``
+    (any width when ``dim`` is None), so a short output cannot broadcast."""
+    atoms = np.atleast_2d(np.asarray(base_sampler(k, rng), dtype=float))
+    if atoms.ndim != 2 or atoms.shape[0] != k or dim not in (None, atoms.shape[1]):
+        raise InvalidInputError(f"base sampler returned shape {atoms.shape}, "
+                                f"want ({k}, {'d' if dim is None else dim})")
+    return atoms
+
+
 def sample_dp_prior(concentration: float, base_sampler: BaseSampler, n_terms: int,
                     rng: np.random.Generator) -> DiscreteMeasure:
     """One truncated prior draw: Dirichlet(a/N) weights, atoms i.i.d. from the base."""
@@ -126,8 +137,7 @@ def sample_dp_prior(concentration: float, base_sampler: BaseSampler, n_terms: in
         raise InvalidParameterError("prior draws need positive concentration; "
                                     "zero concentration only arises through the posterior update")
     weights = symmetric_dirichlet(concentration, n_terms, rng)
-    atoms = np.atleast_2d(np.asarray(base_sampler(n_terms, rng), dtype=float))
-    return DiscreteMeasure(weights, atoms)
+    return DiscreteMeasure(weights, _draw_base(base_sampler, n_terms, rng))
 
 
 def sample_dp_posterior(concentration: float, data: np.ndarray,
@@ -153,7 +163,7 @@ def sample_dp_posterior(concentration: float, data: np.ndarray,
     from_base = rng.random(n_terms) < concentration / total
     k = int(from_base.sum())
     if k:
-        atoms[from_base] = np.atleast_2d(np.asarray(base_sampler(k, rng), dtype=float))
+        atoms[from_base] = _draw_base(base_sampler, k, rng, d)
     if k < n_terms:
         atoms[~from_base] = data[rng.integers(0, n, size=n_terms - k)]
     return DiscreteMeasure(weights, atoms)
@@ -172,5 +182,4 @@ def sample_stick_breaking(a: float, base_sampler: BaseSampler, k_trunc: int,
     weights[-1] += remaining[-1]
     # absorb float round-off into the largest weight, which dwarfs it
     weights[np.argmax(weights)] += 1.0 - weights.sum()
-    atoms = np.atleast_2d(np.asarray(base_sampler(k_trunc, rng), dtype=float))
-    return DiscreteMeasure(weights, atoms)
+    return DiscreteMeasure(weights, _draw_base(base_sampler, k_trunc, rng))

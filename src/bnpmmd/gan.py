@@ -178,9 +178,18 @@ def _draw_iteration_randomness(X_mb: np.ndarray, cfg: TrainConfig,
 
 
 def _loss_and_param_grads(net: GeneratorNet, measure: DiscreteMeasure, U: np.ndarray,
-                          spec: KernelSpec, sqrt_floor: float):
-    """Square-root weighted-MMD loss and its parameter gradients, for fixed draws."""
+                          spec: KernelSpec, sqrt_floor: float, X_mb: np.ndarray | None = None):
+    """Square-root weighted-MMD loss and its parameter gradients, for fixed draws.
+
+    A median bandwidth is resolved against the minibatch ``X_mb`` and the
+    generator output.  An output holding NaN or inf has no median; it gets
+    the NaN loss and gradients that any fixed bandwidth gives it.
+    """
     Y, activations = _forward_cached(net, U)
+    if spec.needs_median:
+        if not np.isfinite(Y).all():
+            return np.nan, [w * np.nan for w in net.weights], [b * np.nan for b in net.biases], False
+        spec = resolve_median(spec, X_mb, Y)
     mmd2 = mmd2_weighted(measure, Y, spec)
     clamped = mmd2 < sqrt_floor
     loss = float(np.sqrt(max(mmd2, sqrt_floor)))
@@ -204,10 +213,7 @@ def loss_and_grad(net: GeneratorNet, X_mb: np.ndarray, cfg: TrainConfig,
     X_mb = np.atleast_2d(np.asarray(X_mb, dtype=float))
     measure, n_terms = _draw_iteration_randomness(X_mb, cfg, rng)
     U = rng.uniform(-1.0, 1.0, size=(n_terms, net.noise_dim))
-    spec = cfg.kernel
-    if spec.needs_median:
-        spec = resolve_median(spec, X_mb, generator_forward(net, U))
-    return _loss_and_param_grads(net, measure, U, spec, SQRT_FLOOR)
+    return _loss_and_param_grads(net, measure, U, cfg.kernel, SQRT_FLOOR, X_mb)
 
 
 def train(net: GeneratorNet, dataset: np.ndarray, cfg: TrainConfig,
@@ -286,13 +292,16 @@ def train(net: GeneratorNet, dataset: np.ndarray, cfg: TrainConfig,
 def mmds_score(real: np.ndarray, generated: np.ndarray, n_mb: int, r_mb: int,
                spec: KernelSpec, rng: np.random.Generator) -> float:
     """Matching score: the worst (largest) empirical squared MMD over random
-    same-size subset pairs of the real and generated data (NaN if any pair's is NaN)."""
+    same-size subset pairs of the real and generated data (NaN if any pair's is NaN,
+    and under a median bandwidth if the generated data hold NaN or inf)."""
     real = np.atleast_2d(np.asarray(real, dtype=float))
     generated = np.atleast_2d(np.asarray(generated, dtype=float))
     if n_mb > real.shape[0] or n_mb > generated.shape[0]:
         raise InvalidParameterError("subset size exceeds a dataset size")
     if r_mb < 1:
         raise InvalidParameterError("need at least one subset draw")
+    if spec.needs_median and not np.isfinite(generated).all():
+        return float("nan")
     spec = resolve_median(spec, real, generated)
     values = []
     for _ in range(r_mb):

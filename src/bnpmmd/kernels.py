@@ -2,11 +2,11 @@
 
 Every kernel here has the form k(x, y) = h(s, sigma, shape) in the squared
 distance s = ||x - y||^2 (scipy's ``sqeuclidean``), with h mapping [0, inf)
-into [0, 1] and h(0) = 1, so a T-component mixture is bounded by T.
+into [0, 1] and h(0) = 1, so a sum over T bandwidths is bounded by T.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -32,7 +32,7 @@ def _exponential_g(s, sigma, shape):
 _MATERN_C = np.sqrt(2.0 * 1.5)
 
 
-def _matern_h(s, sigma, nu):
+def _matern_h(s, sigma, shape):
     # exp(-ct) is 0 past ct = 746; the cap makes s = inf give 0, not inf * 0 = NaN
     ct = np.minimum(_MATERN_C * (np.sqrt(s) / sigma), 1e3)
     return (1.0 + ct) * np.exp(-ct)
@@ -43,13 +43,12 @@ class _Family(NamedTuple):
 
     ``h(s, sigma, shape)`` is the kernel value and ``g(s, sigma, shape)`` the
     gradient coefficient, d k(v, y) / d y = g * (v - y).  A family with no
-    default shape takes none; a ``fixed_shape`` one takes only its default.
+    default shape takes none.
     """
 
     default_shape: float | None
     h: Callable[..., np.ndarray]
     g: Callable[..., np.ndarray]
-    fixed_shape: bool = False
 
 
 _FAMILY_TABLE = {
@@ -66,10 +65,9 @@ _FAMILY_TABLE = {
         lambda s, sigma, alpha: (1.0 + s / (2.0 * alpha * sigma**2)) ** (-alpha),
         lambda s, sigma, alpha: (1.0 + s / (2.0 * alpha * sigma**2)) ** (-alpha - 1.0) / sigma**2),
     MATERN: _Family(
-        1.5,
+        None,
         _matern_h,
-        lambda s, sigma, nu: (_MATERN_C / sigma) ** 2 * np.exp(-_MATERN_C * (np.sqrt(s) / sigma)),
-        fixed_shape=True),
+        lambda s, sigma, shape: (_MATERN_C / sigma) ** 2 * np.exp(-_MATERN_C * (np.sqrt(s) / sigma))),
 }
 FAMILIES = tuple(_FAMILY_TABLE)
 # the families divide by sigma^2, so it must be a finite normal float
@@ -82,82 +80,76 @@ TEST_BANDWIDTH = 80.0
 
 
 @dataclass(frozen=True)
-class KernelComponent:
-    """One radial kernel: family name, bandwidth sigma, optional shape.
+class KernelSpec:
+    """One radial kernel family summed over one or more bandwidths sigma.
 
-    ``bandwidth=None`` marks a component whose sigma is to be filled in from
-    data by the median heuristic (see :func:`resolve_median`).
+    ``shape`` is the family's optional shape parameter, shared by every
+    bandwidth.  A ``None`` bandwidth is to be filled in from data by the
+    median heuristic (see :func:`resolve_median`).  Pointwise values lie in
+    [0, T] for T bandwidths.
     """
 
     family: str
-    bandwidth: float | None
+    bandwidths: tuple[float | None, ...]
     shape: float | None = None
 
     def __post_init__(self):
         family = _FAMILY_TABLE.get(self.family)
         if family is None:
             raise InvalidParameterError(f"unknown kernel family {self.family!r}")
+        bandwidths = tuple(None if b is None else float(b) for b in self.bandwidths)
+        if not bandwidths:
+            raise InvalidParameterError("kernel spec needs at least one bandwidth")
         # an infinite bandwidth or shape would make the kernel constant, so every MMD 0
-        if self.bandwidth is not None and not _SIGMA_MIN <= self.bandwidth <= _SIGMA_MAX:
-            raise InvalidParameterError(f"kernel bandwidth must lie in [{_SIGMA_MIN:.3g}, "
-                                        f"{_SIGMA_MAX:.3g}], got {self.bandwidth:g}")
+        for b in bandwidths:
+            if b is not None and not _SIGMA_MIN <= b <= _SIGMA_MAX:
+                raise InvalidParameterError(f"kernel bandwidth must lie in [{_SIGMA_MIN:.3g}, "
+                                            f"{_SIGMA_MAX:.3g}], got {b:g}")
         if self.shape is not None and family.default_shape is None:
             raise InvalidParameterError(f"{self.family} kernel takes no shape parameter")
         if self.shape is not None and not 0 < self.shape < np.inf:
             raise InvalidParameterError("kernel shape parameter must be finite and positive")
-        if family.fixed_shape and self.shape not in (None, family.default_shape):
-            raise InvalidParameterError(f"{self.family} kernel implements only shape "
-                                        f"{family.default_shape:g}")
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """A sum of radial kernel components; pointwise values lie in [0, T]."""
-
-    components: tuple[KernelComponent, ...]
-
-    def __post_init__(self):
-        if len(self.components) == 0:
-            raise InvalidParameterError("kernel spec needs at least one component")
+        object.__setattr__(self, "bandwidths", bandwidths)
 
     @property
     def kernel_bound(self) -> float:
-        return float(len(self.components))
+        return float(len(self.bandwidths))
 
     @property
     def needs_median(self) -> bool:
-        return any(c.bandwidth is None for c in self.components)
+        return None in self.bandwidths
 
 
 def gaussian_kernel(bandwidth: float | None = TEST_BANDWIDTH) -> KernelSpec:
-    return KernelSpec((KernelComponent(GAUSSIAN, bandwidth),))
+    return KernelSpec(GAUSSIAN, (bandwidth,))
 
 
 def gaussian_mixture(bandwidths=MIXTURE_BANDWIDTHS) -> KernelSpec:
-    return KernelSpec(tuple(KernelComponent(GAUSSIAN, float(b)) for b in bandwidths))
+    return KernelSpec(GAUSSIAN, bandwidths)
 
 
-def _sum_components(spec: KernelSpec, sq: np.ndarray, grad: bool) -> np.ndarray:
+def _sum_bandwidths(spec: KernelSpec, sq: np.ndarray, grad: bool) -> np.ndarray:
     """Kernel values, or gradient coefficients, at squared distances ``sq``,
-    summed over the components of ``spec``."""
+    summed over the bandwidths of ``spec``."""
+    if spec.needs_median:
+        raise UnsupportedKernelError("median bandwidth not resolved; call resolve_median first")
+    family = _FAMILY_TABLE[spec.family]
+    profile = family.g if grad else family.h
+    shape = family.default_shape if spec.shape is None else spec.shape
     out = np.zeros_like(sq)
-    for comp in spec.components:
-        if comp.bandwidth is None:
-            raise UnsupportedKernelError("median bandwidth not resolved; call resolve_median first")
-        family = _FAMILY_TABLE[comp.family]
-        shape = family.default_shape if comp.shape is None else comp.shape
-        out += (family.g if grad else family.h)(sq, comp.bandwidth, shape)
+    for sigma in spec.bandwidths:
+        out += profile(sq, sigma, shape)
     return out
 
 
 def gram(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Kernel matrix K[i, j] = k(X_i, Y_j) summed over mixture components."""
-    return _sum_components(spec, _sq_dist(X, Y), grad=False)
+    """Kernel matrix K[i, j] = k(X_i, Y_j) summed over the bandwidths."""
+    return _sum_bandwidths(spec, _sq_dist(X, Y), grad=False)
 
 
 def gram_grad_coeff(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
-    """Gradient coefficients g(s) at squared distances ``sq``, summed over components."""
-    return _sum_components(spec, sq, grad=True)
+    """Gradient coefficients g(s) at squared distances ``sq``, summed over the bandwidths."""
+    return _sum_bandwidths(spec, sq, grad=True)
 
 
 def _sq_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -199,40 +191,32 @@ def resolve_median(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> KernelSpec
     if not spec.needs_median:
         return spec
     sigma = median_heuristic(X, Y)
-    comps = tuple(
-        KernelComponent(c.family, sigma if c.bandwidth is None else c.bandwidth, c.shape)
-        for c in spec.components
-    )
-    return KernelSpec(comps)
+    return replace(spec, bandwidths=tuple(sigma if b is None else b for b in spec.bandwidths))
 
 
 def parse_kernel(text: str) -> KernelSpec:
-    """Parse the CLI kernel grammar.
+    """Parse the CLI kernel grammar ``[mix:]family:bandwidth[,...][:shape]``.
 
-    Accepted forms::
+    Examples::
 
-        gaussian:80              single component, sigma 80
-        gaussian:median          sigma from the median heuristic at run time
-        matern:5:1.5             optional shape parameter after the bandwidth
-                                 (rational-quadratic and matern only; Matern
-                                 implements only nu = 1.5)
-        mix:gaussian:2,5,10,20,40,80   mixture over a bandwidth list
+        gaussian:80                    single bandwidth, sigma 80
+        gaussian:median                sigma from the median heuristic at run time
+        rational-quadratic:5:2.5       optional shape after the bandwidths
+                                       (rational-quadratic only)
+        mix:gaussian:2,5,10,20,40,80   sum over a bandwidth list; a list of
+                                       more than one needs the ``mix:`` prefix
     """
     parts = text.strip().split(":")
-    if parts and parts[0] == "mix":
-        if len(parts) != 3:
-            raise InvalidParameterError(f"bad mixture kernel {text!r}; want mix:family:b1,b2,...")
-        family = parts[1]
-        comps = []
-        for tok in parts[2].split(","):
-            comps.append(KernelComponent(family, _parse_bandwidth(tok)))
-        return KernelSpec(tuple(comps))
+    mix = parts[0] == "mix"
+    if mix:
+        parts = parts[1:]
     if len(parts) not in (2, 3):
-        raise InvalidParameterError(f"bad kernel {text!r}; want family:bandwidth[:shape]")
-    family = parts[0]
-    bandwidth = _parse_bandwidth(parts[1])
+        raise InvalidParameterError(f"bad kernel {text!r}; want [mix:]family:bandwidth[,...][:shape]")
+    tokens = parts[1].split(",")
+    if len(tokens) > 1 and not mix:
+        raise InvalidParameterError(f"bad kernel {text!r}; a bandwidth list needs the mix: prefix")
     shape = _parse_float(parts[2], "shape") if len(parts) == 3 else None
-    return KernelSpec((KernelComponent(family, bandwidth, shape),))
+    return KernelSpec(parts[0], tuple(_parse_bandwidth(tok) for tok in tokens), shape)
 
 
 def _parse_bandwidth(tok: str) -> float | None:
@@ -248,15 +232,8 @@ def _parse_float(tok: str, what: str) -> float:
 
 
 def format_kernel(spec: KernelSpec) -> str:
-    """Inverse of :func:`parse_kernel` for manifests and reports."""
-    def one(c: KernelComponent) -> str:
-        bw = "median" if c.bandwidth is None else f"{c.bandwidth:g}"
-        return f"{c.family}:{bw}" + (f":{c.shape:g}" if c.shape is not None else "")
-
-    if len(spec.components) == 1:
-        return one(spec.components[0])
-    families = {c.family for c in spec.components}
-    if len(families) == 1 and all(c.shape is None for c in spec.components):
-        bws = ",".join("median" if c.bandwidth is None else f"{c.bandwidth:g}" for c in spec.components)
-        return f"mix:{next(iter(families))}:{bws}"
-    return "+".join(one(c) for c in spec.components)
+    """Inverse of :func:`parse_kernel` for manifests and reports (6 significant digits)."""
+    prefix = "mix:" if len(spec.bandwidths) > 1 else ""
+    bws = ",".join("median" if b is None else f"{b:g}" for b in spec.bandwidths)
+    suffix = "" if spec.shape is None else f":{spec.shape:g}"
+    return f"{prefix}{spec.family}:{bws}{suffix}"

@@ -384,3 +384,18 @@ def test_every_subcommand_writes_a_replayable_manifest(run_inputs, command, caps
         path.unlink()
     assert dispatch(manifest["argv"]) == 0
     assert {path: path.read_bytes() for path in first} == first
+
+
+def test_mmd_reads_idx_files(tmp_path, capsys):
+    # --data/--x/--y take IDX image files wherever they take CSV
+    from test_idx import write_idx_images
+    images = tmp_path / "digits.idx"
+    write_idx_images(images, np.random.default_rng(4).integers(0, 256, (6, 2, 3)), 2, 3)
+    out = tmp_path / "mmd.txt"
+    code = dispatch(["mmd", "--x", str(images), "--y", str(images), "--kernel", "gaussian:80",
+                     "--out", str(out), "--seed", "1"])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "0"
+    manifest = json.loads((tmp_path / "mmd.manifest.json").read_text())
+    assert manifest["command"] == "mmd"
+    assert manifest["config"]["value"] == 0.0

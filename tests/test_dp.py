@@ -7,7 +7,7 @@ from scipy import stats
 from bnpmmd.dp import (DEFAULT_MAX_TERMS, DiscreteMeasure, sample_dp_posterior,
                        sample_dp_prior, sample_stick_breaking, stopping_rule_N,
                        symmetric_dirichlet)
-from bnpmmd.errors import InvalidParameterError
+from bnpmmd.errors import InvalidInputError, InvalidParameterError
 from bnpmmd.gan import GeneratorNet, TrainConfig, train
 from bnpmmd.rb import RBConfig, run_gof_test
 
@@ -165,6 +165,14 @@ class TestPosteriorSampling:
             sample_dp_posterior(a, np.zeros((4, 1)), base, 5, rng)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("shape", [lambda k: (1, 5), lambda k: (k, 1)], ids=["row", "column"])
+    def test_base_rows_must_match_data(self, shape):
+        # a one-row or one-column output broadcast into every base atom or coordinate
+        data = np.random.default_rng(17).standard_normal((50, 5))
+        base = lambda k, rng: rng.standard_normal(shape(k))
+        with pytest.raises(InvalidInputError, match=r"base sampler returned shape \(\d+, \d\)"):
+            sample_dp_posterior(50.0, data, base, 40, np.random.default_rng(18))
+
 
 class TestStickBreaking:
     def test_weights_sum_to_one(self):
@@ -191,6 +199,11 @@ class TestStickBreaking:
             masses[i] = m.weights[m.atoms[:, 0] <= 0.3].sum()
         target = stats.norm.cdf(0.3)
         assert abs(masses.mean() - target) <= 3 * masses.std(ddof=1) / np.sqrt(reps)
+
+    def test_base_must_return_one_row_per_atom(self):
+        with pytest.raises(InvalidInputError, match=r"want \(5, d\)"):
+            sample_stick_breaking(1.0, lambda k, rng: np.zeros((1, 3)), 5,
+                                  np.random.default_rng(16))
 
     def test_bad_params(self):
         rng = np.random.default_rng(16)

@@ -208,6 +208,29 @@ class TestTrain:
             assert np.all(np.isfinite(hist.loss))
 
 
+    def test_base_of_wrong_width_rejected(self):
+        # a (k, 1) base broadcast into both coordinates and trained to the end
+        rng = np.random.default_rng(37)
+        data = eight_gaussian_ring(256, rng)
+        cfg = TrainConfig(minibatch=64, iterations=20, checkpoint_every=0, concentration=5.0,
+                          base_sampler=lambda k, r: r.random((k, 1)))
+        with pytest.raises(InvalidInputError, match=r"want \(\d+, 2\)"):
+            train(make_net([1, 8, 2], seed=38), data, cfg, rng)
+
+    @pytest.mark.parametrize("bandwidth", [1.0, None], ids=["fixed", "median"])
+    def test_nan_generator_diverges(self, bandwidth):
+        # a median kernel raised from resolve_median, naming a Y the caller never passed
+        rng = np.random.default_rng(39)
+        data = eight_gaussian_ring(256, rng)
+        net = make_net([1, 4, 2], seed=40)
+        net.weights[-1][0, 1] = np.nan
+        cfg = TrainConfig(minibatch=32, iterations=5, kernel=gaussian_kernel(bandwidth))
+        net, hist = train(net, data, cfg, rng)
+        assert hist.diverged
+        assert hist.loss.shape == (1,) and np.isnan(hist.loss[0])
+        assert np.isnan(hist.mmds_values).all()
+
+
 class TestMMDS:
     def test_identical_full_batch_is_zero(self):
         rng = np.random.default_rng(20)

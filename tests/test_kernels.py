@@ -5,14 +5,14 @@ from hypothesis import strategies as st
 
 from bnpmmd.errors import InvalidInputError, InvalidParameterError, UnsupportedKernelError
 from bnpmmd.kernels import (EXPONENTIAL, FAMILIES, GAUSSIAN, MATERN,
-                            RATIONAL_QUADRATIC, KernelComponent, KernelSpec,
+                            RATIONAL_QUADRATIC, KernelSpec,
                             eval_kernel, format_kernel, gaussian_kernel,
                             gaussian_mixture, gram, median_heuristic, parse_kernel,
                             resolve_median)
 
 
 def single(family, bw, shape=None):
-    return KernelSpec((KernelComponent(family, bw, shape),))
+    return KernelSpec(family, (bw,), shape)
 
 
 class TestEvalKernel:
@@ -56,7 +56,7 @@ class TestEvalKernel:
     def test_matern_value(self):
         # nu = 1.5: (1 + sqrt(3) u) exp(-sqrt(3) u) at u = 1
         c = np.sqrt(3.0)
-        val = eval_kernel(single(MATERN, 2.0, 1.5), np.array([0.0]), np.array([2.0]))
+        val = eval_kernel(single(MATERN, 2.0), np.array([0.0]), np.array([2.0]))
         assert val == pytest.approx((1 + c) * np.exp(-c), abs=1e-12)
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -120,7 +120,7 @@ class TestMedianHeuristic:
         X = np.array([[0.0], [0.0]])
         Y = np.array([[3.0], [4.0]])
         resolved = resolve_median(spec, X, Y)
-        assert resolved.components[0].bandwidth == pytest.approx(12.5)
+        assert resolved.bandwidths[0] == pytest.approx(12.5)
         with pytest.raises(UnsupportedKernelError):
             gram(spec, X, Y)
 
@@ -148,19 +148,19 @@ class TestMedianHeuristic:
 class TestParseKernel:
     def test_single(self):
         spec = parse_kernel("gaussian:80")
-        assert spec.components == (KernelComponent(GAUSSIAN, 80.0),)
+        assert spec == KernelSpec(GAUSSIAN, (80.0,))
 
     def test_median(self):
         assert parse_kernel("gaussian:median").needs_median
 
     def test_mixture(self):
         spec = parse_kernel("mix:gaussian:2,5,10,20,40,80")
-        assert len(spec.components) == 6
+        assert len(spec.bandwidths) == 6
         assert spec.kernel_bound == 6.0
 
     def test_shape_suffix(self):
         spec = parse_kernel("rational-quadratic:5:2.5")
-        assert spec.components[0].shape == 2.5
+        assert spec.shape == 2.5
 
     def test_roundtrip_format(self):
         for text in ["gaussian:80", "mix:gaussian:2,5,10,20,40,80", "rational-quadratic:5:2.5",
@@ -168,12 +168,47 @@ class TestParseKernel:
             assert format_kernel(parse_kernel(text)) == text
 
     def test_rejects_garbage(self):
-        # Matern is implemented only at nu = 1.5; an infinite bandwidth or
-        # shape would make the kernel constant; gaussian and exponential take
-        # no shape; sigma^2 must be a finite normal float
+        # only rational-quadratic takes a shape (Matern is implemented only at
+        # nu = 1.5); an infinite bandwidth or shape would make the kernel
+        # constant; sigma^2 must be a finite normal float; a bandwidth list
+        # needs the mix: prefix
         for bad in ["", "gaussian", "gaussian:-1", "mix:gaussian", "unknown:3", "matern:5:2.5",
+                    "matern:5:1.5", "gaussian:2,5", "mix:gaussian:2,5:2", "mix:", "mix:gaussian:2,",
                     "gaussian:inf", "rational-quadratic:5:inf", "gaussian:80:2",
                     "exponential:1:0.5", "rational-quadratic:5:abc", "gaussian:80:",
                     "gaussian:1e-300", "gaussian:1e200", "exponential:1e-300"]:
             with pytest.raises(InvalidParameterError):
                 parse_kernel(bad)
+
+    def test_mixture_with_shape(self):
+        spec = parse_kernel("mix:rational-quadratic:1,2:2.5")
+        assert spec == KernelSpec(RATIONAL_QUADRATIC, (1.0, 2.0), 2.5)
+        assert format_kernel(spec) == "mix:rational-quadratic:1,2:2.5"
+
+
+class TestKernelSpec:
+    def test_hashable_and_compared_by_value(self):
+        assert {gaussian_mixture((2, 5)), KernelSpec(GAUSSIAN, [2.0, 5.0])} == \
+            {KernelSpec(GAUSSIAN, (2.0, 5.0))}
+
+    def test_needs_a_bandwidth(self):
+        with pytest.raises(InvalidParameterError, match="at least one bandwidth"):
+            KernelSpec(GAUSSIAN, ())
+
+
+# format_kernel writes 6 significant digits, so the drawn values sit on that grid
+_printable = st.floats(1e-150, 1e150).map(lambda v: float(f"{v:g}"))
+
+
+@st.composite
+def _specs(draw):
+    family = draw(st.sampled_from(FAMILIES))
+    bandwidths = draw(st.lists(st.none() | _printable, min_size=1, max_size=6))
+    shape = draw(st.none() | _printable) if family == RATIONAL_QUADRATIC else None
+    return KernelSpec(family, bandwidths, shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_specs())
+def test_parse_inverts_format(spec):
+    assert parse_kernel(format_kernel(spec)) == spec

@@ -9,7 +9,7 @@ PUBLIC = {
     "stopping_rule_N",
     "deviation_tail_bound", "generalization_bound", "grad_mmd2_atoms", "mmd2_empirical",
     "mmd2_weighted", "prior_mean_upper_bound",
-    "KernelComponent", "KernelSpec", "eval_kernel", "gaussian_kernel", "gaussian_mixture",
+    "KernelSpec", "eval_kernel", "gaussian_kernel", "gaussian_mixture",
     "median_heuristic", "parse_kernel",
     "RBConfig", "RBReport", "ecdf_eval", "empirical_quantile", "estimate_rb_strength",
     "run_gof_test", "simulate_mmd_samples",

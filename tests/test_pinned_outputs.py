@@ -16,7 +16,7 @@ import pytest
 
 from bnpmmd.discrepancy import grad_mmd2_atoms
 from bnpmmd.dp import DEFAULT_MAX_TERMS, DiscreteMeasure, stopping_rule_N
-from bnpmmd.kernels import KernelComponent, KernelSpec, gaussian_kernel, gram
+from bnpmmd.kernels import KernelSpec, gaussian_kernel, gram
 from bnpmmd.rb import RBConfig, estimate_rb_strength, run_gof_test
 from bnpmmd.scenarios import null_model_sampler
 
@@ -97,7 +97,7 @@ def test_gram_and_gradient(family, shape):
     expected_gram, expected_grad = KERNEL_CASES[family, shape]
     X = np.array([[0.0, 0.0], [0.5, -1.0], [1.5, 2.0]])
     Y = np.array([[0.25, 0.5], [-1.0, 1.0]])
-    spec = KernelSpec((KernelComponent(family, 1.3, shape),))
+    spec = KernelSpec(family, (1.3,), shape)
     measure = DiscreteMeasure(np.array([0.2, 0.3, 0.5]), X)
     np.testing.assert_allclose(gram(spec, X, Y), expected_gram, rtol=RTOL)
     np.testing.assert_allclose(grad_mmd2_atoms(measure, Y, spec), expected_grad, rtol=RTOL)

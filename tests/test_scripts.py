@@ -1,0 +1,34 @@
+"""The example scripts run end to end at tiny sizes."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from bnpmmd.scenarios import SCENARIOS
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_train_ring_generator(tmp_path):
+    lines = run_script("train_ring_generator.py", "--iters", "20", "--out-dir", str(tmp_path))
+    assert [line.split(":")[0] for line in lines] == ["held-out MMD^2", "matching score",
+                                                      "diverged"]
+    assert lines[-1].startswith("diverged: False")
+    assert {p.name for p in tmp_path.iterdir()} == {"model.json", "history.csv", "ring.svg"}
+
+
+def test_scenario_table():
+    lines = run_script("scenario_table.py", "--d", "2", "--n", "20", "--reps", "2",
+                       "--ell", "40", "--perms", "9")
+    assert lines[0].startswith("d=2 n=20 ")
+    assert lines[1].split() == ["scenario", "mean", "RB", "mean", "Str", "mean", "p"]
+    assert [line.split()[0] for line in lines[2:]] == list(SCENARIOS)
