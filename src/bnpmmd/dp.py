@@ -3,7 +3,8 @@
 A draw is represented as a discrete measure: a weight vector on the simplex
 and one atom per weight.  Weights come from a symmetric Dirichlet built out
 of Gamma variables; the number of terms comes either from an explicit count
-or from a random truncation rule on Gamma weight ratios.
+or from the random truncation rule of Zarepour & Al-Labadi (2012), drawn as
+one Beta share per level.
 """
 from __future__ import annotations
 
@@ -19,6 +20,8 @@ BaseSampler = Callable[[int, np.random.Generator], np.ndarray]
 
 SIMPLEX_TOL = 1e-12
 _MAX_RETRIES = 100
+# Truncation levels whose shares are drawn in one call; it fixes the stream.
+_LEVEL_CHUNK = 256
 # Cap on the random truncation level of the relative-belief test and of dp-sample.
 DEFAULT_MAX_TERMS = 10000
 
@@ -60,23 +63,37 @@ class StoppingRuleResult(NamedTuple):
 
 def stopping_rule_N(concentration: float, eps: float, max_terms: int,
                     rng: np.random.Generator) -> StoppingRuleResult:
-    """Random truncation level: first j where the last of j fresh Gamma(a/j)
-    draws carries less than ``eps`` of their total mass.
+    """Random truncation level (Zarepour & Al-Labadi, 2012): the first j at
+    which the last of j i.i.d. Gamma(a/j) weights carries less than ``eps``
+    of their total.
 
-    The whole Gamma vector is redrawn at every j (the ratio at j = 1 is
-    identically one, so the result is always >= 2).  If the loop reaches
-    ``max_terms`` the cap is returned with ``clamped=True``.
+    That share is Beta(a/j, a - a/j), independently across j because the
+    weights are fresh at every level (Devroye, *Non-Uniform Random Variate
+    Generation*, 1986, ch. IX), so one Beta variate per level stands in for
+    j Gamma draws.  Levels are drawn ``_LEVEL_CHUNK`` at a time from j = 2,
+    since the share at j = 1 is identically one.  If no level up to
+    ``max_terms`` stops, the cap is returned with ``clamped=True``.
+
+    Raises:
+        InvalidParameterError: the concentration is not positive and finite,
+            ``eps`` is outside (0, 1) or ``max_terms`` is below 1.
+        NumericUnderflowError: a is so small that a/j rounds to zero.
     """
-    if concentration <= 0:
+    if not 0 < concentration < np.inf:
         raise InvalidParameterError(f"stopping rule needs a positive concentration, got {concentration}")
     if not 0.0 < eps < 1.0:
         raise InvalidParameterError("truncation_epsilon must lie in (0, 1)")
     if max_terms < 1:
         raise InvalidParameterError("max_terms must be >= 1")
-    for j in range(1, max_terms + 1):
-        h = _gamma_positive_sum(concentration / j, j, rng)
-        if h[-1] / h.sum() < eps:
-            return StoppingRuleResult(j, False)
+    for lo in range(2, max_terms + 1, _LEVEL_CHUNK):
+        j = np.arange(lo, min(lo + _LEVEL_CHUNK, max_terms + 1))
+        shape = concentration / j
+        if shape[-1] == 0.0:
+            raise NumericUnderflowError(f"concentration {concentration} / {j[-1]} underflows to zero")
+        share = rng.beta(shape, concentration - shape)
+        stop = np.flatnonzero(share < eps)
+        if stop.size:
+            return StoppingRuleResult(int(j[stop[0]]), False)
     return StoppingRuleResult(max_terms, True)
 
 

@@ -232,8 +232,13 @@ def _parse_float(tok: str, what: str) -> float:
 
 
 def format_kernel(spec: KernelSpec) -> str:
-    """Inverse of :func:`parse_kernel` for manifests and reports (6 significant digits)."""
+    """Inverse of :func:`parse_kernel` for manifests and reports; numbers get
+    the shortest digits that read back to the same float."""
     prefix = "mix:" if len(spec.bandwidths) > 1 else ""
-    bws = ",".join("median" if b is None else f"{b:g}" for b in spec.bandwidths)
-    suffix = "" if spec.shape is None else f":{spec.shape:g}"
+    bws = ",".join("median" if b is None else _format_float(b) for b in spec.bandwidths)
+    suffix = "" if spec.shape is None else f":{_format_float(spec.shape)}"
     return f"{prefix}{spec.family}:{bws}{suffix}"
+
+
+def _format_float(v: float) -> str:
+    return repr(float(v)).removesuffix(".0")

@@ -164,13 +164,11 @@ def simulate_mmd_samples(data: np.ndarray, model, cfg: RBConfig, which: str,
 
     ``model`` is either a fixed (m, d) sample or a sampler callable; a
     sampler is drawn once up front and the sample held fixed across the
-    ``cfg.mc_reps`` replications unless ``cfg.resample_model_per_rep``.
-    The up-front draw is made even when resampling: it resolves a median
-    bandwidth here when called alone, and dropping it would move every
-    resampled stream at unchanged seeds.
-    The base measure defaults to the model sampler itself (the test
-    construction wants them equal); pass ``base_sampler`` to deliberately
-    decouple them.
+    ``cfg.mc_reps`` replications unless ``cfg.resample_model_per_rep``;
+    when resampling, the up-front draw is made only to resolve a median
+    bandwidth.  The base measure defaults to the model sampler itself (the
+    test construction wants them equal); pass ``base_sampler`` to
+    deliberately decouple them.
 
     Args:
         which: "prior" or "posterior".
@@ -188,7 +186,8 @@ def simulate_mmd_samples(data: np.ndarray, model, cfg: RBConfig, which: str,
     if base_sampler is None and callable(model):
         base_sampler = model
     m = cfg.model_size or data.shape[0]
-    sample = _model_sample(model, m, rng)
+    sample = (None if cfg.resample_model_per_rep and not cfg.kernel.needs_median
+              else _model_sample(model, m, rng))
 
     if which == "prior":
         if base_sampler is None:
@@ -200,7 +199,7 @@ def simulate_mmd_samples(data: np.ndarray, model, cfg: RBConfig, which: str,
 
     spec = resolve_median(cfg.kernel, data, sample)
     out = np.empty(cfg.mc_reps)
-    yy = discrepancy.yy_mean_term(sample, spec)
+    yy = None if cfg.resample_model_per_rep else discrepancy.yy_mean_term(sample, spec)
     for r in range(cfg.mc_reps):
         if cfg.resample_model_per_rep:
             sample = _model_sample(model, m, rng)

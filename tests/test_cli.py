@@ -66,8 +66,8 @@ def test_threads_flag_removed(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("resample, aucs", [
-    (True, ["0.96875", "0.71875", "1"]),
-    (False, ["1", "0.78125", "0.9375"]),
+    (True, ["0.875", "1", "0.90625"]),
+    (False, ["1", "0.96875", "1"]),
 ])
 def test_bandwidth_sweep_resample_model(tmp_path, capsys, resample, aucs):
     out = tmp_path / "sweep.csv"
@@ -399,3 +399,20 @@ def test_mmd_reads_idx_files(tmp_path, capsys):
     manifest = json.loads((tmp_path / "mmd.manifest.json").read_text())
     assert manifest["command"] == "mmd"
     assert manifest["config"]["value"] == 0.0
+
+
+def test_median_mmd_manifest_kernel_reproduces_value(tmp_path, capsys):
+    # the resolved bandwidth was recorded to 6 digits, so passing the recorded
+    # kernel back as --kernel gave a different value
+    rng = np.random.default_rng(5)
+    xpath, ypath = tmp_path / "x.csv", tmp_path / "y.csv"
+    write_matrix(xpath, rng.standard_normal((50, 5)))
+    write_matrix(ypath, rng.standard_normal((40, 5)))
+    argv = ["mmd", "--x", str(xpath), "--y", str(ypath), "--out", str(tmp_path / "mmd.txt")]
+    manifest = tmp_path / "mmd.manifest.json"
+    assert dispatch([*argv, "--kernel", "gaussian:median"]) == 0
+    first = json.loads(manifest.read_text())["config"]
+    assert dispatch([*argv, "--kernel", first["kernel"]]) == 0
+    again = json.loads(manifest.read_text())["config"]
+    assert again["kernel"] == first["kernel"]
+    assert again["value"] == first["value"]

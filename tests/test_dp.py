@@ -7,7 +7,7 @@ from scipy import stats
 from bnpmmd.dp import (DEFAULT_MAX_TERMS, DiscreteMeasure, sample_dp_posterior,
                        sample_dp_prior, sample_stick_breaking, stopping_rule_N,
                        symmetric_dirichlet)
-from bnpmmd.errors import InvalidInputError, InvalidParameterError
+from bnpmmd.errors import InvalidInputError, InvalidParameterError, NumericUnderflowError
 from bnpmmd.gan import GeneratorNet, TrainConfig, train
 from bnpmmd.rb import RBConfig, run_gof_test
 
@@ -39,26 +39,37 @@ class TestStoppingRule:
             stopping_rule_N(0.0, 0.5, DEFAULT_MAX_TERMS, rng)
 
     def test_distribution_matches_independent_oracle(self):
-        # oracle: the mass ratio at step j is Beta(a/j, a(j-1)/j), independent
-        # across j because the Gamma vector is redrawn fresh; N is the first
-        # j >= 2 where that Beta variable drops below eps
-        a, eps, draws = 25.0, 1e-3, 10000
-        rng = np.random.default_rng(101)
-        impl = np.array([stopping_rule_N(a, eps, DEFAULT_MAX_TERMS, rng).n_terms
-                         for _ in range(draws)])
+        # oracle: the rule as first written, with j Gamma weights per level
+        eps = 1e-3
+        rng, orng = np.random.default_rng(101), np.random.default_rng(202)
+        for a, draws in [(25.0, 5000), (256.0, 1000)]:
+            impl = [stopping_rule_N(a, eps, DEFAULT_MAX_TERMS, rng).n_terms
+                    for _ in range(draws)]
+            oracle = [gamma_stopping_rule(a, eps, orng) for _ in range(draws)]
+            assert stats.ks_2samp(impl, oracle).pvalue > 0.01, a
 
-        orng = np.random.default_rng(202)
-        alive = np.ones(draws, dtype=bool)
-        oracle = np.zeros(draws, dtype=int)
-        j = 1
-        while alive.any():
-            j += 1
-            ratios = orng.beta(a / j, a * (j - 1) / j, size=draws)
-            stop = alive & (ratios < eps)
-            oracle[stop] = j
-            alive &= ~stop
-        res = stats.ks_2samp(impl, oracle)
-        assert res.pvalue > 0.01
+    def test_small_concentration_stops_early(self):
+        # every Gamma(1e-5 / j) weight underflows to zero, which once raised
+        rng = np.random.default_rng(1)
+        levels = {stopping_rule_N(1e-5, 1e-3, DEFAULT_MAX_TERMS, rng) for _ in range(50)}
+        assert {res.n_terms for res in levels} <= set(range(2, 6))
+        assert not any(res.clamped for res in levels)
+
+    def test_concentration_below_the_smallest_shape_is_typed(self):
+        # a / 2 rounds to zero, which numpy's Beta sampler rejects untyped
+        with pytest.raises(NumericUnderflowError):
+            stopping_rule_N(5e-324, 1e-3, DEFAULT_MAX_TERMS, np.random.default_rng(3))
+
+
+def gamma_stopping_rule(a, eps, rng):
+    """The rule as first written: at each level j >= 2 redraw j Gamma(a/j)
+    weights and stop once the last carries less than ``eps`` of their total."""
+    j = 1
+    while True:
+        j += 1
+        h = rng.gamma(a / j, 1.0, size=j)
+        if h[-1] / h.sum() < eps:
+            return j
 
 
 class TestPriorSampling:
@@ -265,13 +276,16 @@ def _run_train(**cfg):
     lambda: _run_train(step_size=float("nan")),
     lambda: _run_train(checkpoint_every=-1),
     lambda: stopping_rule_N(0.0, 1e-3, DEFAULT_MAX_TERMS, np.random.default_rng(20)),
+    lambda: stopping_rule_N(np.nan, 1e-3, DEFAULT_MAX_TERMS, np.random.default_rng(20)),
+    lambda: stopping_rule_N(np.inf, 1e-3, DEFAULT_MAX_TERMS, np.random.default_rng(20)),
     lambda: stopping_rule_N(25.0, 1.5, DEFAULT_MAX_TERMS, np.random.default_rng(20)),
     lambda: stopping_rule_N(25.0, 1e-3, 0, np.random.default_rng(20)),
     lambda: sample_dp_prior(-1.0, zero_base(), 5, np.random.default_rng(20)),
 ], ids=["rb-eps-0", "rb-eps-1.5", "rb-explicit-0", "rb-both-set",
         "gof-concentration-0", "gof-concentration-0-explicit",
         "train-eps-1.5", "train-step-negative", "train-step-0", "train-step-nan",
-        "train-checkpoint-negative", "rule-concentration-0", "rule-eps-1.5",
+        "train-checkpoint-negative", "rule-concentration-0", "rule-concentration-nan",
+        "rule-concentration-inf", "rule-eps-1.5",
         "rule-max-terms-0", "params-negative-concentration"])
 def test_invalid_truncation_settings_rejected(invalid):
     with pytest.raises(InvalidParameterError):

@@ -340,6 +340,33 @@ class TestRunGofTest:
             run_gof_test(X, model, cfg, np.random.default_rng(43), base_sampler=normal_base(2))
         assert len(calls) == 10
 
+    @pytest.mark.parametrize("kernel, calls", [(gaussian_kernel(SQRT2), 100),
+                                               (gaussian_kernel(None), 101)],
+                             ids=["fixed", "median"])
+    def test_resampling_draws_only_used_model_samples(self, kernel, calls):
+        # one model draw per replication of each simulation and, with a median
+        # kernel, the one it is resolved against; each simulation also drew a
+        # model sample up front that no replication compared against
+        drawn = []
+
+        def model(k, rng):
+            drawn.append(k)
+            return rng.standard_normal((k, 2))
+
+        X = normal_base(2)(40, np.random.default_rng(44))
+        cfg = self._cfg(mc_reps=50, kernel=kernel, resample_model_per_rep=True)
+        run_gof_test(X, model, cfg, np.random.default_rng(45), base_sampler=normal_base(2))
+        assert len(drawn) == calls
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tiny_concentration_completes(self, seed):
+        # every Gamma(1e-5 / j) weight of the truncation rule underflowed to
+        # zero, so the test raised NumericUnderflowError
+        rng = np.random.default_rng(seed)
+        X = normal_base(5)(50, rng)
+        report = run_gof_test(X, normal_base(5), self._cfg(concentration=1e-5), rng)
+        assert 2 <= report.n_terms <= 5
+
     def test_resample_model_flag(self):
         rng = np.random.default_rng(12)
         X = normal_base()(30, rng)

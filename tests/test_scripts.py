@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from bnpmmd.scenarios import SCENARIOS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,3 +34,12 @@ def test_scenario_table():
     assert lines[0].startswith("d=2 n=20 ")
     assert lines[1].split() == ["scenario", "mean", "RB", "mean", "Str", "mean", "p"]
     assert [line.split()[0] for line in lines[2:]] == list(SCENARIOS)
+
+
+@pytest.mark.parametrize("criterion", ["1", "3"])
+def test_acceptance_margins(criterion):
+    lines = run_script("acceptance_margins.py", "--criterion", criterion, "--seeds", "7")
+    assert lines[0].startswith(f"criterion {criterion}: ")
+    assert lines[2].split()[0] == "7"
+    assert lines[3] in ("seeds passing: 0/1", "seeds passing: 1/1")
+    assert lines[4].startswith("pooled: ") and lines[4].split()[1].endswith("/20")
