@@ -1,16 +1,12 @@
 """How much room acceptance criteria 1 and 3 have across seeds.
 
 Runs one seeded replication criterion of ``tests/test_acceptance.py`` at
-each seed of a range, with that file's helpers and bounds, and prints the
-per-seed counts, the number of seeds that pass and the pooled rate.  A
-change that consumes the random stream in a new order can quote these
-numbers for its parent and for itself.  The criteria's wall-time bound is
-not checked.
-
-    criterion 1: null data (d=5, n=50); a seed passes with at least 90% of
-                 its replications at rb > 1 and a mean rb above 1
-    criterion 3: variance shift (d=10, n=50); a seed passes with at least
-                 90% of its replications at rb < 1
+each seed of a range, through that file's own ``criterion_01`` or
+``criterion_03`` (so the scenario, sizes and pass rule are the ones the
+suite checks), and prints the per-seed counts, the number of seeds that
+pass and the pooled rate.  A change that consumes the random stream in a
+new order can quote these numbers for its parent and for itself.  The
+criteria's wall-time bound is not checked.
 
 Example:
     python scripts/acceptance_margins.py --criterion 1 --seeds 0-19
@@ -20,10 +16,7 @@ import importlib.util
 from pathlib import Path
 
 ACCEPTANCE = Path(__file__).resolve().parents[1] / "tests" / "test_acceptance.py"
-CRITERIA = {
-    1: ("no_difference", 5, lambda rbs: rbs > 1.0, lambda rbs: rbs.mean() > 1.0),
-    3: ("variance_shift", 10, lambda rbs: rbs < 1.0, lambda rbs: True),
-}
+CRITERIA = (1, 3)
 
 
 def load_acceptance():
@@ -41,21 +34,18 @@ def parse_seeds(text: str) -> range:
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--criterion", type=int, choices=sorted(CRITERIA), required=True)
+    parser.add_argument("--criterion", type=int, choices=CRITERIA, required=True)
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("0-19"),
                         help="one seed or an inclusive range such as 0-19")
     args = parser.parse_args()
 
-    acceptance = load_acceptance()
-    scenario, dim, hit, extra = CRITERIA[args.criterion]
-    print(f"criterion {args.criterion}: {scenario} d={dim} n=50")
+    criterion = getattr(load_acceptance(), f"criterion_{args.criterion:02d}")
+    print(f"criterion {args.criterion}: {' '.join(criterion.__doc__.split('.')[0].split())}")
     print(f"{'seed':>4}{'count':>8}{'mean RB':>9}  pass")
     passed, hits, total = 0, 0, 0
     for seed in args.seeds:
-        rbs, _ = acceptance.replicate_rb(scenario, dim, 50, acceptance.table_config(), seed)
-        hits_here = hit(rbs)
-        count = int(hits_here.sum())
-        ok = bool(hits_here.mean() >= 0.90 and extra(rbs))
+        rbs, counted, ok = criterion(seed)
+        count = int(counted.sum())
         passed += ok
         hits += count
         total += rbs.size

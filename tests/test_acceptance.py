@@ -47,12 +47,28 @@ def replicate_rb(scenario, dim, n, cfg, seed, reps=20, base=None):
     return np.array(rbs), np.array(strengths)
 
 
+def criterion_01(seed=7):
+    """null data (d=5, n=50): at least 90% of replications at rb > 1 and a mean
+    rb above 1.  Returns the replication rbs, which of them count and the verdict."""
+    rbs, _ = replicate_rb("no_difference", 5, 50, table_config(), seed)
+    hits = rbs > 1.0
+    return rbs, hits, bool(hits.mean() >= 0.90 and rbs.mean() > 1.0)
+
+
+def criterion_03(seed=10):
+    """variance shift (d=10, n=50): at least 90% of replications at rb < 1.
+    Returns the replication rbs, which of them count and the verdict."""
+    rbs, _ = replicate_rb("variance_shift", 10, 50, table_config(), seed)
+    hits = rbs < 1.0
+    return rbs, hits, bool(hits.mean() >= 0.90)
+
+
 def test_criterion_01_null_behavior():
     started = time.time()
-    rbs, _ = replicate_rb("no_difference", 5, 50, table_config(), seed=7)
+    rbs, hits, ok = criterion_01()
     elapsed = time.time() - started
-    frac = np.mean(rbs > 1.0)
-    ok = rbs.mean() > 1.0 and frac >= 0.90 and elapsed <= 300
+    frac = hits.mean()
+    ok = ok and elapsed <= 300
     _report(1, "null-behavior d=5", ok,
             f"mean RB {rbs.mean():.2f} (>1), {int(frac * 20)}/20 reps with RB>1 "
             f"(>=90%), {elapsed:.0f}s (<=300s)")
@@ -75,10 +91,9 @@ def test_criterion_02_mean_shift_power():
 
 def test_criterion_03_variance_shift_detection():
     started = time.time()
-    rbs, _ = replicate_rb("variance_shift", 10, 50, table_config(), seed=10)
+    rbs, hits, ok = criterion_03()
     elapsed = time.time() - started
-    frac = np.mean(rbs < 1.0)
-    ok = frac >= 0.90
+    frac = hits.mean()
     _report(3, "variance-shift d=10", ok,
             f"{int(frac * 20)}/20 reps with RB<1 (>=90%), mean RB {rbs.mean():.3f}, "
             f"{elapsed:.0f}s")

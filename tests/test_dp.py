@@ -42,7 +42,7 @@ class TestStoppingRule:
         # oracle: the rule as first written, with j Gamma weights per level
         eps = 1e-3
         rng, orng = np.random.default_rng(101), np.random.default_rng(202)
-        for a, draws in [(25.0, 5000), (256.0, 1000)]:
+        for a, draws in [(25.0, 10000), (256.0, 1000)]:
             impl = [stopping_rule_N(a, eps, DEFAULT_MAX_TERMS, rng).n_terms
                     for _ in range(draws)]
             oracle = [gamma_stopping_rule(a, eps, orng) for _ in range(draws)]

@@ -38,8 +38,10 @@ def test_scenario_table():
 
 @pytest.mark.parametrize("criterion", ["1", "3"])
 def test_acceptance_margins(criterion):
-    lines = run_script("acceptance_margins.py", "--criterion", criterion, "--seeds", "7")
+    # seed 0 is not an acceptance seed, so this adds a replication set rather
+    # than repeating the one the acceptance suite runs
+    lines = run_script("acceptance_margins.py", "--criterion", criterion, "--seeds", "0")
     assert lines[0].startswith(f"criterion {criterion}: ")
-    assert lines[2].split()[0] == "7"
+    assert lines[2].split()[0] == "0"
     assert lines[3] in ("seeds passing: 0/1", "seeds passing: 1/1")
     assert lines[4].startswith("pooled: ") and lines[4].split()[1].endswith("/20")
