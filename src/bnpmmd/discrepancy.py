@@ -13,7 +13,7 @@ from scipy.spatial.distance import cdist
 
 from .dp import DiscreteMeasure
 from .errors import InvalidInputError, InvalidParameterError
-from .kernels import KernelSpec, gram, gram_grad_coeff
+from .kernels import KernelSpec, gram, gram_grad_coeff, self_gram
 
 
 def _as_matrix(X, name: str, dim: int | None = None) -> np.ndarray:
@@ -76,7 +76,7 @@ def grad_mmd2_atoms(P: DiscreteMeasure, Y: np.ndarray, spec: KernelSpec) -> np.n
     wg = w[:, None] * gvy
     cross = -2.0 / m * (wg.T @ V - wg.sum(axis=0)[:, None] * Y)
 
-    gyy = gram_grad_coeff(spec, cdist(Y, Y, "sqeuclidean"))  # (m, m); diagonal displacement 0
+    gyy = self_gram(spec, Y, grad=True)  # (m, m); diagonal displacement 0
     self_term = 2.0 / (m * m) * (gyy @ Y - gyy.sum(axis=1)[:, None] * Y)
     return cross + self_term
 

@@ -152,6 +152,13 @@ class TrainConfig:
             raise InvalidParameterError("final_step_fraction must lie in (0, 1]")
         if not (np.isfinite(self.step_size) and self.step_size > 0):
             raise InvalidParameterError(f"step_size must be finite and positive, got {self.step_size}")
+        # checked here: the truncation rule sees concentration + minibatch, not the given value
+        if not 0.0 <= self.concentration < np.inf:
+            raise InvalidParameterError("concentration must be finite and non-negative, "
+                                        f"got {self.concentration}")
+        if not 0.0 < self.truncation_epsilon < 1.0:
+            raise InvalidParameterError("truncation_epsilon must lie in (0, 1), "
+                                        f"got {self.truncation_epsilon}")
         if self.checkpoint_every < 0:
             raise InvalidParameterError("checkpoint_every must be >= 0 (0 disables checkpoints)")
 
@@ -232,8 +239,13 @@ def train(net: GeneratorNet, dataset: np.ndarray, cfg: TrainConfig,
     if dataset.shape[1] != net.data_dim:
         raise InvalidInputError(f"dataset dimension {dataset.shape[1]} != net output {net.data_dim}")
 
-    adam_m = [np.zeros_like(w) for w in net.weights] + [np.zeros_like(b) for b in net.biases]
-    adam_v = [np.zeros_like(p) for p in adam_m]
+    # Adam moments of every parameter, weights then biases, as flat vectors.
+    # Each step works in place on preallocated vectors: temporaries the size
+    # of the whole net cost more to allocate than the arithmetic on them.
+    params = net.weights + net.biases
+    ends = np.cumsum([p.size for p in params])
+    slices = [slice(end - p.size, end) for p, end in zip(params, ends)]
+    adam_m, adam_v, grad, grad_sq, work = (np.zeros(ends[-1]) for _ in range(5))
 
     losses = np.zeros(cfg.iterations)
     grad_norms = np.zeros(cfg.iterations)
@@ -246,20 +258,25 @@ def train(net: GeneratorNet, dataset: np.ndarray, cfg: TrainConfig,
         idx = rng.choice(n, size=cfg.minibatch, replace=False)
         loss, grads_w, grads_b, clamped = loss_and_grad(net, dataset[idx], cfg, rng)
         history.clamped_steps += int(clamped)
-        flat = grads_w + grads_b
-        params = net.weights + net.biases
+        np.concatenate([x.ravel() for x in grads_w + grads_b], out=grad)
         t = it + 1
         # linear step decay from step_size down to final_step_fraction * step_size
         frac = 1.0 - (1.0 - cfg.final_step_fraction) * it / max(cfg.iterations - 1, 1)
         step = cfg.step_size * frac
+        np.multiply(grad, grad, out=grad_sq)
         sq_norm = 0.0
-        for p, g, m_state, v_state in zip(params, flat, adam_m, adam_v):
-            sq_norm += float(np.sum(g * g))
-            m_state += (1.0 - ADAM_BETA1) * (g - m_state)
-            v_state += (1.0 - ADAM_BETA2) * (g * g - v_state)
-            m_hat = m_state / (1.0 - ADAM_BETA1**t)
-            v_hat = v_state / (1.0 - ADAM_BETA2**t)
-            p -= step * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        for sl in slices:  # per parameter: one sum over the flat vector rounds differently
+            sq_norm += float(np.sum(grad_sq[sl]))
+        np.subtract(grad, adam_m, out=work)
+        adam_m += np.multiply(work, 1.0 - ADAM_BETA1, out=work)
+        np.subtract(grad_sq, adam_v, out=work)
+        adam_v += np.multiply(work, 1.0 - ADAM_BETA2, out=work)
+        v_hat = np.divide(adam_v, 1.0 - ADAM_BETA2**t, out=grad_sq)
+        denom = np.add(np.sqrt(v_hat, out=v_hat), ADAM_EPS, out=v_hat)
+        m_hat = np.divide(adam_m, 1.0 - ADAM_BETA1**t, out=work)
+        update = np.divide(np.multiply(step, m_hat, out=m_hat), denom, out=m_hat)
+        for p, sl in zip(params, slices):
+            p -= update[sl].reshape(p.shape)
         losses[it] = loss
         grad_norms[it] = np.sqrt(sq_norm)
 

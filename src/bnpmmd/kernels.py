@@ -3,6 +3,15 @@
 Every kernel here has the form k(x, y) = h(s, sigma, shape) in the squared
 distance s = ||x - y||^2 (scipy's ``sqeuclidean``), with h mapping [0, inf)
 into [0, 1] and h(0) = 1, so a sum over T bandwidths is bounded by T.
+
+A self block K(X, X) of at least ``TRIANGLE_MIN_EVALS`` profile evaluations
+(rows^2 x bandwidths) computes each pair's distance once (``pdist``),
+evaluates every bandwidth on that upper triangle, and mirrors it: 64 rows or
+more of the six-bandwidth training mixture, 157 or more of one bandwidth.
+Its diagonal is evaluated at each row's own squared distance, so a row
+holding NaN or inf gives the NaN it gives in the full evaluation.  Smaller
+blocks use ``cdist``: there the fixed cost of ``pdist`` and ``squareform``
+outweighs the evaluations the triangle saves.
 """
 from __future__ import annotations
 
@@ -10,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import InvalidInputError, InvalidParameterError, UnsupportedKernelError, as_sample
 
@@ -77,6 +86,9 @@ _SIGMA_MIN, _SIGMA_MAX = np.sqrt(np.finfo(float).tiny), np.sqrt(np.finfo(float).
 MIXTURE_BANDWIDTHS = (2.0, 5.0, 10.0, 20.0, 40.0, 80.0)
 # Single bandwidth used throughout the hypothesis-testing experiments.
 TEST_BANDWIDTH = 80.0
+# Self blocks of at least this many profile evaluations (rows^2 x bandwidths)
+# are evaluated on their upper triangle; see the module docstring.
+TRIANGLE_MIN_EVALS = 64 * 64 * 6
 
 
 @dataclass(frozen=True)
@@ -136,20 +148,51 @@ def _sum_bandwidths(spec: KernelSpec, sq: np.ndarray, grad: bool) -> np.ndarray:
     family = _FAMILY_TABLE[spec.family]
     profile = family.g if grad else family.h
     shape = family.default_shape if spec.shape is None else spec.shape
-    out = np.zeros_like(sq)
-    for sigma in spec.bandwidths:
+    first, *rest = spec.bandwidths
+    out = profile(sq, first, shape)
+    for sigma in rest:
         out += profile(sq, sigma, shape)
     return out
 
 
 def gram(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Kernel matrix K[i, j] = k(X_i, Y_j) summed over the bandwidths."""
+    """Kernel matrix K[i, j] = k(X_i, Y_j) summed over the bandwidths.
+
+    Passed one array as both ``X`` and ``Y``, it returns :func:`self_gram`.
+    """
+    if X is Y:
+        return self_gram(spec, X)
     return _sum_bandwidths(spec, _sq_dist(X, Y), grad=False)
 
 
 def gram_grad_coeff(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
     """Gradient coefficients g(s) at squared distances ``sq``, summed over the bandwidths."""
     return _sum_bandwidths(spec, sq, grad=True)
+
+
+def self_gram(spec: KernelSpec, X: np.ndarray, grad: bool = False) -> np.ndarray:
+    """K(X, X), or its gradient coefficients, summed over the bandwidths.
+
+    From ``TRIANGLE_MIN_EVALS`` profile evaluations on, the block is evaluated
+    on its upper triangle (see the module docstring); the result is the same
+    to the bit.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[0] ** 2 * len(spec.bandwidths) < TRIANGLE_MIN_EVALS:
+        return _sum_bandwidths(spec, _sq_dist(X, X), grad)
+    return _triangle_sum(spec, X, grad)
+
+
+def _triangle_sum(spec: KernelSpec, X: np.ndarray, grad: bool) -> np.ndarray:
+    # x - x is 0 for finite x and NaN for NaN or inf, so each row sum is the
+    # row's own squared distance, as on the diagonal of cdist(X, X)
+    n, d = X.shape
+    with np.errstate(invalid="ignore"):
+        own = (X - X) @ np.ones(d)
+    values = _sum_bandwidths(spec, np.concatenate([pdist(X, "sqeuclidean"), own]), grad)
+    out = squareform(values[:-n], checks=False)
+    np.fill_diagonal(out, values[-n:])
+    return out
 
 
 def _sq_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

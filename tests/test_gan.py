@@ -104,6 +104,21 @@ class TestLossAndGrad:
         assert loss == pytest.approx(np.sqrt(1e-12))
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("concentration", [-300.0, -1e-9, np.nan, np.inf])
+    def test_bad_concentration_named_as_given(self, concentration):
+        with pytest.raises(InvalidParameterError, match=f"concentration .*got {concentration}$"):
+            TrainConfig(minibatch=64, concentration=concentration)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, 2.0, np.nan])
+    def test_truncation_epsilon_outside_unit_interval(self, eps):
+        with pytest.raises(InvalidParameterError, match=f"truncation_epsilon .*got {eps}$"):
+            TrainConfig(truncation_epsilon=eps)
+
+    def test_zero_concentration_is_the_default_bootstrap(self):
+        assert TrainConfig(concentration=0.0).concentration == 0.0
+
+
 class TestTrain:
     def test_deterministic_history(self):
         data = eight_gaussian_ring(512, np.random.default_rng(11))

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist, pdist
 
+from bnpmmd import kernels
 from bnpmmd.errors import InvalidInputError, InvalidParameterError, UnsupportedKernelError
 from bnpmmd.kernels import (EXPONENTIAL, FAMILIES, GAUSSIAN, MATERN,
                             RATIONAL_QUADRATIC, KernelSpec,
                             eval_kernel, format_kernel, gaussian_kernel,
                             gaussian_mixture, gram, median_heuristic, parse_kernel,
-                            resolve_median)
+                            resolve_median, self_gram, _sum_bandwidths, _triangle_sum)
 
 
 def single(family, bw, shape=None):
@@ -212,3 +214,35 @@ def _specs(draw):
 @given(_specs())
 def test_parse_inverts_format(spec):
     assert parse_kernel(format_kernel(spec)) == spec
+
+
+SELF_SPECS = [single(f, 1.3) for f in FAMILIES] + [
+    gaussian_mixture(), KernelSpec(RATIONAL_QUADRATIC, (0.7, 2.0), 2.5),
+    KernelSpec(MATERN, (0.5, 3.0))]
+
+
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 200])
+@pytest.mark.parametrize("spec", SELF_SPECS, ids=format_kernel)
+def test_self_block_on_triangle_equals_full_evaluation(spec, rows):
+    for poison in (None, np.nan, np.inf, -np.inf):
+        X = np.random.default_rng(rows).standard_normal((rows, 3))
+        X[rows // 2] = X[0]  # a duplicate pair, at distance 0 off the diagonal
+        if poison is not None:
+            X[-1, 1] = poison
+        for grad in (False, True):
+            full = _sum_bandwidths(spec, cdist(X, X, "sqeuclidean"), grad)
+            np.testing.assert_array_equal(_triangle_sum(spec, X, grad), full)
+            np.testing.assert_array_equal(self_gram(spec, X, grad), full)
+        np.testing.assert_array_equal(gram(spec, X, X), self_gram(spec, X))
+
+
+@pytest.mark.parametrize("spec, rows, triangle", [
+    (gaussian_mixture(), 63, False), (gaussian_mixture(), 64, True),
+    (gaussian_kernel(1.0), 156, False), (gaussian_kernel(1.0), 157, True)])
+def test_self_block_takes_triangle_from_min_evaluations(monkeypatch, spec, rows, triangle):
+    calls = []
+    monkeypatch.setattr(kernels, "pdist", lambda *a: calls.append(a) or pdist(*a))
+    X = np.random.default_rng(0).standard_normal((rows, 2))
+    gram(spec, X, X)
+    gram(spec, X, X.copy())  # two arrays are never a self block
+    assert len(calls) == int(triangle)

@@ -5,7 +5,8 @@ ECDF/quantile helpers and model-sample handling were consolidated, except
 the truncation levels and every test case that draws one, re-recorded when
 the truncation rule changed from Gamma redraws to one Beta share per level
 and the resampled simulations stopped drawing an unused model sample up
-front.  A change that reorders how the random stream is consumed, or alters
+front.  The training run was recorded before the self Gram blocks moved to
+their upper triangle and the Adam update to flat vectors.  A change that reorders how the random stream is consumed, or alters
 the arithmetic, fails here; such a change must record new values
 deliberately and say so.
 """
@@ -16,7 +17,8 @@ import pytest
 
 from bnpmmd.discrepancy import grad_mmd2_atoms
 from bnpmmd.dp import DEFAULT_MAX_TERMS, DiscreteMeasure, stopping_rule_N
-from bnpmmd.kernels import KernelSpec, gaussian_kernel, gram
+from bnpmmd.gan import GeneratorNet, TrainConfig, eight_gaussian_ring, generator_forward, train
+from bnpmmd.kernels import KernelSpec, gaussian_kernel, gaussian_mixture, gram
 from bnpmmd.rb import RBConfig, estimate_rb_strength, run_gof_test
 from bnpmmd.scenarios import null_model_sampler
 
@@ -110,3 +112,32 @@ def test_rb_strength_with_ties(grid_cells, anchor_cell, expected):
     post = np.array([0.1, 0.1, 0.2, 0.05, 0.2, 0.4, 0.3, 0.1])
     got = estimate_rb_strength(prior, post, grid_cells, anchor_cell)
     np.testing.assert_allclose(got, expected, rtol=RTOL)
+
+
+def test_train_history():
+    # truncation levels run 53-119, so steps fall on both sides of the
+    # 64-row self-block rule; the checkpoint scores compare 128-row subsets
+    rng = np.random.default_rng(31)
+    data = eight_gaussian_ring(512, rng)
+    net = GeneratorNet.initialize([1, 16, 16, 2], rng)
+    cfg = TrainConfig(minibatch=128, iterations=30, kernel=gaussian_mixture(),
+                      checkpoint_every=10)
+    net, history = train(net, data, cfg, rng)
+    its = [0, 9, 19, 29]
+    np.testing.assert_allclose(
+        history.loss[its],
+        [0.14354154188520774, 0.11622293047401312, 0.13621080908269195, 0.05715489200552281],
+        rtol=RTOL)
+    np.testing.assert_allclose(
+        history.grad_norm[its],
+        [0.26617715174663165, 0.25526108299894723, 0.26199106913144266, 0.25992970615675104],
+        rtol=RTOL)
+    assert history.mmds_iters == [0, 10, 20]
+    np.testing.assert_allclose(
+        history.mmds_values, [0.027036096527107034, 0.023908310191174564, 0.012982006042188132],
+        rtol=RTOL)
+    np.testing.assert_allclose(
+        generator_forward(net, np.array([[-0.5], [0.5]])),
+        [[0.5241249350464542, 0.7741045442427028], [0.5298203797199125, 0.3228571880908866]],
+        rtol=RTOL)
+    assert not history.diverged and history.clamped_steps == 0

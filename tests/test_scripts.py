@@ -45,3 +45,13 @@ def test_acceptance_margins(criterion):
     assert lines[2].split()[0] == "0"
     assert lines[3] in ("seeds passing: 0/1", "seeds passing: 1/1")
     assert lines[4].startswith("pooled: ") and lines[4].split()[1].endswith("/20")
+
+
+def test_acceptance_margins_training():
+    # seed 0 is not an acceptance seed (criterion 9 runs at 6)
+    lines = run_script("acceptance_margins.py", "--criterion", "9", "--seeds", "0")
+    assert lines[0].startswith("criterion 9: ring training")
+    seed, before, _, ratio = lines[2].split()[:4]
+    assert seed == "0" and float(before) > 0.0 and 0.0 <= float(ratio) < 1.0
+    assert lines[3] in ("seeds passing: 0/1", "seeds passing: 1/1")
+    assert lines[4].startswith("largest ratio: ") and lines[4].endswith("(bound 0.20)")
