@@ -9,7 +9,7 @@ from .discrepancy import (deviation_tail_bound, generalization_bound, grad_mmd2_
 from .kernels import (KernelSpec, eval_kernel, gaussian_kernel, gaussian_mixture,
                       median_heuristic, parse_kernel)
 from .rb import (RBConfig, RBReport, ecdf_eval, empirical_quantile,
-                 estimate_rb_strength, run_gof_test, simulate_mmd_samples)
+                 estimate_rb_strength, run_gof_test)
 from .scenarios import (SCENARIOS, RocCurve, ScenarioSpec, fnp_permutation_test,
                         roc_from_scores, run_roc_study, sample_scenario)
 from .gan import (GeneratorNet, TrainConfig, TrainHistory, eight_gaussian_ring,
@@ -24,7 +24,7 @@ __all__ = [
     "KernelSpec", "eval_kernel", "gaussian_kernel", "gaussian_mixture",
     "median_heuristic", "parse_kernel",
     "RBConfig", "RBReport", "ecdf_eval", "empirical_quantile",
-    "estimate_rb_strength", "run_gof_test", "simulate_mmd_samples",
+    "estimate_rb_strength", "run_gof_test",
     "SCENARIOS", "RocCurve", "ScenarioSpec", "fnp_permutation_test",
     "roc_from_scores", "run_roc_study", "sample_scenario",
     "GeneratorNet", "TrainConfig", "TrainHistory", "eight_gaussian_ring",

@@ -114,8 +114,9 @@ def symmetric_dirichlet(total_concentration: float, n_terms: int,
     (shape-boosted Gamma), which keeps the normalizer positive even when
     c/N is far below the underflow threshold of a direct Gamma sampler.
     """
-    if total_concentration <= 0:
-        raise InvalidParameterError("Dirichlet weights need positive concentration")
+    if not 0 < total_concentration < np.inf:
+        raise InvalidParameterError("Dirichlet weights need a positive, finite concentration, "
+                                    f"got {total_concentration}")
     if n_terms < 1:
         raise InvalidParameterError("n_terms must be >= 1")
     shape = total_concentration / n_terms
@@ -150,9 +151,9 @@ def _draw_base(base_sampler: BaseSampler, k: int, rng: np.random.Generator,
 def sample_dp_prior(concentration: float, base_sampler: BaseSampler, n_terms: int,
                     rng: np.random.Generator) -> DiscreteMeasure:
     """One truncated prior draw: Dirichlet(a/N) weights, atoms i.i.d. from the base."""
-    if concentration <= 0:
-        raise InvalidParameterError("prior draws need positive concentration; "
-                                    "zero concentration only arises through the posterior update")
+    if not 0 < concentration < np.inf:
+        raise InvalidParameterError(f"prior draws need a positive, finite concentration, got "
+                                    f"{concentration}; zero only arises in the posterior update")
     weights = symmetric_dirichlet(concentration, n_terms, rng)
     return DiscreteMeasure(weights, _draw_base(base_sampler, n_terms, rng))
 
@@ -166,8 +167,9 @@ def sample_dp_posterior(concentration: float, data: np.ndarray,
     base with probability a/(a+n), otherwise it is a uniformly chosen data
     row (with replacement).  ``base_sampler`` may be None only when a = 0.
     """
-    if concentration < 0:
-        raise InvalidParameterError("concentration must be non-negative")
+    if not 0 <= concentration < np.inf:
+        raise InvalidParameterError("concentration must be finite and non-negative, "
+                                    f"got {concentration}")
     data = np.atleast_2d(np.asarray(data, dtype=float))
     n, d = data.shape
     if n == 0:
@@ -189,8 +191,9 @@ def sample_dp_posterior(concentration: float, data: np.ndarray,
 def sample_stick_breaking(a: float, base_sampler: BaseSampler, k_trunc: int,
                           rng: np.random.Generator) -> DiscreteMeasure:
     """Truncated stick-breaking draw; leftover stick mass goes to the last atom."""
-    if a <= 0:
-        raise InvalidParameterError("stick breaking needs positive concentration")
+    if not 0 < a < np.inf:
+        raise InvalidParameterError("stick breaking needs a positive, finite concentration, "
+                                    f"got {a}")
     if k_trunc < 1:
         raise InvalidParameterError("k_trunc must be >= 1")
     betas = rng.beta(1.0, a, size=k_trunc)

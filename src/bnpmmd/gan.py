@@ -35,6 +35,11 @@ class GeneratorNet:
             raise InvalidParameterError("need at least input and output layers")
         if any(d < 1 for d in self.layer_dims):
             raise InvalidParameterError("layer dimensions must be positive")
+        shapes = list(zip(self.layer_dims[:-1], self.layer_dims[1:]))
+        if ([np.shape(w) for w in self.weights] != shapes
+                or [np.shape(b) for b in self.biases] != [(d,) for _, d in shapes]):
+            raise InvalidParameterError("weights and biases do not match layer_dims "
+                                        f"{self.layer_dims}: want weight shapes {shapes}")
 
     @classmethod
     def initialize(cls, layer_dims: list[int], rng: np.random.Generator) -> "GeneratorNet":

@@ -7,12 +7,13 @@ mass near zero on a quantile grid of the prior Monte Carlo sample.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import discrepancy
-from .dp import (DEFAULT_MAX_TERMS, BaseSampler, StoppingRuleResult, sample_dp_posterior,
+from .dp import (DEFAULT_MAX_TERMS, BaseSampler, DiscreteMeasure, sample_dp_posterior,
                  sample_dp_prior, stopping_rule_N)
 from .errors import DegeneratePriorError, InvalidInputError, InvalidParameterError, as_sample
 from .kernels import KernelSpec, gaussian_kernel, resolve_median
@@ -29,7 +30,8 @@ class RBConfig:
     ``grid_cells`` (M) and ``anchor_cell`` (i0) define the prior-quantile
     grid; the ratio is read at the i0/M prior quantile, so the reported
     value lives in [0, M/i0].  ``mc_reps`` Monte Carlo draws feed each of
-    the prior and posterior ECDFs.
+    the prior and posterior ECDFs.  The concentration must be positive and
+    finite, and a ``truncation_epsilon``, when set, must lie in (0, 1).
     """
 
     concentration: float = 25.0
@@ -43,14 +45,18 @@ class RBConfig:
     resample_model_per_rep: bool = False
 
     def __post_init__(self):
-        if self.concentration < 0:
-            raise InvalidParameterError("concentration must be non-negative")
+        if not 0 < self.concentration < np.inf:
+            raise InvalidParameterError("the test needs a positive concentration, "
+                                        f"got {self.concentration}")
         if not 1 <= self.anchor_cell < self.grid_cells:
             raise InvalidParameterError("need 1 <= anchor_cell < grid_cells")
         if self.mc_reps < self.grid_cells:
             raise InvalidParameterError("mc_reps must be at least grid_cells")
         if (self.truncation_epsilon is None) == (self.explicit_terms is None):
             raise InvalidParameterError("set exactly one of truncation_epsilon and explicit_terms")
+        if self.truncation_epsilon is not None and not 0.0 < self.truncation_epsilon < 1.0:
+            raise InvalidParameterError("truncation_epsilon must lie in (0, 1), "
+                                        f"got {self.truncation_epsilon}")
         if self.explicit_terms is not None and self.explicit_terms < 1:
             raise InvalidParameterError("explicit_terms (a fixed n_terms) must be >= 1")
         if self.model_size is not None and self.model_size < 1:
@@ -140,14 +146,6 @@ def estimate_rb_strength(prior_samples: np.ndarray, posterior_samples: np.ndarra
     return float(rb), float(sum(selected.tolist()))  # summed cell by cell, left to right
 
 
-def _decide(rb: float) -> str:
-    if rb > 1.0:
-        return EVIDENCE_FOR
-    if rb < 1.0:
-        return EVIDENCE_AGAINST
-    return INCONCLUSIVE
-
-
 def _model_sample(model, m: int, rng: np.random.Generator) -> np.ndarray:
     """The model sample to compare against: ``model`` itself when it is a
     fixed sample, else ``m`` rows drawn from it; non-empty and finite."""
@@ -157,94 +155,64 @@ def _model_sample(model, m: int, rng: np.random.Generator) -> np.ndarray:
     return sample
 
 
-def simulate_mmd_samples(data: np.ndarray, model, cfg: RBConfig, which: str,
-                         rng: np.random.Generator, *, n_terms: int,
-                         base_sampler: BaseSampler | None = None) -> np.ndarray:
-    """Monte Carlo draws of the weighted squared MMD against the model sample.
-
-    ``model`` is either a fixed (m, d) sample or a sampler callable; a
-    sampler is drawn once up front and the sample held fixed across the
-    ``cfg.mc_reps`` replications unless ``cfg.resample_model_per_rep``;
-    when resampling, the up-front draw is made only to resolve a median
-    bandwidth.  The base measure defaults to the model sampler itself (the
-    test construction wants them equal); pass ``base_sampler`` to
-    deliberately decouple them.
-
-    Args:
-        which: "prior" or "posterior".
-        n_terms: truncation level of every draw (one per test, see :func:`run_gof_test`).
-
-    Raises:
-        InvalidInputError: ``data`` or any model sample, fixed or redrawn, holds NaN or inf.
-    """
-    if which not in ("prior", "posterior"):
-        raise InvalidParameterError(f"which must be 'prior' or 'posterior', got {which!r}")
-    data = as_sample(data, "data")
-    if cfg.resample_model_per_rep and not callable(model):
-        raise InvalidParameterError("per-replication model resampling needs a sampler, not a fixed sample")
-
-    if base_sampler is None and callable(model):
-        base_sampler = model
-    m = cfg.model_size or data.shape[0]
-    sample = (None if cfg.resample_model_per_rep and not cfg.kernel.needs_median
-              else _model_sample(model, m, rng))
-
-    if which == "prior":
-        if base_sampler is None:
-            raise InvalidParameterError("prior simulation needs a base sampler")
-        draw = lambda r: sample_dp_prior(cfg.concentration, base_sampler, n_terms, r)
-    else:
-        draw = lambda r: sample_dp_posterior(cfg.concentration, data, base_sampler,
-                                             n_terms, r)
-
-    spec = resolve_median(cfg.kernel, data, sample)
-    out = np.empty(cfg.mc_reps)
-    yy = None if cfg.resample_model_per_rep else discrepancy.yy_mean_term(sample, spec)
-    for r in range(cfg.mc_reps):
-        if cfg.resample_model_per_rep:
+def simulate_mmd_samples(draw: Callable[[np.random.Generator], DiscreteMeasure], model,
+                         m: int, spec: KernelSpec, mc_reps: int,
+                         rng: np.random.Generator) -> np.ndarray:
+    """``mc_reps`` weighted squared MMDs between a measure ``draw(rng)`` and the
+    model sample: ``model`` itself when it is the fixed, checked sample, else
+    ``m`` rows redrawn from it before each measure.  ``spec`` is resolved."""
+    resample = callable(model)
+    sample, yy = (None, None) if resample else (model, discrepancy.yy_mean_term(model, spec))
+    out = np.empty(mc_reps)
+    for r in range(mc_reps):
+        if resample:
             sample = _model_sample(model, m, rng)
             yy = discrepancy.yy_mean_term(sample, spec)
         out[r] = discrepancy.mmd2_weighted(draw(rng), sample, spec, yy_term=yy)
     return out
 
 
-def run_gof_test(data: np.ndarray, model_sampler: BaseSampler, cfg: RBConfig,
+def run_gof_test(data: np.ndarray, model_sampler: BaseSampler | np.ndarray, cfg: RBConfig,
                  rng: np.random.Generator, *,
                  base_sampler: BaseSampler | None = None) -> RBReport:
     """Full test: simulate prior and posterior squared-MMD draws, estimate the
     relative belief ratio and strength, and decide by its sign against one.
 
-    The hypothesized model doubles as the base measure unless an explicit
-    ``base_sampler`` decouples them (useful for studying misconfiguration).
-    A concentration above n/2 drowns the data in the prior; that is allowed
-    but warned about.
+    Every setup decision is made here, once, for both simulations: the
+    truncation level, the model sample (or its sampler, when each replication
+    redraws it), the kernel with its median bandwidth resolved, and the base
+    measure.  The base is the model sampler unless ``base_sampler`` decouples
+    them; a fixed (m, d) model sample needs one and cannot be redrawn, else
+    ``InvalidParameterError`` before any draw.  A concentration above n/2
+    drowns the data in the prior; that is allowed but warned about.
     """
     data = as_sample(data, "data")
     n = data.shape[0]
     if n < 2:
         raise InvalidInputError("need at least two observations")
-    if cfg.concentration <= 0:
-        raise InvalidParameterError(f"the test needs a positive concentration, got {cfg.concentration}")
-    if cfg.concentration > n / 2:
-        warnings.warn(f"concentration {cfg.concentration} > n/2 = {n / 2}; "
+    if not callable(model_sampler) and (base_sampler is None or cfg.resample_model_per_rep):
+        raise InvalidParameterError("a fixed model sample needs an explicit base_sampler "
+                                    "and cannot be redrawn per replication")
+    a = cfg.concentration
+    if a > n / 2:
+        warnings.warn(f"concentration {a} > n/2 = {n / 2}; "
                       "the prior may dominate the update", stacklevel=2)
 
     # one truncation level per test, shared by prior and posterior
-    level = (StoppingRuleResult(cfg.explicit_terms, False) if cfg.explicit_terms is not None
-             else stopping_rule_N(cfg.concentration, cfg.truncation_epsilon,
-                                  DEFAULT_MAX_TERMS, rng))
+    k, clamped = ((cfg.explicit_terms, False) if cfg.explicit_terms is not None
+                  else stopping_rule_N(a, cfg.truncation_epsilon, DEFAULT_MAX_TERMS, rng))
     m = cfg.model_size or n
     # prior and posterior share one model sample unless each replication redraws it
     model = model_sampler if cfg.resample_model_per_rep else _model_sample(model_sampler, m, rng)
-    if cfg.kernel.needs_median:
-        # one bandwidth for both simulations, else the ratio compares two kernels
-        cfg = replace(cfg, kernel=resolve_median(cfg.kernel, data, _model_sample(model, m, rng)))
-    base = base_sampler or model_sampler
-    prior = simulate_mmd_samples(data, model, cfg, "prior", rng,
-                                 n_terms=level.n_terms, base_sampler=base)
-    posterior = simulate_mmd_samples(data, model, cfg, "posterior", rng,
-                                     n_terms=level.n_terms, base_sampler=base)
+    # one bandwidth for both simulations, else the ratio compares two kernels
+    spec = (resolve_median(cfg.kernel, data, _model_sample(model, m, rng))
+            if cfg.kernel.needs_median else cfg.kernel)
+    base = model_sampler if base_sampler is None else base_sampler
+    prior = simulate_mmd_samples(lambda r: sample_dp_prior(a, base, k, r),
+                                 model, m, spec, cfg.mc_reps, rng)
+    posterior = simulate_mmd_samples(lambda r: sample_dp_posterior(a, data, base, k, r),
+                                     model, m, spec, cfg.mc_reps, rng)
     rb, strength = estimate_rb_strength(prior, posterior, cfg.grid_cells, cfg.anchor_cell)
-    return RBReport(rb=rb, strength=strength, prior_samples=prior,
-                    posterior_samples=posterior, n_terms=level.n_terms,
-                    n_terms_clamped=level.clamped, decision=_decide(rb))
+    decision = EVIDENCE_FOR if rb > 1.0 else EVIDENCE_AGAINST if rb < 1.0 else INCONCLUSIVE
+    return RBReport(rb=rb, strength=strength, prior_samples=prior, posterior_samples=posterior,
+                    n_terms=k, n_terms_clamped=clamped, decision=decision)

@@ -234,6 +234,23 @@ def test_gan_score_non_finite_model_exits_1(tmp_path, capsys):
     assert not (tmp_path / "score.txt").exists()
 
 
+def test_gan_score_model_missing_a_layer_exits_1(tmp_path, capsys):
+    # the payload of a [1, 2, 2, 2] net without its last layer was scored as a 2-layer net
+    from bnpmmd.gan import GeneratorNet
+    payload = GeneratorNet.initialize([1, 2, 2, 2], np.random.default_rng(18)).to_dict()
+    payload["weights"].pop()
+    payload["biases"].pop()
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload) + "\n")
+    real = tmp_path / "real.csv"
+    write_matrix(real, np.random.default_rng(19).random((64, 2)))
+    code = dispatch(["gan-score", "--real", str(real), "--model", str(model),
+                     "--nmb", "16", "--rmb", "3", "--out", str(tmp_path / "score.txt")])
+    assert code == 1
+    assert "layer_dims" in capsys.readouterr().err
+    assert not (tmp_path / "score.txt").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["gof-test", "--model", "nope"],
     ["roc", "--null", "no_difference", "--alt", "nope", "--d", "2", "--n", "10"],
@@ -305,7 +322,11 @@ def test_bandwidth_sweep_rejects_empty_or_repeated_sigmas(tmp_path, capsys, monk
 
 @pytest.mark.parametrize("argv, named", [
     (["gof-test", "--model", "no_difference", "--a", "0"], "concentration"),
+    (["gof-test", "--model", "no_difference", "--a", "nan", "--n-terms", "30"],
+     "positive concentration, got nan"),
     (["dp-sample", "--a", "-1"], "got -1.0"),
+    (["dp-sample", "--a", "inf", "--method", "stick", "--n-terms", "5", "--d", "2"],
+     "got inf"),
     (["roc", *STUDY, "--thresholds", "0"], "thresholds"),
     (["roc", *STUDY, "--thresholds", "1"], "thresholds"),
     (["gan-train", "--iters", "2", "--batch", "8", "--hidden", "4", "--step", "-1"],
@@ -316,7 +337,8 @@ def test_bandwidth_sweep_rejects_empty_or_repeated_sigmas(tmp_path, capsys, monk
     (["gof-test", "--model", "no_difference", "--m", "0"], "model_size"),
     (["gof-test", "--model", "no_difference", "--kernel", "gaussian:80:2"], "shape"),
     (["gof-test", "--model", "no_difference", "--kernel", "gaussian:1e-300"], "bandwidth"),
-], ids=["gof-a-0", "dp-sample-a-negative", "roc-thresholds-0", "roc-thresholds-1",
+], ids=["gof-a-0", "gof-a-nan", "dp-sample-a-negative", "dp-sample-stick-a-inf",
+        "roc-thresholds-0", "roc-thresholds-1",
         "gan-train-step-negative", "gan-train-checkpoint-negative", "dp-sample-d-0",
         "gof-m-0", "gof-kernel-shape", "gof-kernel-tiny-bandwidth"])
 def test_invalid_value_exits_1(matrices, argv, named, capsys):

@@ -185,6 +185,23 @@ class TestPosteriorSampling:
             sample_dp_posterior(50.0, data, base, 40, np.random.default_rng(18))
 
 
+@pytest.mark.parametrize("a", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("draw", [
+    lambda a, rng: sample_dp_prior(a, zero_base(), 5, rng),
+    lambda a, rng: sample_dp_posterior(a, np.zeros((4, 1)), zero_base(), 5, rng),
+    lambda a, rng: sample_stick_breaking(a, zero_base(), 5, rng),
+    lambda a, rng: symmetric_dirichlet(a, 5, rng),
+], ids=["prior", "posterior", "stick", "dirichlet"])
+def test_non_finite_concentration_rejected_before_any_draw(draw, a):
+    # an infinite stick put all its mass on the last atom; a NaN concentration
+    # ran out the Dirichlet retries with NumericUnderflowError
+    rng = np.random.default_rng(21)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidParameterError, match=f"got {a}"):
+        draw(a, rng)
+    assert rng.bit_generator.state == state
+
+
 class TestStickBreaking:
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(13)

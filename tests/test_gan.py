@@ -55,6 +55,23 @@ class TestForward:
         assert np.array_equal(generator_forward(net, U), generator_forward(clone, U))
 
 
+    @pytest.mark.parametrize("edit", [
+        lambda p: (p["weights"].pop(), p["biases"].pop()),
+        lambda p: p["biases"].pop(),
+        lambda p: p["biases"][0].append(0.0),
+    ], ids=["last-layer-missing", "bias-missing", "bias-too-long"])
+    def test_payload_must_match_layer_dims(self, edit):
+        # a payload without its last layer loaded as a shorter net
+        payload = make_net([1, 2, 2, 2]).to_dict()
+        edit(payload)
+        with pytest.raises(InvalidParameterError, match="layer_dims"):
+            GeneratorNet.from_dict(payload)
+
+    def test_weight_shapes_must_match_layer_dims(self):
+        with pytest.raises(InvalidParameterError, match=r"want weight shapes \[\(1, 2\)\]"):
+            GeneratorNet([1, 2], [np.zeros((2, 1))], [np.zeros(2)])
+
+
 class TestLossAndGrad:
     def test_loss_nonnegative_and_finite(self):
         rng = np.random.default_rng(5)

@@ -12,7 +12,7 @@ PUBLIC = {
     "KernelSpec", "eval_kernel", "gaussian_kernel", "gaussian_mixture",
     "median_heuristic", "parse_kernel",
     "RBConfig", "RBReport", "ecdf_eval", "empirical_quantile", "estimate_rb_strength",
-    "run_gof_test", "simulate_mmd_samples",
+    "run_gof_test",
     "SCENARIOS", "RocCurve", "ScenarioSpec", "fnp_permutation_test", "roc_from_scores",
     "run_roc_study", "sample_scenario",
     "GeneratorNet", "TrainConfig", "TrainHistory", "eight_gaussian_ring", "generator_forward",

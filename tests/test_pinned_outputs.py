@@ -20,7 +20,7 @@ from bnpmmd.dp import DEFAULT_MAX_TERMS, DiscreteMeasure, stopping_rule_N
 from bnpmmd.gan import GeneratorNet, TrainConfig, eight_gaussian_ring, generator_forward, train
 from bnpmmd.kernels import KernelSpec, gaussian_kernel, gaussian_mixture, gram
 from bnpmmd.rb import RBConfig, estimate_rb_strength, run_gof_test
-from bnpmmd.scenarios import null_model_sampler
+from bnpmmd.scenarios import null_model_sampler, scenario_sampler
 
 RTOL = 1e-12
 
@@ -37,6 +37,16 @@ GOF_CASES = {
         4.4799999999999995, 1.0, 42, "evidence_for_H0",
         [3.398198455406565e-05, 5.501364572113587e-05, 0.00011479781729439864],
         [3.599404014131835e-05, 2.2568825928215297e-05, 1.3207447400409578e-05]),
+    "median": (
+        {"kernel": gaussian_kernel(None)},
+        4.9399999999999995, 1.0, 42, "evidence_for_H0",
+        [0.003850337073207921, 0.0055589206351457365, 0.011963163768225926],
+        [0.0039001653861037155, 0.0025791034726080353, 0.0016277605680516949]),
+    "kurtosis_base": (
+        {"mc_reps": 300, "base_sampler": scenario_sampler("kurtosis", 5)},
+        7.933333333333333, 1.0, 42, "evidence_for_H0",
+        [5.3237535380890044e-05, 1.7540104120472577e-05, 0.0001131344987237437],
+        [7.476154362140441e-05, 9.604341005009509e-05, 5.478432906280695e-05]),
     "median_resample": (
         {"kernel": gaussian_kernel(None), "resample_model_per_rep": True, "mc_reps": 300},
         2.6, 0.8566666666666667, 42, "evidence_for_H0",
@@ -58,11 +68,13 @@ GOF_CASES = {
 @pytest.mark.parametrize("case", sorted(GOF_CASES))
 def test_gof_test_report(case):
     kwargs, rb, strength, n_terms, decision, prior3, post3 = GOF_CASES[case]
+    kwargs = dict(kwargs)
+    base = kwargs.pop("base_sampler", None)
     data = np.random.default_rng(21).standard_normal((50, 5))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = run_gof_test(data, null_model_sampler(5), RBConfig(**kwargs),
-                              np.random.default_rng(22))
+                              np.random.default_rng(22), base_sampler=base)
     np.testing.assert_allclose([report.rb, report.strength], [rb, strength], rtol=RTOL)
     assert report.n_terms == n_terms
     assert report.decision == decision

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from bnpmmd.dp import sample_dp_posterior, sample_dp_prior
 from bnpmmd.errors import (DegeneratePriorError, InvalidInputError,
                            InvalidParameterError)
 from bnpmmd.kernels import gaussian_kernel
@@ -135,6 +136,17 @@ class TestConfig:
         with pytest.raises(InvalidParameterError, match="model_size"):
             RBConfig(model_size=0)
 
+    @pytest.mark.parametrize("a", [np.nan, np.inf, 0.0, -1.0])
+    def test_concentration_positive_and_finite(self, a):
+        # a NaN concentration ran until the Dirichlet normalizer gave up
+        with pytest.raises(InvalidParameterError, match=f"positive concentration, got {a}"):
+            RBConfig(concentration=a)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, -0.1, np.nan])
+    def test_truncation_epsilon_in_unit_interval(self, eps):
+        with pytest.raises(InvalidParameterError, match="truncation_epsilon must lie in"):
+            RBConfig(truncation_epsilon=eps)
+
     def test_rb_cap(self):
         assert RBConfig().rb_cap == 20.0
 
@@ -142,11 +154,11 @@ class TestConfig:
 class TestSimulate:
     def test_entries_finite_and_near_nonnegative(self):
         rng = np.random.default_rng(2)
-        cfg = RBConfig(concentration=5.0, mc_reps=50, truncation_epsilon=None,
-                       explicit_terms=20, kernel=gaussian_kernel(SQRT2))
+        spec = gaussian_kernel(SQRT2)
         X = rng.standard_normal((30, 1))
-        for which in ("prior", "posterior"):
-            v = simulate_mmd_samples(X, normal_base(), cfg, which, rng, n_terms=20)
+        for draw in (lambda r: sample_dp_prior(5.0, normal_base(), 20, r),
+                     lambda r: sample_dp_posterior(5.0, X, normal_base(), 20, r)):
+            v = simulate_mmd_samples(draw, normal_base()(30, rng), 30, spec, 50, rng)
             assert v.shape == (50,)
             assert np.all(np.isfinite(v))
             assert np.all(v >= -1e-12)
@@ -157,52 +169,25 @@ class TestSimulate:
         # indistinguishable from a prior with the same total concentration
         rng = np.random.default_rng(42)
         n, n_terms = 1000, 20
+        spec = gaussian_kernel(SQRT2)
         X = normal_base()(n, rng)
         Y = normal_base()(100, rng)
-        cfg_pri = RBConfig(concentration=float(n), mc_reps=1000, truncation_epsilon=None,
-                           explicit_terms=n_terms, kernel=gaussian_kernel(SQRT2))
-        cfg_pos = RBConfig(concentration=0.0, mc_reps=1000, truncation_epsilon=None,
-                           explicit_terms=n_terms, kernel=gaussian_kernel(SQRT2))
-        prior = simulate_mmd_samples(X, Y, cfg_pri, "prior", rng,
-                                     n_terms=n_terms, base_sampler=normal_base())
-        posterior = simulate_mmd_samples(X, Y, cfg_pos, "posterior", rng, n_terms=n_terms)
+        prior = simulate_mmd_samples(lambda r: sample_dp_prior(float(n), normal_base(), n_terms, r),
+                                     Y, 100, spec, 1000, rng)
+        posterior = simulate_mmd_samples(lambda r: sample_dp_posterior(0.0, X, None, n_terms, r),
+                                         Y, 100, spec, 1000, rng)
         assert stats.ks_2samp(prior, posterior).pvalue > 0.01
 
     def test_posterior_concentrates_below_prior_under_null(self):
         rng = np.random.default_rng(3)
-        cfg = RBConfig(concentration=25.0, mc_reps=400, kernel=gaussian_kernel(SQRT2))
+        spec = gaussian_kernel(SQRT2)
         X = normal_base()(50, rng)
         Y = normal_base()(50, rng)
-        prior = simulate_mmd_samples(X, Y, cfg, "prior", rng, n_terms=40,
-                                     base_sampler=normal_base())
-        posterior = simulate_mmd_samples(X, Y, cfg, "posterior", rng, n_terms=40,
-                                         base_sampler=normal_base())
+        prior = simulate_mmd_samples(lambda r: sample_dp_prior(25.0, normal_base(), 40, r),
+                                     Y, 50, spec, 400, rng)
+        posterior = simulate_mmd_samples(
+            lambda r: sample_dp_posterior(25.0, X, normal_base(), 40, r), Y, 50, spec, 400, rng)
         assert posterior.mean() < prior.mean()
-
-    def test_prior_needs_base(self):
-        rng = np.random.default_rng(4)
-        cfg = RBConfig(mc_reps=30, truncation_epsilon=None, explicit_terms=5)
-        with pytest.raises(InvalidParameterError):
-            simulate_mmd_samples(np.zeros((5, 1)), np.zeros((5, 1)), cfg, "prior", rng,
-                                 n_terms=5)
-
-    def test_unknown_which_rejected(self):
-        rng = np.random.default_rng(5)
-        cfg = RBConfig(mc_reps=30, truncation_epsilon=None, explicit_terms=5)
-        with pytest.raises(InvalidParameterError):
-            simulate_mmd_samples(np.zeros((5, 1)), normal_base(), cfg, "both", rng,
-                                 n_terms=5)
-
-    @pytest.mark.parametrize("poisoned", ["data", "model"])
-    def test_non_finite_input_rejected(self, poisoned):
-        # one NaN cell in 50x5 data left 30 of 100 posterior draws NaN, silently
-        rng = np.random.default_rng(34)
-        X, Y = normal_base(5)(50, rng), normal_base(5)(50, rng)
-        {"data": X, "model": Y}[poisoned][17, 2] = np.nan
-        cfg = RBConfig(concentration=25.0, mc_reps=100, kernel=gaussian_kernel(80.0))
-        with pytest.raises(InvalidInputError, match="non-finite"):
-            simulate_mmd_samples(X, Y, cfg, "posterior", rng, n_terms=30,
-                                 base_sampler=normal_base(5))
 
 
 class TestRunGofTest:
@@ -260,7 +245,6 @@ class TestRunGofTest:
     @pytest.mark.parametrize("terms", [{}, {"truncation_epsilon": None, "explicit_terms": 5}],
                              ids=["eps", "explicit"])
     def test_zero_concentration_rejected_before_any_draw(self, terms):
-        # a = 0 is a valid RBConfig (posterior-only simulation) but no test
         rng = np.random.default_rng(36)
         state = rng.bit_generator.state
         X = normal_base()(20, np.random.default_rng(37))
@@ -281,6 +265,41 @@ class TestRunGofTest:
         X[17, 2] = bad
         with pytest.raises(InvalidInputError, match="non-finite"):
             run_gof_test(X, normal_base(5), self._cfg(), np.random.default_rng(14))
+
+    @pytest.mark.parametrize("poisoned", ["data", "model"])
+    def test_non_finite_input_rejected(self, poisoned):
+        # one NaN cell in 50x5 data left 30 of 100 posterior draws NaN, silently
+        rng = np.random.default_rng(34)
+        X, Y = normal_base(5)(50, rng), normal_base(5)(50, rng)
+        {"data": X, "model": Y}[poisoned][17, 2] = np.nan
+        cfg = self._cfg(concentration=25.0, mc_reps=100, kernel=gaussian_kernel(80.0))
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            run_gof_test(X, Y, cfg, rng, base_sampler=normal_base(5))
+
+    @pytest.mark.parametrize("resample", [False, True])
+    def test_fixed_model_sample_rejected_before_any_draw(self, resample):
+        # without a base the array was called as a sampler after the
+        # truncation draw (TypeError); with resampling it cannot be redrawn
+        rng = np.random.default_rng(46)
+        X, Y = normal_base(5)(50, np.random.default_rng(47)), normal_base(5)(50, rng)
+        state = rng.bit_generator.state
+        cfg = self._cfg(resample_model_per_rep=resample)
+        base = {"base_sampler": normal_base(5)} if resample else {}
+        with pytest.raises(InvalidParameterError, match="fixed model sample"):
+            run_gof_test(X, Y, cfg, rng, **base)
+        assert rng.bit_generator.state == state
+
+    def test_fixed_model_sample_with_base(self):
+        # the fixed sample is the one a sampler returning it would give
+        rng = np.random.default_rng(1)
+        X, Y = rng.standard_normal((50, 5)), rng.standard_normal((50, 5))
+        cfg = RBConfig(mc_reps=40)
+        fixed = run_gof_test(X, Y, cfg, np.random.default_rng(1), base_sampler=normal_base(5))
+        drawn = run_gof_test(X, lambda k, r: Y, cfg, np.random.default_rng(1),
+                             base_sampler=normal_base(5))
+        assert fixed.rb == drawn.rb == 1.0
+        assert np.array_equal(fixed.prior_samples, drawn.prior_samples)
+        assert np.array_equal(fixed.posterior_samples, drawn.posterior_samples)
 
     def test_prior_mean_respects_flat_bound(self):
         # the prior Monte Carlo mean never exceeds the model-vs-base squared
