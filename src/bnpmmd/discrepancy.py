@@ -45,18 +45,29 @@ def yy_mean_term(Y: np.ndarray, spec: KernelSpec) -> float:
 
 
 def mmd2_weighted(P: DiscreteMeasure, Y: np.ndarray, spec: KernelSpec,
-                  *, yy_term: float | None = None) -> float:
+                  *, yy_term: float | None = None) -> float | np.ndarray:
     """Squared MMD between a weighted measure and a sample.
 
     sum_lt w_l w_t k(V_l, V_t) - (2/m) sum_lt w_l k(V_l, Y_t)
     + mean(k(Y, Y)).  Pass ``yy_term`` to reuse a precomputed last term.
+
+    For a stack of c measures it returns the c values as an array, from one
+    cross block, one stack of self blocks and stacked matrix products; each
+    value is, to the bit, that of its measure taken alone.
     """
     Y = _as_matrix(Y, "Y", P.dim)
     m = Y.shape[0]
-    term1 = float(P.weights @ gram(spec, P.atoms, P.atoms) @ P.weights)
-    kvy = gram(spec, P.atoms, Y)
-    term2 = -2.0 / m * float(P.weights @ kvy.sum(axis=1))
     term3 = yy_mean_term(Y, spec) if yy_term is None else yy_term
+    if P.weights.ndim == 1:
+        term1 = float(P.weights @ gram(spec, P.atoms, P.atoms) @ P.weights)
+        term2 = -2.0 / m * float(P.weights @ gram(spec, P.atoms, Y).sum(axis=1))
+        return term1 + term2 + term3
+    c, n_terms, d = P.atoms.shape
+    w = P.weights[:, None, :]  # one row vector per measure
+    kvv = gram(spec, P.atoms, P.atoms)
+    kvy = gram(spec, P.atoms.reshape(-1, d), Y).reshape(c, n_terms, m)
+    term1 = (w @ kvv @ w.mT)[:, 0, 0]
+    term2 = -2.0 / m * (w @ kvy.sum(axis=2)[..., None])[:, 0, 0]
     return term1 + term2 + term3
 
 

@@ -4,7 +4,9 @@ A draw is represented as a discrete measure: a weight vector on the simplex
 and one atom per weight.  Weights come from a symmetric Dirichlet built out
 of Gamma variables; the number of terms comes either from an explicit count
 or from the random truncation rule of Zarepour & Al-Labadi (2012), drawn as
-one Beta share per level.
+one Beta share per level.  Asked for ``size`` draws, the prior and
+posterior samplers return a stack of measures made in whole-array calls;
+``size=1`` consumes the stream as one unsized draw does.
 """
 from __future__ import annotations
 
@@ -28,20 +30,28 @@ DEFAULT_MAX_TERMS = 10000
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Weighted atomic probability measure: weights on the simplex, one atom per weight."""
+    """Weighted atomic probability measure: weights on the simplex, one atom per weight.
+
+    A stack of c measures with N atoms each holds (c, N) weights and
+    (c, N, d) atoms; every row is checked as a single measure is.
+    """
 
     weights: np.ndarray
     atoms: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        a = np.atleast_2d(np.asarray(self.atoms, dtype=float))
-        if w.ndim != 1 or a.shape[0] != w.shape[0]:
+        a = np.asarray(self.atoms, dtype=float)
+        if w.ndim == 1:
+            a = np.atleast_2d(a)
+        if w.ndim not in (1, 2) or a.ndim != w.ndim + 1 or a.shape[:-1] != w.shape:
             raise InvalidParameterError("atoms row count must equal weights length")
-        if np.any(w < 0):
+        if (w < 0).any():
             raise InvalidParameterError("weights must be non-negative")
-        if not abs(float(w.sum()) - 1.0) <= SIMPLEX_TOL:  # a NaN sum fails too
-            raise InvalidParameterError(f"weights sum to {w.sum()!r}, not 1")
+        sums = w.sum(axis=-1)
+        on = np.abs(sums - 1.0) <= SIMPLEX_TOL  # a NaN sum is off
+        if not on.all():
+            raise InvalidParameterError(f"weights sum to {sums.flat[np.argmin(on)]!r}, not 1")
         w.flags.writeable = False
         a.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -49,11 +59,11 @@ class DiscreteMeasure:
 
     @property
     def dim(self) -> int:
-        return self.atoms.shape[1]
+        return self.atoms.shape[-1]
 
     @property
     def n_terms(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-1]
 
 
 class StoppingRuleResult(NamedTuple):
@@ -97,44 +107,58 @@ def stopping_rule_N(concentration: float, eps: float, max_terms: int,
     return StoppingRuleResult(max_terms, True)
 
 
-def _gamma_positive_sum(shape: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. Gamma(shape, 1) draws, redrawn while they all underflow to zero."""
+def _dirichlet_rows(shape: float, rows: int, n_terms: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """``rows`` rows of ``n_terms`` Gamma(shape) draws, each divided by its
+    total; a row whose total is zero or not finite is redrawn, after the
+    draws of every other row."""
+    def draw(k):
+        return (rng.gamma(shape, 1.0, size=(k, n_terms)) if shape >= 1.0
+                else _log_gamma_rows(shape, k, n_terms, rng))
+
+    h = draw(rows)
+    total = h.sum(axis=1, keepdims=True)
     for _ in range(_MAX_RETRIES):
-        h = rng.gamma(shape, 1.0, size=size)
-        if h.sum() > 0.0:
-            return h
-    raise NumericUnderflowError(f"all Gamma({shape}) draws underflowed after {_MAX_RETRIES} retries")
+        ok = (0.0 < total) & (total < np.inf)  # a NaN total is not
+        if ok.all():
+            return h / total
+        bad = np.flatnonzero(~ok)
+        h[bad] = draw(bad.size)
+        total[bad] = h[bad].sum(axis=1, keepdims=True)
+    raise NumericUnderflowError("Dirichlet normalizer was not positive and finite "
+                                f"after {_MAX_RETRIES} retries")
+
+
+def _log_gamma_rows(shape: float, k: int, n_terms: int, rng: np.random.Generator) -> np.ndarray:
+    """(k, n_terms) Gamma(shape < 1) draws up to a common factor per row,
+    built in log space: log G(shape) = log G(shape + 1) + log(U) / shape."""
+    boost = rng.gamma(shape + 1.0, 1.0, size=(k, n_terms))
+    u = rng.random((k, n_terms))
+    with np.errstate(divide="ignore"):
+        log_h = np.log(boost) + np.log(u) / shape
+    log_h -= log_h.max(axis=1, keepdims=True)
+    return np.exp(log_h)
 
 
 def symmetric_dirichlet(total_concentration: float, n_terms: int,
-                        rng: np.random.Generator) -> np.ndarray:
+                        rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Dirichlet(c/N, ..., c/N) weights via normalized Gamma draws.
 
     For per-coordinate shape below one the draws are built in log space
     (shape-boosted Gamma), which keeps the normalizer positive even when
     c/N is far below the underflow threshold of a direct Gamma sampler.
+
+    With ``size`` it returns (size, N) rows from one Gamma (or log-space)
+    call, each row retried on its own; ``size=1`` gives the unsized draw.
     """
     if not 0 < total_concentration < np.inf:
         raise InvalidParameterError("Dirichlet weights need a positive, finite concentration, "
                                     f"got {total_concentration}")
     if n_terms < 1:
         raise InvalidParameterError("n_terms must be >= 1")
-    shape = total_concentration / n_terms
-    if shape >= 1.0:
-        h = _gamma_positive_sum(shape, n_terms, rng)
-        return h / h.sum()
-    for _ in range(_MAX_RETRIES):
-        # log G(shape) = log G(shape + 1) + log(U) / shape
-        boost = rng.gamma(shape + 1.0, 1.0, size=n_terms)
-        u = rng.random(n_terms)
-        with np.errstate(divide="ignore"):
-            log_h = np.log(boost) + np.log(u) / shape
-        log_h -= log_h.max()
-        h = np.exp(log_h)
-        total = h.sum()
-        if np.isfinite(total) and total > 0.0:
-            return h / total
-    raise NumericUnderflowError(f"Dirichlet normalizer stayed at zero after {_MAX_RETRIES} retries")
+    weights = _dirichlet_rows(total_concentration / n_terms, 1 if size is None else size,
+                              n_terms, rng)
+    return weights if size is not None else weights[0]
 
 
 def _draw_base(base_sampler: BaseSampler, k: int, rng: np.random.Generator,
@@ -149,23 +173,31 @@ def _draw_base(base_sampler: BaseSampler, k: int, rng: np.random.Generator,
 
 
 def sample_dp_prior(concentration: float, base_sampler: BaseSampler, n_terms: int,
-                    rng: np.random.Generator) -> DiscreteMeasure:
-    """One truncated prior draw: Dirichlet(a/N) weights, atoms i.i.d. from the base."""
+                    rng: np.random.Generator, size: int | None = None) -> DiscreteMeasure:
+    """One truncated prior draw: Dirichlet(a/N) weights, atoms i.i.d. from the base.
+
+    With ``size`` it returns a stack of that many draws: all weight rows in
+    one call, then all atoms in one base call; ``size=1`` gives the unsized
+    draw.
+    """
     if not 0 < concentration < np.inf:
         raise InvalidParameterError(f"prior draws need a positive, finite concentration, got "
                                     f"{concentration}; zero only arises in the posterior update")
-    weights = symmetric_dirichlet(concentration, n_terms, rng)
-    return DiscreteMeasure(weights, _draw_base(base_sampler, n_terms, rng))
+    weights = symmetric_dirichlet(concentration, n_terms, rng, size)
+    atoms = _draw_base(base_sampler, weights.size, rng)
+    return DiscreteMeasure(weights, atoms.reshape(weights.shape + atoms.shape[1:]))
 
 
 def sample_dp_posterior(concentration: float, data: np.ndarray,
                         base_sampler: BaseSampler | None, n_terms: int,
-                        rng: np.random.Generator) -> DiscreteMeasure:
+                        rng: np.random.Generator, size: int | None = None) -> DiscreteMeasure:
     """One truncated draw from the posterior of a DP(a, H) prior given ``data``.
 
     Weights are Dirichlet((a+n)/N); each atom independently comes from the
     base with probability a/(a+n), otherwise it is a uniformly chosen data
     row (with replacement).  ``base_sampler`` may be None only when a = 0.
+    With ``size`` it returns a stack of that many draws, made as one draw
+    of size x N atoms is; ``size=1`` gives the unsized draw.
     """
     if not 0 <= concentration < np.inf:
         raise InvalidParameterError("concentration must be finite and non-negative, "
@@ -177,14 +209,14 @@ def sample_dp_posterior(concentration: float, data: np.ndarray,
     if concentration > 0 and base_sampler is None:
         raise InvalidParameterError("base_sampler required when the concentration is positive")
     total = concentration + n
-    weights = symmetric_dirichlet(total, n_terms, rng)
-    atoms = np.empty((n_terms, d))
-    from_base = rng.random(n_terms) < concentration / total
+    weights = symmetric_dirichlet(total, n_terms, rng, size)
+    atoms = np.empty(weights.shape + (d,))
+    from_base = rng.random(weights.shape) < concentration / total
     k = int(from_base.sum())
     if k:
         atoms[from_base] = _draw_base(base_sampler, k, rng, d)
-    if k < n_terms:
-        atoms[~from_base] = data[rng.integers(0, n, size=n_terms - k)]
+    if k < weights.size:
+        atoms[~from_base] = data[rng.integers(0, n, size=weights.size - k)]
     return DiscreteMeasure(weights, atoms)
 
 

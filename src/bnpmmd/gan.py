@@ -69,8 +69,12 @@ class GeneratorNet:
     @classmethod
     def from_dict(cls, payload: dict) -> "GeneratorNet":
         dims = [int(d) for d in payload["layer_dims"]]
-        weights = [np.array(w, dtype=float).reshape(fan_in, fan_out)
-                   for w, fan_in, fan_out in zip(payload["weights"], dims[:-1], dims[1:])]
+        flat = [np.array(w, dtype=float) for w in payload["weights"]]
+        shapes = list(zip(dims[:-1], dims[1:]))
+        if [w.size for w in flat] != [fan_in * fan_out for fan_in, fan_out in shapes]:
+            raise InvalidParameterError(f"payload weights do not match layer_dims {dims}: "
+                                        f"want weight shapes {shapes}")
+        weights = [w.reshape(shape) for w, shape in zip(flat, shapes)]
         biases = [np.array(b, dtype=float) for b in payload["biases"]]
         return cls(dims, weights, biases)
 

@@ -29,29 +29,93 @@ RATIONAL_QUADRATIC = "rational-quadratic"
 MATERN = "matern"
 
 
-def _exponential_g(s, sigma, shape):
+def _gaussian_h(s, sigma, shape, out):
+    np.multiply(s, -0.5 / sigma**2, out=out)
+    return np.exp(out, out=out)
+
+
+def _gaussian_g(s, sigma, shape, out):
+    _gaussian_h(s, sigma, shape, out)
+    out /= sigma**2
+    return out
+
+
+def _exponential_h(s, sigma, shape, out):
+    np.sqrt(s, out=out)
+    np.negative(out, out=out)
+    out /= sigma
+    return np.exp(out, out=out)
+
+
+def _exponential_g(s, sigma, shape, out):
     # the kink at s = 0 gets coefficient 0 (the symmetric point is stationary)
+    kink = ~(s > 0)
     r = np.sqrt(s)
+    _exponential_h(s, sigma, shape, out)
+    r *= sigma
     with np.errstate(divide="ignore"):
-        g = np.exp(-r / sigma) / (sigma * r)
-    return np.where(s > 0, g, 0.0)
+        out /= r
+    out[kink] = 0.0
+    return out
+
+
+def _rational_quadratic_base(s, sigma, alpha, out):
+    np.divide(s, 2.0 * alpha * sigma**2, out=out)
+    out += 1.0
+    return out
+
+
+def _rational_quadratic_h(s, sigma, alpha, out):
+    _rational_quadratic_base(s, sigma, alpha, out)
+    out **= -alpha
+    return out
+
+
+def _rational_quadratic_g(s, sigma, alpha, out):
+    _rational_quadratic_base(s, sigma, alpha, out)
+    out **= -alpha - 1.0
+    out /= sigma**2
+    return out
 
 
 # Matern is implemented only at nu = 3/2: h = (1 + ct) exp(-ct), t = sqrt(s) / sigma
 _MATERN_C = np.sqrt(2.0 * 1.5)
 
 
-def _matern_h(s, sigma, shape):
+def _matern_ct(s, sigma, out):
+    np.sqrt(s, out=out)
+    out /= sigma
+    out *= _MATERN_C
+    return out
+
+
+def _matern_h(s, sigma, shape, out):
     # exp(-ct) is 0 past ct = 746; the cap makes s = inf give 0, not inf * 0 = NaN
-    ct = np.minimum(_MATERN_C * (np.sqrt(s) / sigma), 1e3)
-    return (1.0 + ct) * np.exp(-ct)
+    ct = np.minimum(_matern_ct(s, sigma, out), 1e3, out=out)
+    decay = np.negative(ct)
+    np.exp(decay, out=decay)
+    ct += 1.0
+    ct *= decay
+    return ct
+
+
+def _matern_g(s, sigma, shape, out):
+    _matern_ct(s, sigma, out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out *= (_MATERN_C / sigma) ** 2
+    return out
 
 
 class _Family(NamedTuple):
     """Profile of one kernel family in the squared distance s.
 
-    ``h(s, sigma, shape)`` is the kernel value and ``g(s, sigma, shape)`` the
-    gradient coefficient, d k(v, y) / d y = g * (v - y).  A family with no
+    ``h(s, sigma, shape, out)`` writes the kernel value into ``out`` and
+    ``g(s, sigma, shape, out)`` the gradient coefficient, d k(v, y) / d y =
+    g * (v - y); each returns ``out``, which may be ``s`` itself.  Both
+    evaluate the family's formula operation by operation in place, so the
+    values are those of the out-of-place formula to the bit; only the
+    exponential g and the Matern h need a second array.  A family with no
     default shape takes none.
     """
 
@@ -61,22 +125,10 @@ class _Family(NamedTuple):
 
 
 _FAMILY_TABLE = {
-    GAUSSIAN: _Family(
-        None,
-        lambda s, sigma, shape: np.exp(s * (-0.5 / sigma**2)),
-        lambda s, sigma, shape: np.exp(s * (-0.5 / sigma**2)) / sigma**2),
-    EXPONENTIAL: _Family(
-        None,
-        lambda s, sigma, shape: np.exp(-np.sqrt(s) / sigma),
-        _exponential_g),
-    RATIONAL_QUADRATIC: _Family(
-        1.0,
-        lambda s, sigma, alpha: (1.0 + s / (2.0 * alpha * sigma**2)) ** (-alpha),
-        lambda s, sigma, alpha: (1.0 + s / (2.0 * alpha * sigma**2)) ** (-alpha - 1.0) / sigma**2),
-    MATERN: _Family(
-        None,
-        _matern_h,
-        lambda s, sigma, shape: (_MATERN_C / sigma) ** 2 * np.exp(-_MATERN_C * (np.sqrt(s) / sigma))),
+    GAUSSIAN: _Family(None, _gaussian_h, _gaussian_g),
+    EXPONENTIAL: _Family(None, _exponential_h, _exponential_g),
+    RATIONAL_QUADRATIC: _Family(1.0, _rational_quadratic_h, _rational_quadratic_g),
+    MATERN: _Family(None, _matern_h, _matern_g),
 }
 FAMILIES = tuple(_FAMILY_TABLE)
 # the families divide by sigma^2, so it must be a finite normal float
@@ -140,18 +192,26 @@ def gaussian_mixture(bandwidths=MIXTURE_BANDWIDTHS) -> KernelSpec:
     return KernelSpec(GAUSSIAN, bandwidths)
 
 
-def _sum_bandwidths(spec: KernelSpec, sq: np.ndarray, grad: bool) -> np.ndarray:
+def _sum_bandwidths(spec: KernelSpec, sq: np.ndarray, grad: bool,
+                    overwrite: bool = False) -> np.ndarray:
     """Kernel values, or gradient coefficients, at squared distances ``sq``,
-    summed over the bandwidths of ``spec``."""
+    summed over the bandwidths of ``spec``.
+
+    The values go into one new array, plus one scratch array for a second
+    and later bandwidths; with ``overwrite`` and one bandwidth they replace
+    ``sq``, a float array the caller no longer needs.
+    """
     if spec.needs_median:
         raise UnsupportedKernelError("median bandwidth not resolved; call resolve_median first")
     family = _FAMILY_TABLE[spec.family]
     profile = family.g if grad else family.h
     shape = family.default_shape if spec.shape is None else spec.shape
+    sq = np.asarray(sq, dtype=float)
     first, *rest = spec.bandwidths
-    out = profile(sq, first, shape)
+    out = profile(sq, first, shape, sq if overwrite and not rest else np.empty_like(sq))
+    scratch = np.empty_like(out) if rest else None
     for sigma in rest:
-        out += profile(sq, sigma, shape)
+        out += profile(sq, sigma, shape, scratch)
     return out
 
 
@@ -162,7 +222,7 @@ def gram(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """
     if X is Y:
         return self_gram(spec, X)
-    return _sum_bandwidths(spec, _sq_dist(X, Y), grad=False)
+    return _sum_bandwidths(spec, _sq_dist(X, Y), grad=False, overwrite=True)
 
 
 def gram_grad_coeff(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
@@ -175,11 +235,19 @@ def self_gram(spec: KernelSpec, X: np.ndarray, grad: bool = False) -> np.ndarray
 
     From ``TRIANGLE_MIN_EVALS`` profile evaluations on, the block is evaluated
     on its upper triangle (see the module docstring); the result is the same
-    to the bit.
+    to the bit.  A stack of arrays, shape (c, N, d), gives its c self blocks,
+    (c, N, N): each block's distances are written into one array by
+    ``cdist(..., out=)`` and the profiles run once over all of them.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 3:
+        sq = np.empty((len(X), X.shape[1], X.shape[1]))
+        for x, block in zip(X, sq):
+            cdist(x, x, "sqeuclidean", out=block)
+        return _sum_bandwidths(spec, sq, grad, overwrite=True)
+    X = np.atleast_2d(X)
     if X.shape[0] ** 2 * len(spec.bandwidths) < TRIANGLE_MIN_EVALS:
-        return _sum_bandwidths(spec, _sq_dist(X, X), grad)
+        return _sum_bandwidths(spec, _sq_dist(X, X), grad, overwrite=True)
     return _triangle_sum(spec, X, grad)
 
 
@@ -189,7 +257,8 @@ def _triangle_sum(spec: KernelSpec, X: np.ndarray, grad: bool) -> np.ndarray:
     n, d = X.shape
     with np.errstate(invalid="ignore"):
         own = (X - X) @ np.ones(d)
-    values = _sum_bandwidths(spec, np.concatenate([pdist(X, "sqeuclidean"), own]), grad)
+    values = _sum_bandwidths(spec, np.concatenate([pdist(X, "sqeuclidean"), own]), grad,
+                             overwrite=True)
     out = squareform(values[:-n], checks=False)
     np.fill_diagonal(out, values[-n:])
     return out

@@ -2,7 +2,10 @@
 
 The test simulates the squared MMD between weighted prior/posterior draws
 and a sample from the hypothesized model, then compares posterior to prior
-mass near zero on a quantile grid of the prior Monte Carlo sample.
+mass near zero on a quantile grid of the prior Monte Carlo sample.  With a
+fixed model sample the measures are drawn and evaluated in chunks whose
+size depends only on the truncation level and the model sample's size;
+when each replication redraws the model sample, one measure at a time.
 """
 from __future__ import annotations
 
@@ -155,20 +158,37 @@ def _model_sample(model, m: int, rng: np.random.Generator) -> np.ndarray:
     return sample
 
 
+# A test with a fixed model sample draws and evaluates its measures in
+# chunks whose cross block (c N m entries) and stack of self blocks (c N^2)
+# hold at most this many entries, 256 KiB; the chunk size fixes the stream.
+_CHUNK_ENTRIES = 2**15
+
+
+def _mc_chunk(n_terms: int, m: int) -> int:
+    """Measures c drawn per call when the model sample (m rows) is fixed:
+    max(1, 2^15 // (N max(m, N))), 15 at N = 42 and m = 50."""
+    return max(1, _CHUNK_ENTRIES // (n_terms * max(m, n_terms)))
+
+
 def simulate_mmd_samples(draw: Callable[[np.random.Generator], DiscreteMeasure], model,
                          m: int, spec: KernelSpec, mc_reps: int,
                          rng: np.random.Generator) -> np.ndarray:
-    """``mc_reps`` weighted squared MMDs between a measure ``draw(rng)`` and the
-    model sample: ``model`` itself when it is the fixed, checked sample, else
-    ``m`` rows redrawn from it before each measure.  ``spec`` is resolved."""
+    """``mc_reps`` weighted squared MMDs between the measures ``draw(rng)``
+    returns, one or a stack of them per call, and the model sample: ``model``
+    itself when it is the fixed, checked sample, else ``m`` rows redrawn from
+    it before each call.  The values of a stack that runs past ``mc_reps``
+    are cut.  ``spec`` is resolved."""
     resample = callable(model)
     sample, yy = (None, None) if resample else (model, discrepancy.yy_mean_term(model, spec))
     out = np.empty(mc_reps)
-    for r in range(mc_reps):
+    done = 0
+    while done < mc_reps:
         if resample:
             sample = _model_sample(model, m, rng)
             yy = discrepancy.yy_mean_term(sample, spec)
-        out[r] = discrepancy.mmd2_weighted(draw(rng), sample, spec, yy_term=yy)
+        values = np.atleast_1d(discrepancy.mmd2_weighted(draw(rng), sample, spec, yy_term=yy))
+        out[done:done + values.size] = values[:mc_reps - done]
+        done += values.size
     return out
 
 
@@ -208,9 +228,11 @@ def run_gof_test(data: np.ndarray, model_sampler: BaseSampler | np.ndarray, cfg:
     spec = (resolve_median(cfg.kernel, data, _model_sample(model, m, rng))
             if cfg.kernel.needs_median else cfg.kernel)
     base = model_sampler if base_sampler is None else base_sampler
-    prior = simulate_mmd_samples(lambda r: sample_dp_prior(a, base, k, r),
+    # a redrawn model sample is drawn between measures, so one measure per call
+    c = None if cfg.resample_model_per_rep else _mc_chunk(k, model.shape[0])
+    prior = simulate_mmd_samples(lambda r: sample_dp_prior(a, base, k, r, size=c),
                                  model, m, spec, cfg.mc_reps, rng)
-    posterior = simulate_mmd_samples(lambda r: sample_dp_posterior(a, data, base, k, r),
+    posterior = simulate_mmd_samples(lambda r: sample_dp_posterior(a, data, base, k, r, size=c),
                                      model, m, spec, cfg.mc_reps, rng)
     rb, strength = estimate_rb_strength(prior, posterior, cfg.grid_cells, cfg.anchor_cell)
     decision = EVIDENCE_FOR if rb > 1.0 else EVIDENCE_AGAINST if rb < 1.0 else INCONCLUSIVE

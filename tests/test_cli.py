@@ -67,7 +67,7 @@ def test_threads_flag_removed(tmp_path, capsys):
 
 @pytest.mark.parametrize("resample, aucs", [
     (True, ["0.875", "1", "0.90625"]),
-    (False, ["1", "0.96875", "1"]),
+    (False, ["0.75", "0.96875", "1"]),
 ])
 def test_bandwidth_sweep_resample_model(tmp_path, capsys, resample, aucs):
     out = tmp_path / "sweep.csv"

@@ -3,10 +3,10 @@ import pytest
 
 from bnpmmd.discrepancy import (deviation_tail_bound, generalization_bound,
                                 grad_mmd2_atoms, mmd2_empirical, mmd2_weighted,
-                                prior_mean_upper_bound)
+                                prior_mean_upper_bound, yy_mean_term)
 from bnpmmd.dp import DiscreteMeasure, sample_dp_posterior, sample_dp_prior
 from bnpmmd.errors import InvalidInputError, InvalidParameterError
-from bnpmmd.kernels import (FAMILIES, KernelSpec, eval_kernel,
+from bnpmmd.kernels import (FAMILIES, KernelSpec, eval_kernel, format_kernel,
                             gaussian_kernel, gaussian_mixture)
 
 SQRT2 = np.sqrt(2.0)
@@ -89,6 +89,43 @@ class TestWeighted:
         from bnpmmd.discrepancy import yy_mean_term
         assert mmd2_weighted(P, Y, spec, yy_term=yy_mean_term(Y, spec)) == \
             mmd2_weighted(P, Y, spec)
+
+
+STACK_SPECS = [KernelSpec(f, (1.3,)) for f in FAMILIES] + [
+    gaussian_kernel(80.0), gaussian_mixture(), KernelSpec("rational-quadratic", (0.7, 2.0), 2.5)]
+
+
+class TestStacked:
+    @pytest.mark.parametrize("spec", STACK_SPECS, ids=format_kernel)
+    @pytest.mark.parametrize("d, n_terms, m", [(1, 3, 1), (5, 42, 50), (20, 70, 30), (60, 17, 50)])
+    def test_each_value_is_its_row_alone(self, spec, d, n_terms, m):
+        rng = np.random.default_rng(d + n_terms)
+        base = lambda k, r: r.standard_normal((k, d))
+        Y = rng.standard_normal((m, d))
+        X = rng.standard_normal((50, d))
+        for c in (1, 2, 15):
+            for stack in (sample_dp_prior(25.0, base, n_terms, rng, size=c),
+                          sample_dp_posterior(25.0, X, base, n_terms, rng, size=c)):
+                values = mmd2_weighted(stack, Y, spec)
+                assert values.shape == (c,)
+                for w, atoms, value in zip(stack.weights, stack.atoms, values):
+                    alone = mmd2_weighted(DiscreteMeasure(w, atoms), Y, spec)
+                    assert type(alone) is float
+                    assert value == alone
+
+    def test_precomputed_yy_term_matches(self):
+        rng = np.random.default_rng(5)
+        spec = gaussian_kernel(1.0)
+        stack = sample_dp_prior(5.0, lambda k, r: r.standard_normal((k, 2)), 8, rng, size=4)
+        Y = rng.standard_normal((7, 2))
+        np.testing.assert_array_equal(mmd2_weighted(stack, Y, spec, yy_term=yy_mean_term(Y, spec)),
+                                      mmd2_weighted(stack, Y, spec))
+
+    def test_dimension_mismatch(self):
+        stack = sample_dp_prior(5.0, lambda k, r: r.standard_normal((k, 2)), 8,
+                                np.random.default_rng(6), size=4)
+        with pytest.raises(InvalidInputError, match="dimension mismatch"):
+            mmd2_weighted(stack, np.zeros((5, 3)), gaussian_kernel(1.0))
 
 
 class TestGradient:

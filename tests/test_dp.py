@@ -331,3 +331,104 @@ class TestValidation:
         m = DiscreteMeasure(np.array([0.5, 0.5]), np.zeros((2, 1)))
         with pytest.raises(ValueError):
             m.weights[0] = 1.0
+
+
+STACK_DATA = np.random.default_rng(30).standard_normal((20, 3))
+SIZED_DRAWS = {
+    # a/N < 1 builds the weights in log space, a/N >= 1 from Gamma draws
+    "prior-log-space": lambda rng, size: sample_dp_prior(25.0, normal_base(3), 42, rng, size=size),
+    "prior-gamma": lambda rng, size: sample_dp_prior(80.0, normal_base(3), 42, rng, size=size),
+    "posterior-gamma": lambda rng, size: sample_dp_posterior(25.0, STACK_DATA, normal_base(3),
+                                                             42, rng, size=size),
+    "posterior-log-space": lambda rng, size: sample_dp_posterior(2.0, STACK_DATA, normal_base(3),
+                                                                 60, rng, size=size),
+    "flat-posterior": lambda rng, size: sample_dp_posterior(0.0, STACK_DATA, None, 42, rng,
+                                                            size=size),
+}
+
+
+class TestStackedDraws:
+    @pytest.mark.parametrize("draw", SIZED_DRAWS.values(), ids=SIZED_DRAWS)
+    def test_size_one_equals_unsized_draw(self, draw):
+        for seed in range(5):
+            alone = draw(np.random.default_rng(seed), None)
+            stack = draw(np.random.default_rng(seed), 1)
+            assert stack.weights.shape == (1,) + alone.weights.shape
+            assert stack.atoms.shape == (1,) + alone.atoms.shape
+            np.testing.assert_array_equal(stack.weights[0], alone.weights)
+            np.testing.assert_array_equal(stack.atoms[0], alone.atoms)
+
+    @pytest.mark.parametrize("a", [0.05, 25.0, 80.0])
+    def test_dirichlet_size_one_equals_unsized(self, a):
+        alone = symmetric_dirichlet(a, 42, np.random.default_rng(31))
+        np.testing.assert_array_equal(symmetric_dirichlet(a, 42, np.random.default_rng(31), 1)[0],
+                                      alone)
+
+    @pytest.mark.parametrize("draw", SIZED_DRAWS.values(), ids=SIZED_DRAWS)
+    def test_stack_rows_are_measures(self, draw):
+        stack = draw(np.random.default_rng(32), 7)
+        assert (stack.n_terms, stack.dim) == (stack.weights.shape[1], 3)
+        assert stack.weights.shape[0] == stack.atoms.shape[0] == 7
+        assert np.all(stack.weights >= 0)
+        np.testing.assert_allclose(stack.weights.sum(axis=1), 1.0, atol=1e-12)
+        # seven different rows, not one row repeated
+        assert len({row.tobytes() for row in stack.weights}) == 7
+
+    @pytest.mark.parametrize("row, error", [
+        ([0.5, 0.5, 0.5, -0.5], "non-negative"),
+        ([0.3, 0.3, 0.3, 0.3], r"weights sum to np.float64\(1.2\), not 1"),
+        ([np.nan, 0.5, 0.25, 0.25], "not 1"),
+    ], ids=["negative", "off-simplex", "nan"])
+    def test_stack_rejects_a_bad_row(self, row, error):
+        weights = np.full((3, 4), 0.25)
+        weights[1] = row
+        with pytest.raises(InvalidParameterError, match=error):
+            DiscreteMeasure(weights, np.zeros((3, 4, 2)))
+        with pytest.raises(InvalidParameterError, match=error):
+            DiscreteMeasure(weights[1], np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("atoms", [np.zeros((3, 5, 2)), np.zeros((2, 4, 2)), np.zeros((12, 2))],
+                             ids=["terms", "measures", "flat"])
+    def test_stack_rejects_atoms_of_the_wrong_shape(self, atoms):
+        with pytest.raises(InvalidParameterError, match="atoms row count"):
+            DiscreteMeasure(np.full((3, 4), 0.25), atoms)
+
+    @pytest.mark.parametrize("shape", [lambda k: (1, 3), lambda k: (k, 1), lambda k: (k - 1, 3)],
+                             ids=["row", "column", "short"])
+    @pytest.mark.parametrize("size", [None, 5])
+    def test_base_output_of_the_wrong_shape_rejected(self, shape, size):
+        base = lambda k, rng: rng.standard_normal(shape(k))
+        with pytest.raises(InvalidInputError, match=r"base sampler returned shape"):
+            sample_dp_posterior(50.0, STACK_DATA, base, 40, np.random.default_rng(33), size=size)
+        if shape(7)[1] == 3:  # the prior takes the base's width as the dimension
+            with pytest.raises(InvalidInputError, match=r"base sampler returned shape"):
+                sample_dp_prior(5.0, base, 40, np.random.default_rng(33), size=size)
+
+    def test_underflowed_row_redrawn_alone(self):
+        rng = _ZeroGamma(34, zero_calls=1)
+        w = symmetric_dirichlet(80.0, 42, rng, 3)
+        assert rng.sizes == [(3, 42), (1, 42)]
+        first = np.random.default_rng(34).gamma(80.0 / 42, 1.0, size=(3, 42))
+        kept = first[[0, 2]]
+        np.testing.assert_array_equal(w[[0, 2]], kept / kept.sum(axis=1, keepdims=True))
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_row_that_keeps_underflowing_raises(self):
+        with pytest.raises(NumericUnderflowError, match="Dirichlet normalizer"):
+            symmetric_dirichlet(80.0, 42, _ZeroGamma(35, zero_calls=1000), 3)
+
+
+class _ZeroGamma:
+    """A generator whose first ``zero_calls`` Gamma draws come back with row 1 all zero."""
+
+    def __init__(self, seed, zero_calls):
+        self.rng = np.random.default_rng(seed)
+        self.zero_calls = zero_calls
+        self.sizes = []
+
+    def gamma(self, shape, scale, size):
+        h = self.rng.gamma(shape, scale, size=size)
+        self.sizes.append(size)
+        if len(self.sizes) <= self.zero_calls:
+            h[min(1, size[0] - 1)] = 0.0
+        return h

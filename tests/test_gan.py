@@ -67,6 +67,18 @@ class TestForward:
         with pytest.raises(InvalidParameterError, match="layer_dims"):
             GeneratorNet.from_dict(payload)
 
+    @pytest.mark.parametrize("edit", [
+        lambda p: p["weights"].append([0.0] * 4),
+        lambda p: p["weights"][1].pop(),
+    ], ids=["extra-weight", "weight-too-short"])
+    def test_payload_weights_must_match_layer_dims(self, edit):
+        # an extra weight matrix was dropped silently, and a short one
+        # failed inside reshape with an untyped ValueError
+        payload = make_net([1, 2, 2, 2]).to_dict()
+        edit(payload)
+        with pytest.raises(InvalidParameterError, match=r"want weight shapes \[\(1, 2\)"):
+            GeneratorNet.from_dict(payload)
+
     def test_weight_shapes_must_match_layer_dims(self):
         with pytest.raises(InvalidParameterError, match=r"want weight shapes \[\(1, 2\)\]"):
             GeneratorNet([1, 2], [np.zeros((2, 1))], [np.zeros(2)])

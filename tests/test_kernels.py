@@ -246,3 +246,67 @@ def test_self_block_takes_triangle_from_min_evaluations(monkeypatch, spec, rows,
     gram(spec, X, X)
     gram(spec, X, X.copy())  # two arrays are never a self block
     assert len(calls) == int(triangle)
+
+
+# Each family's profiles as the out-of-place formulas they replaced; the
+# in-place evaluation must give the same bits.
+_MATERN_C = np.sqrt(2.0 * 1.5)
+
+
+def _exponential_g_formula(s, sigma, shape):
+    r = np.sqrt(s)
+    g = np.exp(-r / sigma) / (sigma * r)
+    return np.where(s > 0, g, 0.0)
+
+
+def _matern_h_formula(s, sigma, shape):
+    ct = np.minimum(_MATERN_C * (np.sqrt(s) / sigma), 1e3)
+    return (1.0 + ct) * np.exp(-ct)
+
+
+OUT_OF_PLACE = {
+    GAUSSIAN: (lambda s, sigma, shape: np.exp(s * (-0.5 / sigma**2)),
+               lambda s, sigma, shape: np.exp(s * (-0.5 / sigma**2)) / sigma**2),
+    EXPONENTIAL: (lambda s, sigma, shape: np.exp(-np.sqrt(s) / sigma), _exponential_g_formula),
+    RATIONAL_QUADRATIC: (
+        lambda s, sigma, alpha: (1.0 + s / (2.0 * alpha * sigma**2)) ** (-alpha),
+        lambda s, sigma, alpha: (1.0 + s / (2.0 * alpha * sigma**2)) ** (-alpha - 1.0) / sigma**2),
+    MATERN: (_matern_h_formula,
+             lambda s, sigma, shape: (_MATERN_C / sigma) ** 2
+             * np.exp(-_MATERN_C * (np.sqrt(s) / sigma))),
+}
+
+
+@pytest.mark.parametrize("bandwidths", [(1.3,), (2.0, 5.0, 10.0, 20.0, 40.0, 80.0)],
+                         ids=["one", "six"])
+@pytest.mark.parametrize("family, shape", [(f, None) for f in FAMILIES]
+                         + [(RATIONAL_QUADRATIC, 2.5)])
+def test_in_place_profiles_equal_out_of_place_formulas(family, shape, bandwidths):
+    # s = 0 is the exponential g's kink, s = inf hits the Matern cap
+    X = np.random.default_rng(8).standard_normal((30, 3)) * 4.0
+    sq = np.concatenate([cdist(X, X, "sqeuclidean").ravel(),
+                         [0.0, np.inf, np.nan, 5e-324, 1e300]])
+    spec = KernelSpec(family, bandwidths, shape)
+    alpha = 1.0 if shape is None else shape
+    for grad, formula in enumerate(OUT_OF_PLACE[family]):
+        with np.errstate(divide="ignore"):
+            want = formula(sq, bandwidths[0], alpha)
+            for sigma in bandwidths[1:]:
+                want += formula(sq, sigma, alpha)
+        before = sq.copy()
+        np.testing.assert_array_equal(_sum_bandwidths(spec, sq, bool(grad)), want)
+        np.testing.assert_array_equal(sq, before)
+        np.testing.assert_array_equal(
+            _sum_bandwidths(spec, sq.copy(), bool(grad), overwrite=True), want)
+
+
+@pytest.mark.parametrize("spec", SELF_SPECS, ids=format_kernel)
+def test_stack_of_self_blocks_equals_each_block(spec):
+    X = np.random.default_rng(9).standard_normal((4, 70, 3))
+    X[2, 5, 1] = np.nan
+    for grad in (False, True):
+        stack = self_gram(spec, X, grad)
+        assert stack.shape == (4, 70, 70)
+        for x, block in zip(X, stack):
+            np.testing.assert_array_equal(block, self_gram(spec, x, grad))
+        np.testing.assert_array_equal(self_gram(spec, X[:1], grad)[0], self_gram(spec, X[0], grad))

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from bnpmmd import rb as rb_module
+from bnpmmd.discrepancy import mmd2_weighted
 from bnpmmd.dp import sample_dp_posterior, sample_dp_prior
 from bnpmmd.errors import (DegeneratePriorError, InvalidInputError,
                            InvalidParameterError)
 from bnpmmd.kernels import gaussian_kernel
 from bnpmmd.rb import (EVIDENCE_AGAINST, EVIDENCE_FOR, INCONCLUSIVE, RBConfig,
                        ecdf_eval, empirical_quantile, estimate_rb_strength,
-                       run_gof_test, simulate_mmd_samples)
+                       _mc_chunk, run_gof_test, simulate_mmd_samples)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -190,6 +193,74 @@ class TestSimulate:
         assert posterior.mean() < prior.mean()
 
 
+# (d, prior or posterior, a, n, N): prior weights at a/N = 25/42 come from
+# the log-space path, posterior weights at (a+n)/N = 75/42 from Gamma draws,
+# and at 22/60 from log space
+CHUNK_CASES = {
+    "prior-d5": (5, "prior", 25.0, 50, 42),
+    "posterior-d5": (5, "posterior", 25.0, 50, 42),
+    "prior-d20": (20, "prior", 25.0, 50, 42),
+    "posterior-d20": (20, "posterior", 25.0, 50, 42),
+    "posterior-log-space-d5": (5, "posterior", 2.0, 20, 60),
+}
+
+
+class TestChunks:
+    def test_chunk_rule(self):
+        assert _mc_chunk(42, 50) == 15
+        assert _mc_chunk(60, 50) == 9
+        assert _mc_chunk(42, 1000) == 1
+        assert _mc_chunk(10000, 50) == 1
+
+    @pytest.mark.parametrize("case", CHUNK_CASES)
+    def test_chunked_draws_match_one_measure_at_a_time(self, case):
+        # chunks reorder the stream, so the draws differ one by one; their
+        # distribution must not
+        d, which, a, n, k = CHUNK_CASES[case]
+        rng = np.random.default_rng(d)
+        X, Y = rng.standard_normal((n, d)), rng.standard_normal((50, d))
+        spec = gaussian_kernel(float(d))
+        c = _mc_chunk(k, 50)
+        assert c > 1
+
+        def draw(size):
+            if which == "prior":
+                return lambda r: sample_dp_prior(a, normal_base(d), k, r, size=size)
+            return lambda r: sample_dp_posterior(a, X, normal_base(d), k, r, size=size)
+
+        chunked = simulate_mmd_samples(draw(c), Y, 50, spec, 4000, np.random.default_rng(100 + d))
+        one = simulate_mmd_samples(draw(None), Y, 50, spec, 4000, np.random.default_rng(200 + d))
+        assert stats.ks_2samp(chunked, one).pvalue > 0.01
+
+    def test_last_chunk_is_cut(self):
+        rng = np.random.default_rng(7)
+        Y = rng.standard_normal((50, 5))
+        spec = gaussian_kernel(5.0)
+        draw = lambda r: sample_dp_prior(25.0, normal_base(5), 42, r, size=15)
+        values = simulate_mmd_samples(draw, Y, 50, spec, 40, np.random.default_rng(8))
+        r = np.random.default_rng(8)
+        whole = np.concatenate([mmd2_weighted(draw(r), Y, spec) for _ in range(3)])
+        np.testing.assert_array_equal(values, whole[:40])
+
+    def test_fixed_model_test_draws_chunks(self, monkeypatch):
+        sizes = []
+        real = rb_module.sample_dp_prior
+
+        def prior(*args, size=None):
+            sizes.append(size)
+            return real(*args, size=size)
+
+        monkeypatch.setattr(rb_module, "sample_dp_prior", prior)
+        X = normal_base(5)(50, np.random.default_rng(9))
+        cfg = RBConfig(mc_reps=100, explicit_terms=42, truncation_epsilon=None)
+        run_gof_test(X, normal_base(5), cfg, np.random.default_rng(10))
+        assert sizes == [15] * 7
+        sizes.clear()
+        run_gof_test(X, normal_base(5), replace(cfg, resample_model_per_rep=True),
+                     np.random.default_rng(10))
+        assert sizes == [None] * 100
+
+
 class TestRunGofTest:
     def _cfg(self, **kw):
         kw.setdefault("concentration", 10.0)
@@ -297,7 +368,7 @@ class TestRunGofTest:
         fixed = run_gof_test(X, Y, cfg, np.random.default_rng(1), base_sampler=normal_base(5))
         drawn = run_gof_test(X, lambda k, r: Y, cfg, np.random.default_rng(1),
                              base_sampler=normal_base(5))
-        assert fixed.rb == drawn.rb == 1.0
+        assert fixed.rb == drawn.rb == 2.5
         assert np.array_equal(fixed.prior_samples, drawn.prior_samples)
         assert np.array_equal(fixed.posterior_samples, drawn.posterior_samples)
 
