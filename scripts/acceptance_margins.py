@@ -1,14 +1,22 @@
-"""How much room acceptance criteria 1, 3 and 9 have across seeds.
+"""How much room acceptance criteria 1, 2, 3, 5, 6 and 9 have across seeds.
 
 Runs one seeded criterion of ``tests/test_acceptance.py`` at each seed of a
-range, through that file's own ``criterion_01``, ``criterion_03`` or
-``criterion_09`` (so the scenario, sizes and pass rule are the ones the
-suite checks), and prints the number of seeds that pass.  For the
-replication criteria 1 and 3 it also prints the per-seed counts and the
-pooled rate; for generator training (9) the per-seed held-out MMD^2 ratio
-and the largest one.  A change that consumes the random stream in a new
-order can quote these numbers for its parent and for itself.  The
-criteria's wall-time bound is not checked.
+range, through that file's own ``criterion_NN`` helper (so the scenario,
+sizes and pass rule are the ones the suite checks), and prints the number
+of seeds that pass.  Per seed it also prints:
+
+- criteria 1 and 3: the count of replications on the right side of rb = 1
+  and the mean rb, then the pooled rate;
+- criterion 2: the mean rb and mean strength with their room below 0.5 and
+  0.1, and the AUC (bar 0.95); criterion 5: the two mean rbs (bars: above 1
+  with the wrong base, below 1 with the right one); criterion 6: the AUCs
+  at sigma = 80 and 2 and their gap (bar 0.1); then the tightest value;
+- criterion 9: the held-out MMD^2 ratio, then the largest one.
+
+Criteria 2 and 5 draw their second part at seed + 1, as the suite does at
+its default seeds.  A change that consumes the random stream in a new order
+can quote these numbers for its parent and for itself.  The criteria's
+wall-time bound is not checked.
 
 Example:
     python scripts/acceptance_margins.py --criterion 1 --seeds 0-19
@@ -18,7 +26,6 @@ import importlib.util
 from pathlib import Path
 
 ACCEPTANCE = Path(__file__).resolve().parents[1] / "tests" / "test_acceptance.py"
-CRITERIA = (1, 3, 9)
 
 
 def load_acceptance():
@@ -36,7 +43,7 @@ def parse_seeds(text: str) -> range:
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--criterion", type=int, choices=CRITERIA, required=True)
+    parser.add_argument("--criterion", type=int, choices=sorted(REPORTS), required=True)
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("0-19"),
                         help="one seed or an inclusive range such as 0-19")
     args = parser.parse_args()
@@ -44,8 +51,7 @@ def main():
     criterion = getattr(load_acceptance(), f"criterion_{args.criterion:02d}")
     summary = " ".join(criterion.__doc__.split()).split(". ")[0]
     print(f"criterion {args.criterion}: {summary}")
-    report = training_margins if args.criterion == 9 else replication_margins
-    report(criterion, args.seeds)
+    REPORTS[args.criterion](criterion, args.seeds)
 
 
 def replication_margins(criterion, seeds):
@@ -63,6 +69,48 @@ def replication_margins(criterion, seeds):
     print(f"pooled: {hits}/{total} ({hits / total:.3f})")
 
 
+def power_margins(criterion, seeds):
+    print(f"{'seed':>4}{'mean RB':>9}{'room':>8}{'mean Str':>10}{'room':>8}{'AUC':>7}  pass")
+    passed, worst = 0, [0.0, 0.0, 1.0]
+    for seed in seeds:
+        rbs, strengths, auc, ok = criterion(seed)
+        passed += ok
+        worst = [max(worst[0], rbs.mean()), max(worst[1], strengths.mean()), min(worst[2], auc)]
+        print(f"{seed:>4}{rbs.mean():>9.3f}{0.5 - rbs.mean():>8.3f}{strengths.mean():>10.3f}"
+              f"{0.1 - strengths.mean():>8.3f}{auc:>7.3f}  {'yes' if ok else 'no'}", flush=True)
+    print(f"seeds passing: {passed}/{len(seeds)}")
+    print(f"largest mean RB {worst[0]:.3f} (bar 0.5), largest mean strength {worst[1]:.3f} "
+          f"(bar 0.1), smallest AUC {worst[2]:.3f} (bar 0.95)")
+
+
+def base_margins(criterion, seeds):
+    print(f"{'seed':>4}{'wrong base':>12}{'right base':>12}  pass")
+    passed, lowest_bad, highest_good = 0, float("inf"), float("-inf")
+    for seed in seeds:
+        rbs_bad, rbs_good, ok = criterion(seed)
+        passed += ok
+        lowest_bad = min(lowest_bad, rbs_bad.mean())
+        highest_good = max(highest_good, rbs_good.mean())
+        print(f"{seed:>4}{rbs_bad.mean():>12.3f}{rbs_good.mean():>12.3f}  {'yes' if ok else 'no'}",
+              flush=True)
+    print(f"seeds passing: {passed}/{len(seeds)}")
+    print(f"smallest wrong-base mean RB {lowest_bad:.3f} (bar: above 1), "
+          f"largest right-base mean RB {highest_good:.3f} (bar: below 1)")
+
+
+def bandwidth_margins(criterion, seeds):
+    print(f"{'seed':>4}{'AUC 80':>8}{'AUC 2':>8}{'gap':>8}  pass")
+    passed, smallest = 0, float("inf")
+    for seed in seeds:
+        auc_80, auc_2, ok = criterion(seed)
+        passed += ok
+        smallest = min(smallest, auc_80 - auc_2)
+        print(f"{seed:>4}{auc_80:>8.3f}{auc_2:>8.3f}{auc_80 - auc_2:>8.3f}  {'yes' if ok else 'no'}",
+              flush=True)
+    print(f"seeds passing: {passed}/{len(seeds)}")
+    print(f"smallest gap: {smallest:.3f} (bar 0.1)")
+
+
 def training_margins(criterion, seeds):
     print(f"{'seed':>4}{'before':>10}{'after':>10}{'ratio':>8}{'MMDS gen':>10}{'noise':>9}  pass")
     passed, worst = 0, 0.0
@@ -75,6 +123,9 @@ def training_margins(criterion, seeds):
     print(f"seeds passing: {passed}/{len(seeds)}")
     print(f"largest ratio: {worst:.4f} (bound 0.20)")
 
+
+REPORTS = {1: replication_margins, 2: power_margins, 3: replication_margins,
+           5: base_margins, 6: bandwidth_margins, 9: training_margins}
 
 if __name__ == "__main__":
     main()

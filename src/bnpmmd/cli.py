@@ -23,7 +23,7 @@ from .discrepancy import mmd2_empirical
 from .errors import InvalidInputError, InvalidParameterError, as_sample
 from .gan import GeneratorNet, TrainConfig, generator_forward, mmds_score, train
 from .idx import load_idx_images
-from .kernels import format_kernel, gaussian_kernel, parse_kernel, resolve_median
+from .kernels import format_kernel, gaussian_kernel, gaussian_mixture, parse_kernel, resolve_median
 from .rb import RBConfig, run_gof_test
 from .scenarios import (DEFAULT_NUM_THRESHOLDS, SCENARIOS, ScenarioSpec, run_roc_study,
                         scenario_sampler)
@@ -296,11 +296,12 @@ def cmd_bandwidth_sweep(args, root) -> tuple[dict, list[str]]:
 
 
 def _add_common_rb_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--a", type=float, default=25.0, help="prior concentration")
-    p.add_argument("--ell", type=int, default=1000, help="Monte Carlo draws per ECDF")
-    p.add_argument("--M", type=int, default=20, help="quantile grid cells")
-    p.add_argument("--i0", type=int, default=1, help="anchor cell of the ratio")
-    p.add_argument("--eps", type=float, default=1e-3, help="random-truncation threshold")
+    rb = RBConfig()
+    p.add_argument("--a", type=float, default=rb.concentration, help="prior concentration")
+    p.add_argument("--ell", type=int, default=rb.mc_reps, help="Monte Carlo draws per ECDF")
+    p.add_argument("--M", type=int, default=rb.grid_cells, help="quantile grid cells")
+    p.add_argument("--i0", type=int, default=rb.anchor_cell, help="anchor cell of the ratio")
+    p.add_argument("--eps", type=float, default=rb.truncation_epsilon, help="truncation threshold")
     p.add_argument("--n-terms", type=int, default=None, dest="n_terms",
                    help="fixed truncation level (overrides --eps)")
     p.add_argument("--resample-model", action="store_true", dest="resample_model",
@@ -333,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help=f"one of {', '.join(SCENARIOS)}")
     p.add_argument("--base", default=None, help="override base measure (defaults to the model)")
     _add_common_rb_flags(p)
-    p.add_argument("--kernel", default="gaussian:80")
+    p.add_argument("--kernel", default=format_kernel(RBConfig().kernel))
     p.add_argument("--m", type=int, default=None, help="model sample size (default n)")
     p.add_argument("--header", action="store_true")
     p.add_argument("--out", default=None, help="report JSON path")
@@ -343,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roc", parents=[seeded], help="ROC/AUC replication study of the test")
     _add_study_flags(p, reps=100)
-    p.add_argument("--kernel", default="gaussian:80")
+    p.add_argument("--kernel", default=format_kernel(RBConfig().kernel))
     p.add_argument("--out", required=True, help="CSV of threshold,fpr,tpr")
     p.add_argument("--svg", default=None)
     p.set_defaults(func=cmd_roc)
@@ -372,12 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--hidden", default="64,64,64,64")
     p.add_argument("--noise-dim", type=int, default=10, dest="noise_dim")
-    p.add_argument("--iters", type=int, default=2000)
-    p.add_argument("--batch", type=int, default=256)
-    p.add_argument("--kernel", default="mix:gaussian:2,5,10,20,40,80")
-    p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--checkpoint-every", type=int, default=200, dest="checkpoint_every")
+    cfg = TrainConfig()
+    p.add_argument("--iters", type=int, default=cfg.iterations)
+    p.add_argument("--batch", type=int, default=cfg.minibatch)
+    p.add_argument("--kernel", default=format_kernel(cfg.kernel))
+    p.add_argument("--eps", type=float, default=cfg.truncation_epsilon)
+    p.add_argument("--step", type=float, default=cfg.step_size)
+    p.add_argument("--checkpoint-every", type=int, default=cfg.checkpoint_every, dest="checkpoint_every")
     p.add_argument("--header", action="store_true")
     p.add_argument("--out", required=True, help="model JSON path")
     p.add_argument("--history", default=None, help="CSV of iteration,loss,grad_norm")
@@ -388,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--nmb", type=int, default=100)
     p.add_argument("--rmb", type=int, default=50)
-    p.add_argument("--kernel", default="mix:gaussian:2,5,10,20,40,80")
+    p.add_argument("--kernel", default=format_kernel(gaussian_mixture()))
     p.add_argument("--header", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gan_score)
@@ -396,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bandwidth-sweep", parents=[seeded],
                        help="AUC of the test across Gaussian bandwidths")
     _add_study_flags(p, reps=20)
-    p.add_argument("--sigmas", default="2,5,10,20,40,80,median",
+    p.add_argument("--sigmas", default=format_kernel(gaussian_mixture()).split(":")[-1] + ",median",
                    help="Gaussian bandwidths, 'median' for the median heuristic")
     p.add_argument("--out", required=True, help="CSV of sigma,auc")
     p.set_defaults(func=cmd_bandwidth_sweep)

@@ -41,7 +41,7 @@ def yy_mean_term(Y: np.ndarray, spec: KernelSpec) -> float:
     """mean(k(Y, Y)); precompute when Y is reused across many measures."""
     Y = _as_matrix(Y, "Y")
     m = Y.shape[0]
-    return float(gram(spec, Y, Y).sum() / (m * m))
+    return float(self_gram(spec, Y).sum() / (m * m))
 
 
 def mmd2_weighted(P: DiscreteMeasure, Y: np.ndarray, spec: KernelSpec,
@@ -53,18 +53,19 @@ def mmd2_weighted(P: DiscreteMeasure, Y: np.ndarray, spec: KernelSpec,
 
     For a stack of c measures it returns the c values as an array, from one
     cross block, one stack of self blocks and stacked matrix products; each
-    value is, to the bit, that of its measure taken alone.
+    value is, to the bit, that of its measure taken alone.  A stack's self blocks
+    skip the triangle: ring training ran about 4% slower passing its one measure as a stack.
     """
     Y = _as_matrix(Y, "Y", P.dim)
     m = Y.shape[0]
     term3 = yy_mean_term(Y, spec) if yy_term is None else yy_term
     if P.weights.ndim == 1:
-        term1 = float(P.weights @ gram(spec, P.atoms, P.atoms) @ P.weights)
+        term1 = float(P.weights @ self_gram(spec, P.atoms) @ P.weights)
         term2 = -2.0 / m * float(P.weights @ gram(spec, P.atoms, Y).sum(axis=1))
         return term1 + term2 + term3
     c, n_terms, d = P.atoms.shape
     w = P.weights[:, None, :]  # one row vector per measure
-    kvv = gram(spec, P.atoms, P.atoms)
+    kvv = self_gram(spec, P.atoms)
     kvy = gram(spec, P.atoms.reshape(-1, d), Y).reshape(c, n_terms, m)
     term1 = (w @ kvv @ w.mT)[:, 0, 0]
     term2 = -2.0 / m * (w @ kvy.sum(axis=2)[..., None])[:, 0, 0]

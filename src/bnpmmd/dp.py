@@ -21,7 +21,7 @@ from .errors import InvalidInputError, InvalidParameterError, NumericUnderflowEr
 BaseSampler = Callable[[int, np.random.Generator], np.ndarray]
 
 SIMPLEX_TOL = 1e-12
-_MAX_RETRIES = 100
+_MAX_DIRICHLET_DRAWS = 100
 # Truncation levels whose shares are drawn in one call; it fixes the stream.
 _LEVEL_CHUNK = 256
 # Cap on the random truncation level of the relative-belief test and of dp-sample.
@@ -42,8 +42,6 @@ class DiscreteMeasure:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         a = np.asarray(self.atoms, dtype=float)
-        if w.ndim == 1:
-            a = np.atleast_2d(a)
         if w.ndim not in (1, 2) or a.ndim != w.ndim + 1 or a.shape[:-1] != w.shape:
             raise InvalidParameterError("atoms row count must equal weights length")
         if (w < 0).any():
@@ -110,23 +108,15 @@ def stopping_rule_N(concentration: float, eps: float, max_terms: int,
 def _dirichlet_rows(shape: float, rows: int, n_terms: int,
                     rng: np.random.Generator) -> np.ndarray:
     """``rows`` rows of ``n_terms`` Gamma(shape) draws, each divided by its
-    total; a row whose total is zero or not finite is redrawn, after the
-    draws of every other row."""
-    def draw(k):
-        return (rng.gamma(shape, 1.0, size=(k, n_terms)) if shape >= 1.0
-                else _log_gamma_rows(shape, k, n_terms, rng))
-
-    h = draw(rows)
-    total = h.sum(axis=1, keepdims=True)
-    for _ in range(_MAX_RETRIES):
-        ok = (0.0 < total) & (total < np.inf)  # a NaN total is not
-        if ok.all():
+    total; the whole call is redrawn while a total is zero or not finite."""
+    for _ in range(_MAX_DIRICHLET_DRAWS):
+        h = (rng.gamma(shape, 1.0, size=(rows, n_terms)) if shape >= 1.0
+             else _log_gamma_rows(shape, rows, n_terms, rng))
+        total = h.sum(axis=1, keepdims=True)
+        if ((0.0 < total) & (total < np.inf)).all():  # a NaN total is not
             return h / total
-        bad = np.flatnonzero(~ok)
-        h[bad] = draw(bad.size)
-        total[bad] = h[bad].sum(axis=1, keepdims=True)
     raise NumericUnderflowError("Dirichlet normalizer was not positive and finite "
-                                f"after {_MAX_RETRIES} retries")
+                                f"in {_MAX_DIRICHLET_DRAWS} draws")
 
 
 def _log_gamma_rows(shape: float, k: int, n_terms: int, rng: np.random.Generator) -> np.ndarray:
@@ -149,7 +139,7 @@ def symmetric_dirichlet(total_concentration: float, n_terms: int,
     c/N is far below the underflow threshold of a direct Gamma sampler.
 
     With ``size`` it returns (size, N) rows from one Gamma (or log-space)
-    call, each row retried on its own; ``size=1`` gives the unsized draw.
+    call; ``size=1`` gives the unsized draw.
     """
     if not 0 < total_concentration < np.inf:
         raise InvalidParameterError("Dirichlet weights need a positive, finite concentration, "

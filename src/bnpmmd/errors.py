@@ -29,7 +29,7 @@ class UnsupportedKernelError(ValueError):
 
 
 class DegeneratePriorError(RuntimeError):
-    """The prior Monte Carlo sample is constant, so quantile cells collapse.
+    """The prior Monte Carlo sample is constant or at round-off, so its quantile cells say nothing.
 
     Carries the raw samples so a caller can inspect the ECDFs.
     """

@@ -184,15 +184,6 @@ class TrainHistory:
     clamped_steps: int = 0
 
 
-def _draw_iteration_randomness(X_mb: np.ndarray, cfg: TrainConfig,
-                               rng: np.random.Generator) -> tuple[DiscreteMeasure, int]:
-    """Truncation level and bootstrap measure for one step."""
-    n_terms = stopping_rule_N(cfg.concentration + X_mb.shape[0], cfg.truncation_epsilon,
-                              MAX_TERMS, rng).n_terms
-    measure = sample_dp_posterior(cfg.concentration, X_mb, cfg.base_sampler, n_terms, rng)
-    return measure, n_terms
-
-
 def _loss_and_param_grads(net: GeneratorNet, measure: DiscreteMeasure, U: np.ndarray,
                           spec: KernelSpec, sqrt_floor: float, X_mb: np.ndarray | None = None):
     """Square-root weighted-MMD loss and its parameter gradients, for fixed draws.
@@ -227,7 +218,9 @@ def loss_and_grad(net: GeneratorNet, X_mb: np.ndarray, cfg: TrainConfig,
         (loss, grads_w, grads_b, clamped)
     """
     X_mb = np.atleast_2d(np.asarray(X_mb, dtype=float))
-    measure, n_terms = _draw_iteration_randomness(X_mb, cfg, rng)
+    n_terms = stopping_rule_N(cfg.concentration + X_mb.shape[0], cfg.truncation_epsilon,
+                              MAX_TERMS, rng).n_terms
+    measure = sample_dp_posterior(cfg.concentration, X_mb, cfg.base_sampler, n_terms, rng)
     U = rng.uniform(-1.0, 1.0, size=(n_terms, net.noise_dim))
     return _loss_and_param_grads(net, measure, U, cfg.kernel, SQRT_FLOOR, X_mb)
 

@@ -63,6 +63,45 @@ def criterion_03(seed=10):
     return rbs, hits, bool(hits.mean() >= 0.90)
 
 
+def criterion_02(seed=8):
+    """mean shift (d=20, n=50): mean rb below 0.5 and mean strength below 0.1
+    over 20 replications drawn at the seed, and an AUC of at least 0.95 in a
+    30+30 replication ROC study drawn at seed + 1.  Returns the
+    replication rbs and strengths, the AUC and the verdict."""
+    cfg = table_config()
+    rbs, strengths = replicate_rb("mean_shift", 20, 50, cfg, seed)
+    curve = run_roc_study(ScenarioSpec("no_difference", 20, 50),
+                          ScenarioSpec("mean_shift", 20, 50),
+                          cfg, 30, np.random.default_rng(seed + 1))
+    ok = rbs.mean() < 0.5 and strengths.mean() < 0.1 and curve.auc >= 0.95
+    return rbs, strengths, curve.auc, bool(ok)
+
+
+def criterion_05(seed=11):
+    """heavy-tailed data (d=60, n=50): mean rb above 1 over 20 replications
+    whose base is the wrong (logistic) measure, drawn at the seed, and below 1
+    over 20 with the base equal to the model, drawn at seed + 1.  Returns
+    the two sets of replication rbs and the verdict."""
+    cfg = table_config()
+    wrong_base = scenario_sampler("kurtosis", 60)   # logistic, not the model
+    rbs_bad, _ = replicate_rb("heavy_tail", 60, 50, cfg, seed, base=wrong_base)
+    rbs_good, _ = replicate_rb("heavy_tail", 60, 50, cfg, seed + 1)
+    return rbs_bad, rbs_good, bool(rbs_bad.mean() > 1.0 and rbs_good.mean() < 1.0)
+
+
+def criterion_06(seed=13):
+    """variance shift (d=60, n=50): the AUC of a 20+20 replication ROC study
+    at sigma=80 is at least 0.1 above that at sigma=2, both drawn at the
+    seed.  Returns the two AUCs and the verdict."""
+    aucs = {}
+    for sigma in (80.0, 2.0):
+        curve = run_roc_study(ScenarioSpec("no_difference", 60, 50),
+                              ScenarioSpec("variance_shift", 60, 50),
+                              table_config(sigma=sigma), 20, np.random.default_rng(seed))
+        aucs[sigma] = curve.auc
+    return aucs[80.0], aucs[2.0], bool(aucs[80.0] >= aucs[2.0] + 0.1)
+
+
 def test_criterion_01_null_behavior():
     started = time.time()
     rbs, hits, ok = criterion_01()
@@ -76,17 +115,12 @@ def test_criterion_01_null_behavior():
 
 def test_criterion_02_mean_shift_power():
     started = time.time()
-    cfg = table_config()
-    rbs, strengths = replicate_rb("mean_shift", 20, 50, cfg, seed=8)
-    curve = run_roc_study(ScenarioSpec("no_difference", 20, 50),
-                          ScenarioSpec("mean_shift", 20, 50),
-                          cfg, 30, np.random.default_rng(9))
+    rbs, strengths, auc, ok = criterion_02()
     elapsed = time.time() - started
-    ok = (rbs.mean() < 0.5 and strengths.mean() < 0.1 and curve.auc >= 0.95
-          and elapsed <= 900)
+    ok = ok and elapsed <= 900
     _report(2, "mean-shift power d=20", ok,
             f"mean RB {rbs.mean():.3f} (<0.5), mean strength {strengths.mean():.3f} "
-            f"(<0.1), AUC {curve.auc:.3f} (>=0.95), {elapsed:.0f}s (<=900s)")
+            f"(<0.1), AUC {auc:.3f} (>=0.95), {elapsed:.0f}s (<=900s)")
 
 
 def test_criterion_03_variance_shift_detection():
@@ -111,12 +145,8 @@ def test_criterion_04_rb_endpoints():
 
 def test_criterion_05_base_measure_failure_mode():
     started = time.time()
-    cfg = table_config()
-    wrong_base = scenario_sampler("kurtosis", 60)   # logistic, not the model
-    rbs_bad, _ = replicate_rb("heavy_tail", 60, 50, cfg, seed=11, base=wrong_base)
-    rbs_good, _ = replicate_rb("heavy_tail", 60, 50, cfg, seed=12)
+    rbs_bad, rbs_good, ok = criterion_05()
     elapsed = time.time() - started
-    ok = rbs_bad.mean() > 1.0 and rbs_good.mean() < 1.0
     _report(5, "base-measure failure mode d=60", ok,
             f"misconfigured base mean RB {rbs_bad.mean():.2f} (>1, wrongly accepts), "
             f"matched base mean RB {rbs_good.mean():.3f} (<1), {elapsed:.0f}s")
@@ -124,17 +154,10 @@ def test_criterion_05_base_measure_failure_mode():
 
 def test_criterion_06_bandwidth_study():
     started = time.time()
-    aucs = {}
-    for sigma in (80.0, 2.0):
-        cfg = table_config(sigma=sigma)
-        curve = run_roc_study(ScenarioSpec("no_difference", 60, 50),
-                              ScenarioSpec("variance_shift", 60, 50),
-                              cfg, 20, np.random.default_rng(13))
-        aucs[sigma] = curve.auc
+    auc_80, auc_2, ok = criterion_06()
     elapsed = time.time() - started
-    ok = aucs[80.0] >= aucs[2.0] + 0.1
     _report(6, "bandwidth study d=60", ok,
-            f"AUC(sigma=80) {aucs[80.0]:.3f} >= AUC(sigma=2) {aucs[2.0]:.3f} + 0.1, "
+            f"AUC(sigma=80) {auc_80:.3f} >= AUC(sigma=2) {auc_2:.3f} + 0.1, "
             f"{elapsed:.0f}s")
 
 

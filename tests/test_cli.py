@@ -337,16 +337,44 @@ def test_bandwidth_sweep_rejects_empty_or_repeated_sigmas(tmp_path, capsys, monk
     (["gof-test", "--model", "no_difference", "--m", "0"], "model_size"),
     (["gof-test", "--model", "no_difference", "--kernel", "gaussian:80:2"], "shape"),
     (["gof-test", "--model", "no_difference", "--kernel", "gaussian:1e-300"], "bandwidth"),
+    (["gof-test", "--model", "no_difference", "--kernel", "gaussian:1e9", "--a", "5",
+      "--ell", "100"], "round-off"),
 ], ids=["gof-a-0", "gof-a-nan", "dp-sample-a-negative", "dp-sample-stick-a-inf",
         "roc-thresholds-0", "roc-thresholds-1",
         "gan-train-step-negative", "gan-train-checkpoint-negative", "dp-sample-d-0",
-        "gof-m-0", "gof-kernel-shape", "gof-kernel-tiny-bandwidth"])
+        "gof-m-0", "gof-kernel-shape", "gof-kernel-tiny-bandwidth", "gof-kernel-round-off"])
 def test_invalid_value_exits_1(matrices, argv, named, capsys):
     tmp_path, xpath, _ = matrices
     data = ["--data", str(xpath)] if argv[0] in ("gof-test", "gan-train") else []
     assert dispatch([*argv, *data, "--out", str(tmp_path / "out")]) == 1
     assert named in capsys.readouterr().err
     assert not list(tmp_path.glob("*.manifest.json"))
+
+
+def test_parser_defaults_come_from_the_library():
+    from bnpmmd.gan import TrainConfig
+    from bnpmmd.kernels import MIXTURE_BANDWIDTHS, format_kernel, gaussian_kernel, gaussian_mixture
+    from bnpmmd.rb import RBConfig
+    rb, train = RBConfig(), TrainConfig()
+    parse = build_parser().parse_args
+    study = ["--null", "a", "--alt", "b", "--d", "1", "--n", "2", "--out", "o"]
+    for argv in (["gof-test", "--data", "x", "--model", "m"], ["roc", *study],
+                 ["bandwidth-sweep", *study]):
+        args = parse(argv)
+        assert ((args.a, args.ell, args.M, args.i0, args.eps)
+                == (rb.concentration, rb.mc_reps, rb.grid_cells, rb.anchor_cell,
+                    rb.truncation_epsilon)), argv[0]
+        if argv[0] != "bandwidth-sweep":
+            assert args.kernel == format_kernel(gaussian_kernel()), argv[0]
+    args = parse(["gan-train", "--data", "x", "--out", "o"])
+    assert ((args.iters, args.batch, args.eps, args.step, args.checkpoint_every, args.kernel)
+            == (train.iterations, train.minibatch, train.truncation_epsilon, train.step_size,
+                train.checkpoint_every, format_kernel(train.kernel)))
+    assert parse(["gan-score", "--real", "x", "--model", "m"]).kernel == format_kernel(
+        gaussian_mixture())
+    sigmas = parse(["bandwidth-sweep", *study]).sigmas.split(",")
+    assert sigmas == [format_kernel(gaussian_kernel(b)).split(":")[1]
+                      for b in MIXTURE_BANDWIDTHS] + ["median"]
 
 
 @pytest.fixture()

@@ -457,6 +457,27 @@ class TestRunGofTest:
         report = run_gof_test(X, normal_base(5), self._cfg(concentration=1e-5), rng)
         assert 2 <= report.n_terms <= 5
 
+    @pytest.mark.parametrize("resample", [False, True], ids=["fixed", "resampled"])
+    @pytest.mark.parametrize("d", [5, 60])
+    def test_prior_at_round_off_raises(self, d, resample):
+        # at sigma = 1e9 every draw is round-off, whose order set the decision:
+        # at d = 5, null, mean-shift and variance-shift data all got rb 0.867
+        rng = np.random.default_rng(0)
+        X = normal_base(d)(50, rng)
+        cfg = RBConfig(mc_reps=400, kernel=gaussian_kernel(1e9), resample_model_per_rep=resample)
+        with pytest.raises(DegeneratePriorError, match="round-off") as err:
+            run_gof_test(X, normal_base(d), cfg, rng)
+        assert err.value.prior_samples.shape == err.value.posterior_samples.shape == (400,)
+        assert np.abs(err.value.prior_samples).max() < 2e-15
+
+    @pytest.mark.parametrize("resample", [False, True], ids=["fixed", "resampled"])
+    def test_large_bandwidth_above_round_off_decides(self, resample):
+        rng = np.random.default_rng(0)
+        X = normal_base(5)(50, rng)
+        cfg = RBConfig(mc_reps=400, kernel=gaussian_kernel(1e6), resample_model_per_rep=resample)
+        report = run_gof_test(X, normal_base(5), cfg, rng)
+        assert np.abs(report.prior_samples).max() > 1e-12
+
     def test_resample_model_flag(self):
         rng = np.random.default_rng(12)
         X = normal_base()(30, rng)

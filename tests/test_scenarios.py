@@ -34,7 +34,8 @@ class TestScenarios:
         assert np.all(np.diag(B) == 0.25)
         off = B[~np.eye(4, dtype=bool)]
         assert np.all(off == 0.2)
-        lognormal_cov(500)  # stays positive definite at high dimension
+        for dim in (1, 2, 60, 500):  # positive definite, so the skewness sampler can factor it
+            np.linalg.cholesky(lognormal_cov(dim))
 
     @pytest.mark.parametrize("name,mean,var", [
         ("no_difference", 0.0, 1.0),

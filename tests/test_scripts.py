@@ -1,9 +1,11 @@
 """The example scripts run end to end at tiny sizes."""
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bnpmmd.scenarios import SCENARIOS
@@ -55,3 +57,32 @@ def test_acceptance_margins_training():
     assert seed == "0" and float(before) > 0.0 and 0.0 <= float(ratio) < 1.0
     assert lines[3] in ("seeds passing: 0/1", "seeds passing: 1/1")
     assert lines[4].startswith("largest ratio: ") and lines[4].endswith("(bound 0.20)")
+
+
+def load_margins_script():
+    spec = importlib.util.spec_from_file_location("acceptance_margins",
+                                                  ROOT / "scripts" / "acceptance_margins.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("criterion, results, last", [
+    (2, [(np.array([0.2, 0.4]), np.array([0.05, 0.03]), 0.97, True),
+         (np.array([0.1]), np.array([0.01]), 1.0, True)],
+     "largest mean RB 0.300 (bar 0.5), largest mean strength 0.040 (bar 0.1), "
+     "smallest AUC 0.970 (bar 0.95)"),
+    (5, [(np.array([2.0, 1.5]), np.array([0.4, 0.6]), True),
+         (np.array([0.9]), np.array([0.3]), False)],
+     "smallest wrong-base mean RB 0.900 (bar: above 1), "
+     "largest right-base mean RB 0.500 (bar: below 1)"),
+    (6, [(1.0, 0.5, True), (0.6, 0.55, False)], "smallest gap: 0.050 (bar 0.1)"),
+])
+def test_acceptance_margins_reports(capsys, criterion, results, last):
+    # the three slow criteria's reports, fed canned results for seeds 3 and 4
+    load_margins_script().REPORTS[criterion](lambda seed: results[seed - 3], range(3, 5))
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[1:3]] == ["3", "4"]
+    assert [line.split()[-1] for line in lines[1:3]] == ["yes" if r[-1] else "no" for r in results]
+    assert lines[3] == f"seeds passing: {sum(r[-1] for r in results)}/2"
+    assert lines[4] == last
