@@ -63,10 +63,9 @@ def mmd2_weighted(P: DiscreteMeasure, Y: np.ndarray, spec: KernelSpec,
         term1 = float(P.weights @ self_gram(spec, P.atoms) @ P.weights)
         term2 = -2.0 / m * float(P.weights @ gram(spec, P.atoms, Y).sum(axis=1))
         return term1 + term2 + term3
-    c, n_terms, d = P.atoms.shape
     w = P.weights[:, None, :]  # one row vector per measure
     kvv = self_gram(spec, P.atoms)
-    kvy = gram(spec, P.atoms.reshape(-1, d), Y).reshape(c, n_terms, m)
+    kvy = gram(spec, P.atoms, Y)  # (c, N, m)
     term1 = (w @ kvv @ w.mT)[:, 0, 0]
     term2 = -2.0 / m * (w @ kvy.sum(axis=2)[..., None])[:, 0, 0]
     return term1 + term2 + term3

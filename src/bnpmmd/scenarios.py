@@ -176,7 +176,8 @@ def roc_from_scores(h0_scores: np.ndarray, h1_scores: np.ndarray, *,
 def _rb_scores(spec: ScenarioSpec, cfg: RBConfig,
                seeds: list[np.random.SeedSequence]) -> list[float]:
     """Ratios of one test per child seed of fresh scenario data against the
-    standard-normal model, leaving out degenerate-prior replications."""
+    standard-normal model, leaving out degenerate-prior replications; raises
+    ``DegeneratePriorError`` naming the scenario if that leaves none."""
     scores = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
@@ -185,6 +186,10 @@ def _rb_scores(spec: ScenarioSpec, cfg: RBConfig,
             scores.append(run_gof_test(data, null_model_sampler(spec.dim), cfg, rng).rb)
         except DegeneratePriorError:
             pass
+    if not scores:
+        raise DegeneratePriorError(f"all {len(seeds)} replications of scenario {spec.name!r} were "
+                                   "dropped: their prior draws were constant or at round-off, "
+                                   "so the kernel cannot tell the samples apart")
     return scores
 
 
@@ -195,7 +200,8 @@ def run_roc_study(null_spec: ScenarioSpec, alt_spec: ScenarioSpec, cfg: RBConfig
 
     Each replication runs on its own child stream of ``rng``.  Thresholds
     sweep [0, M/i0], the full range of the ratio; ``excluded`` counts the
-    replications dropped for a degenerate prior sample.
+    replications dropped for a degenerate prior sample.  If every replication
+    of one hypothesis is dropped, ``DegeneratePriorError`` names its scenario.
     """
     if reps < 2:
         raise InvalidParameterError("need at least 2 replications per hypothesis")

@@ -295,6 +295,23 @@ STUDY = ["--null", "no_difference", "--alt", "mean_shift", "--d", "2", "--n", "1
          "--reps", "2", "--a", "2", "--ell", "20", "--n-terms", "5"]
 
 
+ROUND_OFF_STUDY = ["--null", "no_difference", "--alt", "mean_shift", "--d", "2", "--n", "20",
+                   "--reps", "2", "--a", "5", "--ell", "60"]
+
+
+@pytest.mark.parametrize("argv", [["roc", "--kernel", "gaussian:1e9"],
+                                  ["bandwidth-sweep", "--sigmas", "1e9"]],
+                         ids=["roc", "bandwidth-sweep"])
+def test_study_whose_replications_all_drop_names_the_scenario(tmp_path, capsys, argv):
+    # at sigma = 1e9 every prior draw is round-off, so every replication is dropped
+    code = dispatch([*argv, *ROUND_OFF_STUDY, "--seed", "1", "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "all 2 replications of scenario 'no_difference' were dropped" in err
+    assert "round-off" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_bandwidth_sweep_has_no_kernel_flag(tmp_path, capsys):
     # the sweep always uses Gaussian kernels at --sigmas; a kernel flag was ignored
     code = dispatch(["bandwidth-sweep", *STUDY, "--sigmas", "2", "--kernel", "exponential:2",

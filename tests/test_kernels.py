@@ -306,3 +306,82 @@ def test_stack_of_self_blocks_equals_each_block(spec):
         for x, block in zip(X, stack):
             np.testing.assert_array_equal(block, self_gram(spec, x, grad))
         np.testing.assert_array_equal(self_gram(spec, X[:1], grad)[0], self_gram(spec, X[0], grad))
+
+
+def _expansion_rows(d, poison):
+    # heavy-tailed t3 rows, a duplicate pair and a row shared with Y
+    rng = np.random.default_rng(d)
+    X = rng.standard_t(3, (3, 30, d))
+    Y = rng.standard_normal((20, d)) + 0.5
+    X[:, 7] = X[:, 2]
+    X[:, 11] = Y[4]
+    if poison is not None:
+        X[1, 5, 3] = poison
+    return X, Y
+
+
+def _assert_like_cdist(sq, want, d):
+    np.testing.assert_array_equal(np.isnan(sq), np.isnan(want))
+    np.testing.assert_array_equal(np.isinf(sq), np.isinf(want))
+    np.testing.assert_array_equal(sq == 0, want == 0)
+    assert not (sq < 0).any()
+    # the documented (d + 2) eps / guard, plus cdist's own error
+    rtol = (d + 3) * np.finfo(float).eps / kernels.EXPANSION_GUARD
+    finite = np.isfinite(want)
+    np.testing.assert_allclose(sq[finite], want[finite], rtol=rtol, atol=0)
+
+
+@pytest.mark.parametrize("poison", [None, np.nan, np.inf], ids=["finite", "nan", "inf"])
+@pytest.mark.parametrize("d", [16, 20, 60])
+def test_expansion_matches_cdist_with_exact_zeros(d, poison):
+    X, Y = _expansion_rows(d, poison)
+    cross, self_ = kernels._sq_dist(X, Y), kernels._self_sq_dist(X)
+    with np.errstate(invalid="ignore"):
+        for x, block, self_block in zip(X, cross, self_):
+            _assert_like_cdist(block, cdist(x, Y, "sqeuclidean"), d)
+            _assert_like_cdist(self_block, cdist(x, x, "sqeuclidean"), d)
+            # each block of a stack is that of its array alone, to the bit
+            np.testing.assert_array_equal(block, kernels._sq_dist(x, Y))
+            np.testing.assert_array_equal(self_block, kernels._self_sq_dist(x))
+    assert (self_[:, 7, 2] == 0).all() and (cross[:, 11, 4] == 0).all()
+
+
+def test_exponential_gradient_is_zero_at_a_duplicate_pair_above_the_crossover():
+    X = np.random.default_rng(4).standard_normal((30, 20))
+    X[9] = X[3]
+    g = self_gram(single(EXPONENTIAL, 2.0), X, grad=True)
+    assert g[3, 9] == g[9, 3] == 0.0
+    np.testing.assert_array_equal(np.diag(g), 0.0)
+    assert (np.delete(g[3], [3, 9]) > 0).all()
+
+
+@pytest.mark.parametrize("d, scipy_called", [(15, True), (16, False)])
+def test_distances_take_expansion_from_min_dimension(monkeypatch, d, scipy_called):
+    calls = []
+    monkeypatch.setattr(kernels, "cdist", lambda *a, **k: calls.append(a) or cdist(*a, **k))
+    monkeypatch.setattr(kernels, "pdist", lambda *a: calls.append(a) or pdist(*a))
+    rng = np.random.default_rng(d)
+    X, Y = rng.standard_normal((3, 100, d)), rng.standard_normal((20, d))
+    spec = gaussian_kernel(4.0)
+    gram(spec, X, Y)
+    gram(spec, X[0], Y)
+    self_gram(spec, X)
+    self_gram(spec, X[0])
+    median_heuristic(X[0], Y)
+    assert bool(calls) == scipy_called
+    # empty blocks keep their shapes either way
+    assert self_gram(spec, X[:, :0]).shape == (3, 0, 0)
+    assert self_gram(spec, X[0, :0]).shape == (0, 0)
+    assert gram(spec, X[:, :0], Y).shape == (3, 0, 20)
+
+
+def test_large_self_block_keeps_the_triangle_above_the_crossover(monkeypatch):
+    calls = []
+    monkeypatch.setattr(kernels, "pdist", lambda *a: calls.append(a) or pdist(*a))
+    X = np.random.default_rng(1).standard_normal((157, 20))
+    X[9] = X[3]
+    spec = gaussian_kernel(1.0)
+    full = _sum_bandwidths(spec, cdist(X, X, "sqeuclidean"), False)
+    np.testing.assert_array_equal(self_gram(spec, X), full)
+    np.testing.assert_array_equal(self_gram(spec, X[None])[0], full)
+    assert len(calls) == 1

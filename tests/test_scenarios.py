@@ -220,6 +220,14 @@ class TestRocStudy:
                           self._cfg(), 4, np.random.default_rng(14), num_thresholds=1)
         assert calls == []
 
+    def test_hypothesis_with_every_replication_dropped_raises_naming_it(self):
+        from bnpmmd.errors import DegeneratePriorError
+        cfg = RBConfig(concentration=5.0, mc_reps=60, kernel=gaussian_kernel(1e9))
+        with pytest.raises(DegeneratePriorError,
+                           match="all 2 replications of scenario 'no_difference' were dropped"):
+            run_roc_study(ScenarioSpec("no_difference", 2, 20),
+                          ScenarioSpec("mean_shift", 2, 20), cfg, 2, np.random.default_rng(1))
+
     def test_degenerate_runs_are_excluded_with_count(self, monkeypatch):
         import bnpmmd.scenarios as sc
         from bnpmmd.errors import DegeneratePriorError
