@@ -4,27 +4,34 @@ Every kernel here has the form k(x, y) = h(s, sigma, shape) in the squared
 distance s = ||x - y||^2 (scipy's ``sqeuclidean``), with h mapping [0, inf)
 into [0, 1] and h(0) = 1, so a sum over T bandwidths is bounded by T.
 
-A self block K(X, X) of at least ``TRIANGLE_MIN_EVALS`` profile evaluations
-(rows^2 x bandwidths) computes each pair's distance once (``pdist``),
-evaluates every bandwidth on that upper triangle, and mirrors it: 64 rows or
-more of the six-bandwidth training mixture, 157 or more of one bandwidth.
-Its diagonal is evaluated at each row's own squared distance, so a row
-holding NaN or inf gives the NaN it gives in the full evaluation.  It does
-so at every d: besides the halved profile work, ``pdist`` runs on one
-thread, while OpenBLAS spreads the Gram product of 172 rows at d = 20 over
-its threads, which took 8 ms instead of 54 us on one thread while another
-process held the second core.  A stack of such blocks takes ``cdist`` per
-block, which gives the triangle's bits.
+A block holds the squared distances from the rows of X, (N, d), to the m
+rows of Y, or to its own rows for a self block; a stack X, (c, N, d), gives
+c blocks.  Each block's distances come from one of three forms, chosen from
+N, m and d alone, so a block has the same bits alone and in a stack:
 
-Every other block below ``EXPANSION_MIN_DIM`` coordinates uses ``cdist``:
-there the fixed cost of ``pdist`` and ``squareform`` outweighs the
-evaluations the triangle saves.  From ``EXPANSION_MIN_DIM`` coordinates on,
-every other block, the cross blocks and the smaller self blocks, is the
-expansion s = ||x||^2 + ||y||^2 - 2 x.y from one matrix product.  On one
-chunk of posterior-like measures it costs 1.5x, 1.6x and 3x less than
-``cdist`` at d = 16, 20 and 60, and does not win at d <= 14.  A stack of c
-arrays, shape (c, N, d), is multiplied as the batched product, one BLAS call
-per array, so each of its blocks is to the bit that of its array alone.
+- The guarded expansion s = ||x||^2 + ||y||^2 - 2 x.y from one matrix
+  product, from ``EXPANSION_MIN_DIM`` coordinates on, while N m d is at most
+  ``EXPANSION_MAX_PRODUCT`` multiply-adds.  A single array is multiplied as
+  a stack of one, a stack as the batched product, one BLAS call per array.
+  OpenBLAS runs a product of at most 2^18 multiply-adds on one thread;
+  above, it spreads it over its threads, and on a shared 2-core machine a
+  172 x 172 x 60 product took 4.4 ms in one timing and 76 us in another.
+  On posterior-like measures (N = 42, two thirds of the atoms data rows
+  with duplicates, against m = 50) the blocks of a stack of 15 cost 1.5x
+  less than ``cdist`` at d = 16 and 2.8-3.6x less at d = 60, while a single
+  measure (its self and cross block through ``mmd2_weighted``) costs 1.4x
+  more at d = 20, breaks even at d = 40 and wins from d = 48.  A stack's
+  blocks must equal those of its measures alone, so both start at d = 48.
+- The upper triangle, for a single self block of at least
+  ``TRIANGLE_MIN_EVALS`` profile evaluations (rows^2 x bandwidths: 64 rows
+  or more of the six-bandwidth training mixture, 157 or more of one
+  bandwidth) off the expansion: each pair's distance once (``pdist``),
+  every bandwidth evaluated on that triangle, and mirrored.  Its diagonal
+  is evaluated at each row's own squared distance, so a row holding NaN or
+  inf gives the NaN it gives in the full evaluation.  A stack of such
+  blocks takes ``cdist`` per block, which gives the triangle's bits.
+- ``cdist`` for every other block: there the fixed cost of ``pdist`` and
+  ``squareform`` outweighs the evaluations the triangle saves.
 
 The expansion's rounding error is at most about (d + 2) eps (||x||^2 +
 ||y||^2), so a guard recomputes from differences every pair whose s is NaN
@@ -32,12 +39,14 @@ or at most ``EXPANSION_GUARD`` (max ||x||^2 + max ||y||^2), the maxima taken
 over the block; every other pair is within a relative (d + 2) eps /
 ``EXPANSION_GUARD`` of the exact distance (1.4e-11 at d = 60).  The maxima
 skip NaN rows (``np.fmax``), so a NaN row costs the recomputation of its
-own pairs only; an infinite or overflowing norm makes the bound infinite,
-and the whole block is recomputed.  So a pair is never negative, is exactly
-0 where ``cdist`` gives 0 (duplicate rows), and is NaN where ``cdist`` gives
-NaN.  A self block takes its norms from the diagonal of its Gram matrix,
-which makes its diagonal exactly 0 for a finite row and NaN otherwise with
-no recomputation.
+own pairs only.  A block in which the guard flags more than
+``EXPANSION_DENSE`` of the pairs is recomputed whole by ``cdist``: that
+happens to data far from the origin for their spread, and to a block with
+an infinite or overflowing norm, whose bound is infinite.  So a pair is
+never negative, is exactly 0 where ``cdist`` gives 0 (duplicate rows), and
+is NaN where ``cdist`` gives NaN.  A self block takes its norms from the
+diagonal of its Gram matrix, which makes its diagonal exactly 0 for a row
+of finite norm and NaN for a NaN row with no recomputation.
 """
 from __future__ import annotations
 
@@ -168,10 +177,14 @@ TEST_BANDWIDTH = 80.0
 # Self blocks of at least this many profile evaluations (rows^2 x bandwidths)
 # are evaluated on their upper triangle; see the module docstring.
 TRIANGLE_MIN_EVALS = 64 * 64 * 6
-# Blocks of at least this many coordinates, except self blocks on the triangle,
-# take their squared distances from the guarded expansion; see the module docstring.
-EXPANSION_MIN_DIM = 16
+# Blocks of at least this many coordinates, each block's product at most
+# EXPANSION_MAX_PRODUCT multiply-adds, take their squared distances from the guarded
+# expansion; a pair within EXPANSION_GUARD of 0 is recomputed, and a block with more
+# than EXPANSION_DENSE of its pairs so is recomputed whole.  See the module docstring.
+EXPANSION_MIN_DIM = 48
+EXPANSION_MAX_PRODUCT = 2**18
 EXPANSION_GUARD = 1e-3
+EXPANSION_DENSE = 1 / 8
 
 
 @dataclass(frozen=True)
@@ -261,11 +274,11 @@ def gram_grad_coeff(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
 def self_gram(spec: KernelSpec, X: np.ndarray, grad: bool = False) -> np.ndarray:
     """K(X, X), or its gradient coefficients, summed over the bandwidths.
 
-    The distances are those of the module docstring: from
-    ``TRIANGLE_MIN_EVALS`` profile evaluations on, the upper triangle, which
-    gives the full square's bits and ran ring training about 6% faster; else
-    the guarded expansion from ``EXPANSION_MIN_DIM`` coordinates on, and
-    ``cdist`` below.  A stack of arrays, shape (c, N, d), gives its c self
+    The distances are those of the module docstring: the guarded expansion
+    where the block's shape qualifies; else ``cdist``, or from
+    ``TRIANGLE_MIN_EVALS`` profile evaluations on the upper triangle of a
+    single array, which gives the full square's bits and ran ring training
+    about 6% faster.  A stack of arrays, shape (c, N, d), gives its c self
     blocks, (c, N, N), each that of its array alone to the bit; off the
     expansion each block's distances are written into one array by
     ``cdist(..., out=)`` and the profiles run once over all of them.
@@ -273,15 +286,15 @@ def self_gram(spec: KernelSpec, X: np.ndarray, grad: bool = False) -> np.ndarray
     X = np.asarray(X, dtype=float)
     if X.ndim != 3:
         X = np.atleast_2d(X)
-    large = X.shape[-2] ** 2 * len(spec.bandwidths) >= TRIANGLE_MIN_EVALS
-    if X.shape[-1] >= EXPANSION_MIN_DIM and not large:
-        return _sum_bandwidths(spec, _self_sq_dist(X), grad)
+    if _expands(X, X.shape[-2]):
+        sq = _self_expansion(X.reshape(-1, *X.shape[-2:]))
+        return _sum_bandwidths(spec, sq.reshape(*X.shape[:-1], X.shape[-2]), grad)
     if X.ndim == 3:
         sq = np.empty((len(X), X.shape[1], X.shape[1]))
         for x, block in zip(X, sq):
             cdist(x, x, "sqeuclidean", out=block)
         return _sum_bandwidths(spec, sq, grad)
-    if not large:
+    if len(X) ** 2 * len(spec.bandwidths) < TRIANGLE_MIN_EVALS:
         return _sum_bandwidths(spec, cdist(X, X, "sqeuclidean"), grad)
     return _triangle_sum(spec, X, grad)
 
@@ -307,51 +320,71 @@ def _sq_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     d = X.shape[-1]
     if d != Y.shape[1]:
         raise InvalidInputError(f"dimension mismatch: {d} vs {Y.shape[1]}")
-    if d < EXPANSION_MIN_DIM:
-        return cdist(X.reshape(-1, d), Y, "sqeuclidean").reshape(*X.shape[:-1], len(Y))
+    if _expands(X, len(Y)):
+        return _cross_expansion(X.reshape(-1, *X.shape[-2:]), Y).reshape(*X.shape[:-1], len(Y))
+    return cdist(X.reshape(-1, d), Y, "sqeuclidean").reshape(*X.shape[:-1], len(Y))
+
+
+def _expands(X: np.ndarray, m: int) -> bool:
+    """Whether the blocks of X, (N, d) or a stack (c, N, d), against m rows take
+    the expansion: d >= EXPANSION_MIN_DIM and 0 < N m d <= EXPANSION_MAX_PRODUCT."""
+    n, d = X.shape[-2:]
+    return d >= EXPANSION_MIN_DIM and 0 < n * m * d <= EXPANSION_MAX_PRODUCT
+
+
+def _cross_expansion(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Guarded expansion from each array of the stack X, (c, N, d), to Y, (m, d)."""
     with np.errstate(invalid="ignore", over="ignore"):
-        nx = np.einsum("...k,...k->...", X, X)
+        nx = np.einsum("cik,cik->ci", X, X)
         ny = np.einsum("jk,jk->j", Y, Y)
         sq = X @ (-2.0 * Y).T  # -2 x.y; the power of two scales exactly
-        sq += nx[..., :, None]
+        sq += nx[:, :, None]
         sq += ny
-        return _guard(sq, X, Y, nx, ny)
+        bound = EXPANSION_GUARD * (np.fmax.reduce(nx, axis=1, initial=0.0)
+                                   + np.fmax.reduce(ny, initial=0.0))
+        _resolve(sq, ~(sq > bound[:, None, None]), X, Y)
+    return sq
 
 
-def _self_sq_dist(X: np.ndarray) -> np.ndarray:
+def _self_expansion(X: np.ndarray) -> np.ndarray:
+    """Guarded expansion from each array of the stack X, (c, N, d), to itself."""
     with np.errstate(invalid="ignore", over="ignore"):
-        sq = X @ X.swapaxes(-1, -2)
-        norms = np.diagonal(sq, axis1=-2, axis2=-1).copy()
+        sq = X @ X.swapaxes(1, 2)
+        norms = np.einsum("cii->ci", sq).copy()
         sq *= -2.0
-        sq += norms[..., :, None]
-        sq += norms[..., None, :]  # (-2 ||x||^2 + ||x||^2) + ||x||^2 is exactly 0
-        return _guard(sq, X, X, norms, norms)
+        sq += norms[:, :, None]
+        sq += norms[:, None, :]  # (-2 ||x||^2 + ||x||^2) + ||x||^2 is exactly 0
+        bound = 2.0 * EXPANSION_GUARD * np.fmax.reduce(norms, axis=1, initial=0.0)
+        redo = ~(sq > bound[:, None, None])
+        # a diagonal entry needs recomputing only where the norm is NaN or infinite
+        np.einsum("cii->ci", redo)[...] = ~np.isfinite(norms)
+        _resolve(sq, redo, X, None)
+    return sq
 
 
-def _guard(sq: np.ndarray, X: np.ndarray, Y: np.ndarray, nx: np.ndarray,
-           ny: np.ndarray) -> np.ndarray:
-    """Recompute from differences, in place, every pair of ``sq`` (one block,
-    or a stack of them) that the expansion cannot resolve; see the module
-    docstring.  Call it with overflow and invalid-value warnings off."""
-    bound = EXPANSION_GUARD * (np.fmax.reduce(nx, axis=-1, initial=0.0)
-                               + np.fmax.reduce(ny, axis=-1, initial=0.0))
-    redo = ~(sq > bound[..., None, None])
-    m = sq.shape[-1]
-    own = Y is X
-    if own and (bound < np.inf).all():
-        # the diagonal is exact (0, or NaN for a non-finite row) while no norm is infinite
-        np.einsum("...ii->...i", redo)[...] = False
+def _resolve(sq: np.ndarray, redo: np.ndarray, X: np.ndarray, Y: np.ndarray | None) -> None:
+    """Recompute in place the pairs ``redo`` flags in the blocks ``sq`` of the
+    stack X against Y, or against itself when Y is None: a block by ``cdist``
+    where they are more than ``EXPANSION_DENSE`` of its pairs, else each pair
+    from its difference."""
+    n, m = sq.shape[1:]
     flat = np.flatnonzero(redo)
+    if flat.size > EXPANSION_DENSE * n * m:
+        dense = np.flatnonzero(np.count_nonzero(redo, axis=(1, 2)) > EXPANSION_DENSE * n * m)
+        for k in dense:
+            cdist(X[k], X[k] if Y is None else Y, "sqeuclidean", out=sq[k])
+            redo[k] = False
+        if dense.size:
+            flat = np.flatnonzero(redo)
     if flat.size:
-        # a pair's row in X flattened to (-1, d), and its column's row in Y or in X's block
-        rows, cols = np.divmod(flat, m)
+        rows, cols = np.divmod(flat, m)  # rows of X flattened to (c N, d)
         X = X.reshape(-1, X.shape[-1])
-        if own:
-            cols += rows - rows % m
+        if Y is None:
+            cols += rows - rows % n  # the column's row in the same block of X
             Y = X
         diff = X[rows] - Y[cols]
-        sq.reshape(-1)[flat] = (diff * diff).sum(axis=1)
-    return sq
+        diff *= diff
+        sq.reshape(-1)[flat] = diff.sum(axis=1)
 
 
 def eval_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist
 
 from bnpmmd import kernels
+from bnpmmd.discrepancy import mmd2_empirical
 from bnpmmd.errors import InvalidInputError, InvalidParameterError, UnsupportedKernelError
 from bnpmmd.kernels import (EXPONENTIAL, FAMILIES, GAUSSIAN, MATERN,
                             RATIONAL_QUADRATIC, KernelSpec,
@@ -331,23 +332,65 @@ def _assert_like_cdist(sq, want, d):
     np.testing.assert_allclose(sq[finite], want[finite], rtol=rtol, atol=0)
 
 
-@pytest.mark.parametrize("poison", [None, np.nan, np.inf], ids=["finite", "nan", "inf"])
+@pytest.mark.parametrize("poison", [None, np.nan, np.inf, 1e200],
+                         ids=["finite", "nan", "inf", "norm-overflow"])
 @pytest.mark.parametrize("d", [16, 20, 60])
 def test_expansion_matches_cdist_with_exact_zeros(d, poison):
     X, Y = _expansion_rows(d, poison)
-    cross, self_ = kernels._sq_dist(X, Y), kernels._self_sq_dist(X)
-    with np.errstate(invalid="ignore"):
+    cross, self_ = kernels._cross_expansion(X, Y), kernels._self_expansion(X)
+    with np.errstate(invalid="ignore", over="ignore"):
         for x, block, self_block in zip(X, cross, self_):
             _assert_like_cdist(block, cdist(x, Y, "sqeuclidean"), d)
             _assert_like_cdist(self_block, cdist(x, x, "sqeuclidean"), d)
             # each block of a stack is that of its array alone, to the bit
-            np.testing.assert_array_equal(block, kernels._sq_dist(x, Y))
-            np.testing.assert_array_equal(self_block, kernels._self_sq_dist(x))
+            np.testing.assert_array_equal(block, kernels._cross_expansion(x[None], Y)[0])
+            np.testing.assert_array_equal(self_block, kernels._self_expansion(x[None])[0])
     assert (self_[:, 7, 2] == 0).all() and (cross[:, 11, 4] == 0).all()
+    # a lone row whose squared norm overflows is still at distance 0 from itself
+    assert kernels._self_expansion(np.full((1, 1, d), 1e200)) == 0
 
 
-def test_exponential_gradient_is_zero_at_a_duplicate_pair_above_the_crossover():
-    X = np.random.default_rng(4).standard_normal((30, 20))
+@pytest.mark.parametrize("offset", [1e3, -1e5])
+def test_block_whose_pairs_the_guard_mostly_flags_is_recomputed_by_cdist(monkeypatch, offset):
+    # far from the origin every pair is within the guard of 0, relative to the norms
+    calls = []
+    monkeypatch.setattr(kernels, "cdist", lambda *a, **k: calls.append(a) or cdist(*a, **k))
+    rng = np.random.default_rng(3)
+    X, Y = rng.standard_normal((4, 40, 60)), rng.standard_normal((30, 60))
+    X[:, 7] = X[:, 2]
+    X[2] += offset
+    self_ = kernels._self_expansion(X)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(self_[2], cdist(X[2], X[2], "sqeuclidean"))
+    for x, self_block in zip(X, self_):
+        _assert_like_cdist(self_block, cdist(x, x, "sqeuclidean"), 60)
+        assert self_block[7, 2] == 0
+    calls.clear()
+    X[[0, 1, 3]] += offset
+    cross = kernels._cross_expansion(X, Y + offset)
+    assert len(calls) == 4
+    for x, block in zip(X, cross):
+        _assert_like_cdist(block, cdist(x, Y + offset, "sqeuclidean"), 60)
+    calls.clear()
+    kernels._self_expansion(X - offset)
+    kernels._cross_expansion(X - offset, Y)
+    assert not calls
+
+
+@pytest.mark.parametrize("d", [20, 60])
+@pytest.mark.parametrize("family", [EXPONENTIAL, MATERN])
+def test_block_of_an_array_against_itself_has_an_exact_diagonal(family, d):
+    # sqrt of a negative round-off would give NaN on the diagonal
+    X = np.random.default_rng(5).standard_normal((30, d)) + 3.0
+    spec = single(family, 2.0)
+    for block in (gram(spec, X, X), gram(spec, X[None], X)[0], self_gram(spec, X)):
+        np.testing.assert_array_equal(np.diag(block), 1.0)
+    assert abs(mmd2_empirical(X, X, spec)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [20, 60])
+def test_exponential_gradient_is_zero_at_a_duplicate_pair(d):
+    X = np.random.default_rng(4).standard_normal((30, d))
     X[9] = X[3]
     g = self_gram(single(EXPONENTIAL, 2.0), X, grad=True)
     assert g[3, 9] == g[9, 3] == 0.0
@@ -355,13 +398,14 @@ def test_exponential_gradient_is_zero_at_a_duplicate_pair_above_the_crossover():
     assert (np.delete(g[3], [3, 9]) > 0).all()
 
 
-@pytest.mark.parametrize("d, scipy_called", [(15, True), (16, False)])
-def test_distances_take_expansion_from_min_dimension(monkeypatch, d, scipy_called):
+@pytest.mark.parametrize("d, scipy_called", [(kernels.EXPANSION_MIN_DIM - 1, True),
+                                             (kernels.EXPANSION_MIN_DIM, False)])
+def test_blocks_take_expansion_from_min_dimension(monkeypatch, d, scipy_called):
     calls = []
     monkeypatch.setattr(kernels, "cdist", lambda *a, **k: calls.append(a) or cdist(*a, **k))
     monkeypatch.setattr(kernels, "pdist", lambda *a: calls.append(a) or pdist(*a))
     rng = np.random.default_rng(d)
-    X, Y = rng.standard_normal((3, 100, d)), rng.standard_normal((20, d))
+    X, Y = rng.standard_normal((3, 60, d)), rng.standard_normal((20, d))
     spec = gaussian_kernel(4.0)
     gram(spec, X, Y)
     gram(spec, X[0], Y)
@@ -369,16 +413,25 @@ def test_distances_take_expansion_from_min_dimension(monkeypatch, d, scipy_calle
     self_gram(spec, X[0])
     median_heuristic(X[0], Y)
     assert bool(calls) == scipy_called
+    # blocks whose product passes EXPANSION_MAX_PRODUCT keep scipy, alone or stacked
+    big = rng.standard_normal((2, 80, d))
+    assert big.shape[1] ** 2 * d > kernels.EXPANSION_MAX_PRODUCT
+    for block in (lambda: self_gram(spec, big), lambda: self_gram(spec, big[0]),
+                  lambda: gram(spec, big, big[0]), lambda: median_heuristic(big[0], big[1])):
+        calls.clear()
+        block()
+        assert calls
     # empty blocks keep their shapes either way
     assert self_gram(spec, X[:, :0]).shape == (3, 0, 0)
     assert self_gram(spec, X[0, :0]).shape == (0, 0)
     assert gram(spec, X[:, :0], Y).shape == (3, 0, 20)
+    assert gram(spec, X, Y[:0]).shape == (3, 60, 0)
 
 
 def test_large_self_block_keeps_the_triangle_above_the_crossover(monkeypatch):
     calls = []
     monkeypatch.setattr(kernels, "pdist", lambda *a: calls.append(a) or pdist(*a))
-    X = np.random.default_rng(1).standard_normal((157, 20))
+    X = np.random.default_rng(1).standard_normal((157, 60))
     X[9] = X[3]
     spec = gaussian_kernel(1.0)
     full = _sum_bandwidths(spec, cdist(X, X, "sqeuclidean"), False)
