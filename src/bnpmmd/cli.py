@@ -277,7 +277,6 @@ def cmd_bandwidth_sweep(args, root) -> tuple[dict, list[str]]:
     for i, kernel in enumerate(kernels):
         if kernel in kernels[:i]:
             raise InvalidParameterError(f"--sigmas repeats the bandwidth {sigmas[i]!r}")
-    lines = []
     results = {}
     for sig, kernel in zip(sigmas, kernels):
         cfg = rb_config_from_args(args, kernel)
@@ -285,9 +284,10 @@ def cmd_bandwidth_sweep(args, root) -> tuple[dict, list[str]]:
         curve = run_roc_study(null_spec, alt_spec, cfg, args.reps, rng,
                               num_thresholds=args.thresholds)
         results[sig] = curve.auc
-        lines.append(f"{sig},{fmt(curve.auc)}")
         print(f"sigma={sig} auc={fmt(curve.auc)}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+        # written as each sigma finishes, so a later sigma that fails keeps the earlier rows
+        with open(args.out, "a" if len(results) > 1 else "w") as fh:
+            fh.write(f"{sig},{fmt(curve.auc)}\n")
     return {"auc": results}, [args.out]
 
 

@@ -18,10 +18,10 @@ from .kernels import KernelSpec, gram, gram_grad_coeff, self_gram
 
 def _as_matrix(X, name: str, dim: int | None = None) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] == 0:
+    if X.shape[-2] == 0:
         raise InvalidInputError(f"{name} must be non-empty")
-    if dim is not None and X.shape[1] != dim:
-        raise InvalidInputError(f"dimension mismatch: atoms {dim}, sample {X.shape[1]}")
+    if dim is not None and X.shape[-1] != dim:
+        raise InvalidInputError(f"dimension mismatch: atoms {dim}, sample {X.shape[-1]}")
     return X
 
 
@@ -37,11 +37,16 @@ def mmd2_empirical(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> float:
     return float(yy_mean_term(X, spec) - 2.0 * kxy + yy_mean_term(Y, spec))
 
 
-def yy_mean_term(Y: np.ndarray, spec: KernelSpec) -> float:
-    """mean(k(Y, Y)); precompute when Y is reused across many measures."""
+def yy_mean_term(Y: np.ndarray, spec: KernelSpec) -> float | np.ndarray:
+    """mean(k(Y, Y)); precompute when Y is reused across many measures.
+
+    A stack of samples, (c, m, d), gives its c means from one stacked
+    :func:`self_gram`, each that of its sample alone to the bit.
+    """
     Y = _as_matrix(Y, "Y")
-    m = Y.shape[0]
-    return float(self_gram(spec, Y).sum() / (m * m))
+    m = Y.shape[-2]
+    means = self_gram(spec, Y).reshape(-1, m * m).sum(axis=1) / (m * m)
+    return means if Y.ndim == 3 else float(means[0])
 
 
 def mmd2_weighted(P: DiscreteMeasure, Y: np.ndarray, spec: KernelSpec,
@@ -53,11 +58,13 @@ def mmd2_weighted(P: DiscreteMeasure, Y: np.ndarray, spec: KernelSpec,
 
     For a stack of c measures it returns the c values as an array, from one
     cross block, one stack of self blocks and stacked matrix products; each
-    value is, to the bit, that of its measure taken alone.  A stack's self blocks
+    value is, to the bit, that of its measure taken alone.  ``Y`` may be a
+    stack of c samples, (c, m, d), paired with the measures row by row; their
+    last terms then come from one stacked :func:`self_gram`.  A stack's self blocks
     skip the triangle: ring training ran about 4% slower passing its one measure as a stack.
     """
     Y = _as_matrix(Y, "Y", P.dim)
-    m = Y.shape[0]
+    m = Y.shape[-2]
     term3 = yy_mean_term(Y, spec) if yy_term is None else yy_term
     if P.weights.ndim == 1:
         term1 = float(P.weights @ self_gram(spec, P.atoms) @ P.weights)

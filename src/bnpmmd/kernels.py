@@ -6,8 +6,9 @@ into [0, 1] and h(0) = 1, so a sum over T bandwidths is bounded by T.
 
 A block holds the squared distances from the rows of X, (N, d), to the m
 rows of Y, or to its own rows for a self block; a stack X, (c, N, d), gives
-c blocks.  Each block's distances come from one of three forms, chosen from
-N, m and d alone, so a block has the same bits alone and in a stack:
+c blocks, against one Y or, array by array, against a paired stack Y,
+(c, m, d).  Each block's distances come from one of three forms, chosen
+from N, m and d alone, so a block has the same bits alone and in a stack:
 
 - The guarded expansion s = ||x||^2 + ||y||^2 - 2 x.y from one matrix
   product, from ``EXPANSION_MIN_DIM`` coordinates on, while N m d is at most
@@ -18,10 +19,11 @@ N, m and d alone, so a block has the same bits alone and in a stack:
   172 x 172 x 60 product took 4.4 ms in one timing and 76 us in another.
   On posterior-like measures (N = 42, two thirds of the atoms data rows
   with duplicates, against m = 50) the blocks of a stack of 15 cost 1.5x
-  less than ``cdist`` at d = 16 and 2.8-3.6x less at d = 60, while a single
-  measure (its self and cross block through ``mmd2_weighted``) costs 1.4x
-  more at d = 20, breaks even at d = 40 and wins from d = 48.  A stack's
-  blocks must equal those of its measures alone, so both start at d = 48.
+  less than ``cdist`` at d = 16 and 2.8-3.6x less at d = 60.  A single
+  measure pays the guard's dozen numpy calls alone and costs 1.4x more at
+  d = 20, breaking even only at d = 40 to 48; but the relative-belief test
+  evaluates every measure in a stack, with its redrawn model samples as a
+  paired stack, so the expansion starts at d = 16 for every block.
 - The upper triangle, for a single self block of at least
   ``TRIANGLE_MIN_EVALS`` profile evaluations (rows^2 x bandwidths: 64 rows
   or more of the six-bandwidth training mixture, 157 or more of one
@@ -181,7 +183,7 @@ TRIANGLE_MIN_EVALS = 64 * 64 * 6
 # EXPANSION_MAX_PRODUCT multiply-adds, take their squared distances from the guarded
 # expansion; a pair within EXPANSION_GUARD of 0 is recomputed, and a block with more
 # than EXPANSION_DENSE of its pairs so is recomputed whole.  See the module docstring.
-EXPANSION_MIN_DIM = 48
+EXPANSION_MIN_DIM = 16
 EXPANSION_MAX_PRODUCT = 2**18
 EXPANSION_GUARD = 1e-3
 EXPANSION_DENSE = 1 / 8
@@ -283,17 +285,12 @@ def self_gram(spec: KernelSpec, X: np.ndarray, grad: bool = False) -> np.ndarray
     expansion each block's distances are written into one array by
     ``cdist(..., out=)`` and the profiles run once over all of them.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 3:
-        X = np.atleast_2d(X)
+    X = _as_rows(X)
     if _expands(X, X.shape[-2]):
         sq = _self_expansion(X.reshape(-1, *X.shape[-2:]))
         return _sum_bandwidths(spec, sq.reshape(*X.shape[:-1], X.shape[-2]), grad)
     if X.ndim == 3:
-        sq = np.empty((len(X), X.shape[1], X.shape[1]))
-        for x, block in zip(X, sq):
-            cdist(x, x, "sqeuclidean", out=block)
-        return _sum_bandwidths(spec, sq, grad)
+        return _sum_bandwidths(spec, _cdist_pairs(X, X), grad)
     if len(X) ** 2 * len(spec.bandwidths) < TRIANGLE_MIN_EVALS:
         return _sum_bandwidths(spec, cdist(X, X, "sqeuclidean"), grad)
     return _triangle_sum(spec, X, grad)
@@ -311,18 +308,37 @@ def _triangle_sum(spec: KernelSpec, X: np.ndarray, grad: bool) -> np.ndarray:
     return out
 
 
-def _sq_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Squared distances from the rows of X, (N, d) or a stack (c, N, d), to those of Y."""
+def _as_rows(X) -> np.ndarray:
+    """X as a float array of rows, (N, d), or a stack of such arrays, (c, N, d)."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 3:
-        X = np.atleast_2d(X)
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    d = X.shape[-1]
-    if d != Y.shape[1]:
-        raise InvalidInputError(f"dimension mismatch: {d} vs {Y.shape[1]}")
-    if _expands(X, len(Y)):
-        return _cross_expansion(X.reshape(-1, *X.shape[-2:]), Y).reshape(*X.shape[:-1], len(Y))
-    return cdist(X.reshape(-1, d), Y, "sqeuclidean").reshape(*X.shape[:-1], len(Y))
+    return X if X.ndim == 3 else np.atleast_2d(X)
+
+
+def _sq_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Squared distances from the rows of X, (N, d) or a stack (c, N, d), to
+    those of Y, (m, d), or of a stack Y, (c, m, d), paired with X array by array."""
+    X, Y = _as_rows(X), _as_rows(Y)
+    d, m = X.shape[-1], Y.shape[-2]
+    if d != Y.shape[-1]:
+        raise InvalidInputError(f"dimension mismatch: {d} vs {Y.shape[-1]}")
+    paired = Y.ndim == 3
+    if paired and (X.ndim != 3 or len(X) != len(Y)):
+        raise InvalidInputError(f"a stack of {len(Y)} samples pairs with a stack of as many "
+                                f"arrays, got shape {X.shape}")
+    if _expands(X, m):
+        return _cross_expansion(X.reshape(-1, *X.shape[-2:]), Y).reshape(*X.shape[:-1], m)
+    if paired:
+        return _cdist_pairs(X, Y)
+    return cdist(X.reshape(-1, d), Y, "sqeuclidean").reshape(*X.shape[:-1], m)
+
+
+def _cdist_pairs(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``cdist`` from each array of the stack X, (c, N, d), to its own array of
+    the stack Y, (c, m, d), written into one (c, N, m) array."""
+    sq = np.empty(X.shape[:-1] + Y.shape[-2:-1])
+    for x, y, block in zip(X, Y, sq):
+        cdist(x, y, "sqeuclidean", out=block)
+    return sq
 
 
 def _expands(X: np.ndarray, m: int) -> bool:
@@ -333,15 +349,16 @@ def _expands(X: np.ndarray, m: int) -> bool:
 
 
 def _cross_expansion(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Guarded expansion from each array of the stack X, (c, N, d), to Y, (m, d)."""
+    """Guarded expansion from each array of the stack X, (c, N, d), to Y, (m, d),
+    or to its own array of a paired stack Y, (c, m, d)."""
     with np.errstate(invalid="ignore", over="ignore"):
         nx = np.einsum("cik,cik->ci", X, X)
-        ny = np.einsum("jk,jk->j", Y, Y)
-        sq = X @ (-2.0 * Y).T  # -2 x.y; the power of two scales exactly
+        ny = np.einsum("...jk,...jk->...j", Y, Y)
+        sq = X @ (-2.0 * Y).swapaxes(-1, -2)  # -2 x.y; the power of two scales exactly
         sq += nx[:, :, None]
-        sq += ny
+        sq += ny[..., None, :]
         bound = EXPANSION_GUARD * (np.fmax.reduce(nx, axis=1, initial=0.0)
-                                   + np.fmax.reduce(ny, initial=0.0))
+                                   + np.fmax.reduce(ny, axis=-1, initial=0.0))
         _resolve(sq, ~(sq > bound[:, None, None]), X, Y)
     return sq
 
@@ -364,24 +381,25 @@ def _self_expansion(X: np.ndarray) -> np.ndarray:
 
 def _resolve(sq: np.ndarray, redo: np.ndarray, X: np.ndarray, Y: np.ndarray | None) -> None:
     """Recompute in place the pairs ``redo`` flags in the blocks ``sq`` of the
-    stack X against Y, or against itself when Y is None: a block by ``cdist``
-    where they are more than ``EXPANSION_DENSE`` of its pairs, else each pair
-    from its difference."""
+    stack X against Y, against its own array of a paired stack Y, or against
+    itself when Y is None: a block by ``cdist`` where they are more than
+    ``EXPANSION_DENSE`` of its pairs, else each pair from its difference."""
     n, m = sq.shape[1:]
+    paired = X if Y is None else (Y if Y.ndim == 3 else None)
     flat = np.flatnonzero(redo)
     if flat.size > EXPANSION_DENSE * n * m:
         dense = np.flatnonzero(np.count_nonzero(redo, axis=(1, 2)) > EXPANSION_DENSE * n * m)
         for k in dense:
-            cdist(X[k], X[k] if Y is None else Y, "sqeuclidean", out=sq[k])
+            cdist(X[k], Y if paired is None else paired[k], "sqeuclidean", out=sq[k])
             redo[k] = False
         if dense.size:
             flat = np.flatnonzero(redo)
     if flat.size:
         rows, cols = np.divmod(flat, m)  # rows of X flattened to (c N, d)
         X = X.reshape(-1, X.shape[-1])
-        if Y is None:
-            cols += rows - rows % n  # the column's row in the same block of X
-            Y = X
+        if paired is not None:
+            cols += rows // n * m  # the column's row in the same block of the paired stack
+            Y = paired.reshape(-1, X.shape[-1])
         diff = X[rows] - Y[cols]
         diff *= diff
         sq.reshape(-1)[flat] = diff.sum(axis=1)

@@ -2,10 +2,12 @@
 
 The test simulates the squared MMD between weighted prior/posterior draws
 and a sample from the hypothesized model, then compares posterior to prior
-mass near zero on a quantile grid of the prior Monte Carlo sample.  With a
-fixed model sample the measures are drawn and evaluated in chunks whose
-size depends only on the truncation level and the model sample's size;
-when each replication redraws the model sample, one measure at a time.
+mass near zero on a quantile grid of the prior Monte Carlo sample.  The
+measures are evaluated in chunks whose size depends only on the truncation
+level and the model sample's size.  With a fixed model sample each chunk is
+also drawn in whole-array calls, so its size fixes the stream; when each
+replication redraws the model sample, the draws stay one model sample and
+then one measure at a time, and only their evaluation is stacked.
 """
 from __future__ import annotations
 
@@ -158,35 +160,45 @@ def _model_sample(model, m: int, rng: np.random.Generator) -> np.ndarray:
     return sample
 
 
-# A test with a fixed model sample draws and evaluates its measures in
-# chunks whose cross block (c N m entries) and stack of self blocks (c N^2)
-# hold at most this many entries, 256 KiB; the chunk size fixes the stream.
+# A test evaluates its measures in chunks whose cross block (c N m entries)
+# and stack of self blocks (c N^2) hold at most this many entries, 256 KiB.
+# With a fixed model sample a chunk is drawn in one call, so its size fixes
+# the stream; with a redrawn one it only sets how many pairs are evaluated together.
 _CHUNK_ENTRIES = 2**15
 
 
 def _mc_chunk(n_terms: int, m: int) -> int:
-    """Measures c drawn per call when the model sample (m rows) is fixed:
+    """Measures c per chunk for N atoms and m model rows:
     max(1, 2^15 // (N max(m, N))), 15 at N = 42 and m = 50."""
     return max(1, _CHUNK_ENTRIES // (n_terms * max(m, n_terms)))
 
 
 def simulate_mmd_samples(draw: Callable[[np.random.Generator], DiscreteMeasure], model,
                          m: int, spec: KernelSpec, mc_reps: int,
-                         rng: np.random.Generator) -> np.ndarray:
+                         rng: np.random.Generator, *, pairs: int = 1) -> np.ndarray:
     """``mc_reps`` weighted squared MMDs between the measures ``draw(rng)``
-    returns, one or a stack of them per call, and the model sample: ``model``
-    itself when it is the fixed, checked sample, else ``m`` rows redrawn from
-    it before each call.  The values of a stack that runs past ``mc_reps``
-    are cut.  ``spec`` is resolved."""
-    resample = callable(model)
-    sample, yy = (None, None) if resample else (model, discrepancy.yy_mean_term(model, spec))
+    returns and the model sample.  ``spec`` is resolved.
+
+    When ``model`` is the fixed, checked sample, each call may return a stack
+    of measures, and the values of a stack that runs past ``mc_reps`` are cut.
+    When ``model`` is a sampler, each replication draws ``m`` model rows and
+    then one measure, in that order, and ``pairs`` such replications (fewer
+    for the last) are evaluated as one paired stack; the values are those
+    of each pair evaluated alone, to the bit, whatever ``pairs`` is.
+    """
     out = np.empty(mc_reps)
+    if not callable(model):
+        yy = discrepancy.yy_mean_term(model, spec)
     done = 0
     while done < mc_reps:
-        if resample:
-            sample = _model_sample(model, m, rng)
-            yy = discrepancy.yy_mean_term(sample, spec)
-        values = np.atleast_1d(discrepancy.mmd2_weighted(draw(rng), sample, spec, yy_term=yy))
+        if callable(model):
+            samples, measures = zip(*[(_model_sample(model, m, rng), draw(rng))
+                                      for _ in range(min(pairs, mc_reps - done))])
+            stack = DiscreteMeasure(np.stack([p.weights for p in measures]),
+                                    np.stack([p.atoms for p in measures]))
+            values = discrepancy.mmd2_weighted(stack, np.stack(samples), spec)
+        else:
+            values = np.atleast_1d(discrepancy.mmd2_weighted(draw(rng), model, spec, yy_term=yy))
         out[done:done + values.size] = values[:mc_reps - done]
         done += values.size
     return out
@@ -234,12 +246,13 @@ def run_gof_test(data: np.ndarray, model_sampler: BaseSampler | np.ndarray, cfg:
     spec = (resolve_median(cfg.kernel, data, _model_sample(model, m, rng))
             if cfg.kernel.needs_median else cfg.kernel)
     base = model_sampler if base_sampler is None else base_sampler
-    # a redrawn model sample is drawn between measures, so one measure per call
-    c = None if cfg.resample_model_per_rep else _mc_chunk(k, model.shape[0])
-    prior = simulate_mmd_samples(lambda r: sample_dp_prior(a, base, k, r, size=c),
-                                 model, m, spec, cfg.mc_reps, rng)
-    posterior = simulate_mmd_samples(lambda r: sample_dp_posterior(a, data, base, k, r, size=c),
-                                     model, m, spec, cfg.mc_reps, rng)
+    c = _mc_chunk(k, m if cfg.resample_model_per_rep else model.shape[0])
+    # a redrawn model sample is drawn between measures, so one measure per draw
+    size = None if cfg.resample_model_per_rep else c
+    prior = simulate_mmd_samples(lambda r: sample_dp_prior(a, base, k, r, size=size),
+                                 model, m, spec, cfg.mc_reps, rng, pairs=c)
+    posterior = simulate_mmd_samples(lambda r: sample_dp_posterior(a, data, base, k, r, size=size),
+                                     model, m, spec, cfg.mc_reps, rng, pairs=c)
     if np.max(np.abs(prior)) <= _ROUNDOFF * spec.kernel_bound:  # False for NaN draws
         raise DegeneratePriorError("every prior draw is at round-off; the kernel cannot tell the "
                                    "samples apart", prior_samples=prior, posterior_samples=posterior)

@@ -312,6 +312,19 @@ def test_study_whose_replications_all_drop_names_the_scenario(tmp_path, capsys, 
     assert not list(tmp_path.iterdir())
 
 
+def test_bandwidth_sweep_keeps_the_sigmas_finished_before_one_fails(tmp_path, capsys):
+    # the CSV was written after the last sigma, so sigma = 1e9 lost sigma = 2's AUC
+    out = tmp_path / "sweep.csv"
+    code = dispatch(["bandwidth-sweep", *ROUND_OFF_STUDY, "--sigmas", "2,1e9", "--seed", "1",
+                     "--out", str(out)])
+    assert code == 1
+    printed = capsys.readouterr()
+    assert "all 2 replications of scenario 'no_difference' were dropped" in printed.err
+    assert printed.out.startswith("sigma=2 auc=")
+    assert out.read_text().splitlines() == ["2," + printed.out.split("auc=")[1].strip()]
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
 def test_bandwidth_sweep_has_no_kernel_flag(tmp_path, capsys):
     # the sweep always uses Gaussian kernels at --sigmas; a kernel flag was ignored
     code = dispatch(["bandwidth-sweep", *STUDY, "--sigmas", "2", "--kernel", "exponential:2",

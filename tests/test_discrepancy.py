@@ -121,6 +121,39 @@ class TestStacked:
         np.testing.assert_array_equal(mmd2_weighted(stack, Y, spec, yy_term=yy_mean_term(Y, spec)),
                                       mmd2_weighted(stack, Y, spec))
 
+    @pytest.mark.parametrize("m", [50, 100])
+    @pytest.mark.parametrize("d", [15, 16, 47, 48, 60])
+    def test_paired_samples_give_each_pair_alone(self, d, m):
+        rng = np.random.default_rng(d + m)
+        base = lambda k, r: r.standard_normal((k, d))
+        stack = sample_dp_posterior(25.0, rng.standard_normal((50, d)), base, 42, rng, size=5)
+        atoms, Y = stack.atoms.copy(), rng.standard_normal((5, m, d))
+        Y[:, 9] = Y[:, 3]
+        Y[0, 1] = atoms[0, 2]  # an atom that is a row of its own sample
+        Y[2, 4, 1] = np.nan
+        atoms[3] += 1e3  # far from the origin for their spread: every block goes to cdist
+        Y[3] += 1e3
+        stack = DiscreteMeasure(stack.weights, atoms)
+        for spec in (gaussian_kernel(float(d)), gaussian_mixture(), KernelSpec("exponential", (4.0,))):
+            values = mmd2_weighted(stack, Y, spec)
+            assert values.shape == (5,)
+            alone = [mmd2_weighted(DiscreteMeasure(w, a), y, spec)
+                     for w, a, y in zip(stack.weights, stack.atoms, Y)]
+            np.testing.assert_array_equal(values, alone)
+            assert np.isnan(values[2]) and np.isfinite(np.delete(values, 2)).all()
+            np.testing.assert_array_equal(yy_mean_term(Y, spec), [yy_mean_term(y, spec) for y in Y])
+
+    def test_paired_samples_of_another_count_or_width_raise(self):
+        rng = np.random.default_rng(7)
+        stack = sample_dp_prior(5.0, lambda k, r: r.standard_normal((k, 2)), 8, rng, size=4)
+        Y = rng.standard_normal((4, 7, 2))
+        for bad in (Y[:3], Y[:1], Y[..., :1], np.concatenate([Y, Y])):
+            with pytest.raises(InvalidInputError):
+                mmd2_weighted(stack, bad, gaussian_kernel(1.0))
+        with pytest.raises(InvalidInputError):
+            mmd2_weighted(DiscreteMeasure(stack.weights[0], stack.atoms[0]), Y[:1],
+                          gaussian_kernel(1.0))
+
     def test_dimension_mismatch(self):
         stack = sample_dp_prior(5.0, lambda k, r: r.standard_normal((k, 2)), 8,
                                 np.random.default_rng(6), size=4)

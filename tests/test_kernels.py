@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -398,6 +400,42 @@ def test_exponential_gradient_is_zero_at_a_duplicate_pair(d):
     assert (np.delete(g[3], [3, 9]) > 0).all()
 
 
+@pytest.mark.parametrize("d", [15, 16, 47, 48, 60])
+def test_paired_stack_of_samples_equals_each_pair_alone(monkeypatch, d):
+    calls = []
+    monkeypatch.setattr(kernels, "cdist", lambda *a, **k: calls.append(a) or cdist(*a, **k))
+    rng = np.random.default_rng(d)
+    X, Y = rng.standard_t(3, (4, 30, d)), rng.standard_normal((4, 20, d))
+    X[:, 7] = X[:, 2]
+    X[:, 11] = Y[:, 4]  # a row shared with its own sample: exactly 0 apart
+    X[1, 5, 3] = np.nan
+    X[2] += 1e3  # far from the origin for their spread: the guard flags every pair
+    Y[2] += 1e3
+    spec = single(EXPONENTIAL, 4.0)
+    with np.errstate(invalid="ignore"):
+        sq = kernels._sq_dist(X, Y)
+        # off the expansion one cdist per pair, on it one for the block the guard sends there
+        assert len(calls) == (4 if d < kernels.EXPANSION_MIN_DIM else 1)
+        np.testing.assert_array_equal(calls[-1][0], X[3 if d < kernels.EXPANSION_MIN_DIM else 2])
+        stack = gram(spec, X, Y)
+        for x, y, block, values in zip(X, Y, sq, stack):
+            _assert_like_cdist(block, cdist(x, y, "sqeuclidean"), d)
+            np.testing.assert_array_equal(block, kernels._sq_dist(x, y))
+            np.testing.assert_array_equal(values, gram(spec, x, y))
+    assert (sq[:, 11, 4] == 0).all() and (stack[:, 11, 4] == 1).all()
+    assert np.isnan(stack[1, 5]).all() and np.isfinite(np.delete(stack[1], 5, axis=0)).all()
+
+
+@pytest.mark.parametrize("Y", [np.zeros((3, 20, 16)), np.zeros((1, 20, 16)), np.zeros((4, 20, 15))],
+                         ids=["fewer", "one", "narrower"])
+def test_paired_stack_of_another_count_or_width_raises(Y):
+    X = np.zeros((4, 30, 16))
+    with pytest.raises(InvalidInputError):
+        gram(gaussian_kernel(1.0), X, Y)
+    with pytest.raises(InvalidInputError):
+        gram(gaussian_kernel(1.0), X[0], Y[:1])
+
+
 @pytest.mark.parametrize("d, scipy_called", [(kernels.EXPANSION_MIN_DIM - 1, True),
                                              (kernels.EXPANSION_MIN_DIM, False)])
 def test_blocks_take_expansion_from_min_dimension(monkeypatch, d, scipy_called):
@@ -414,7 +452,7 @@ def test_blocks_take_expansion_from_min_dimension(monkeypatch, d, scipy_called):
     median_heuristic(X[0], Y)
     assert bool(calls) == scipy_called
     # blocks whose product passes EXPANSION_MAX_PRODUCT keep scipy, alone or stacked
-    big = rng.standard_normal((2, 80, d))
+    big = rng.standard_normal((2, math.isqrt(kernels.EXPANSION_MAX_PRODUCT // d) + 1, d))
     assert big.shape[1] ** 2 * d > kernels.EXPANSION_MAX_PRODUCT
     for block in (lambda: self_gram(spec, big), lambda: self_gram(spec, big[0]),
                   lambda: gram(spec, big, big[0]), lambda: median_heuristic(big[0], big[1])):

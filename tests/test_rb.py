@@ -242,6 +242,30 @@ class TestChunks:
         whole = np.concatenate([mmd2_weighted(draw(r), Y, spec) for _ in range(3)])
         np.testing.assert_array_equal(values, whole[:40])
 
+    @pytest.mark.parametrize("kind", ["no_difference", "mean_shift"])
+    def test_resampled_test_draws_as_one_pair_at_a_time(self, kind):
+        # a model sample, then a measure, for each replication; stacks of 15
+        # pairs with a short last one must give each pair's value alone
+        d, n, mc_reps = 5, 50, 100
+        X = normal_base(d)(n, np.random.default_rng(1)) + (0.5 if kind == "mean_shift" else 0.0)
+        cfg = RBConfig(mc_reps=mc_reps, explicit_terms=42, truncation_epsilon=None,
+                       resample_model_per_rep=True)
+        assert _mc_chunk(42, n) == 15 and mc_reps % 15
+        report = run_gof_test(X, normal_base(d), cfg, np.random.default_rng(2))
+        r, a = np.random.default_rng(2), cfg.concentration
+
+        def one_at_a_time(draw):
+            values = []
+            for _ in range(mc_reps):
+                Y = normal_base(d)(n, r)
+                values.append(mmd2_weighted(draw(), Y, cfg.kernel))
+            return values
+
+        prior = one_at_a_time(lambda: sample_dp_prior(a, normal_base(d), 42, r))
+        posterior = one_at_a_time(lambda: sample_dp_posterior(a, X, normal_base(d), 42, r))
+        np.testing.assert_array_equal(report.prior_samples, prior)
+        np.testing.assert_array_equal(report.posterior_samples, posterior)
+
     def test_fixed_model_test_draws_chunks(self, monkeypatch):
         sizes = []
         real = rb_module.sample_dp_prior

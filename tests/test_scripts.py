@@ -47,6 +47,14 @@ def test_acceptance_margins(criterion):
     assert lines[2].split()[0] == "0"
     assert lines[3] in ("seeds passing: 0/1", "seeds passing: 1/1")
     assert lines[4].startswith("pooled: ") and lines[4].split()[1].endswith("/20")
+    assert_wall_times(lines[2], lines[5])
+
+
+def assert_wall_times(row, last):
+    # each seed's row ends with its wall time before the pass column; the last line totals them
+    seconds = float(row.split()[-2])
+    total = last.removeprefix("wall time: ").removesuffix(" s over 1 seeds")
+    assert last != total and 0.0 < seconds <= float(total) + 0.1
 
 
 def test_acceptance_margins_training():
@@ -57,6 +65,7 @@ def test_acceptance_margins_training():
     assert seed == "0" and float(before) > 0.0 and 0.0 <= float(ratio) < 1.0
     assert lines[3] in ("seeds passing: 0/1", "seeds passing: 1/1")
     assert lines[4].startswith("largest ratio: ") and lines[4].endswith("(bound 0.20)")
+    assert_wall_times(lines[2], lines[5])
 
 
 def load_margins_script():
@@ -84,5 +93,6 @@ def test_acceptance_margins_reports(capsys, criterion, results, last):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines[1:3]] == ["3", "4"]
     assert [line.split()[-1] for line in lines[1:3]] == ["yes" if r[-1] else "no" for r in results]
+    assert all(0.0 <= float(line.split()[-2]) < 1.0 for line in lines[1:3])
     assert lines[3] == f"seeds passing: {sum(r[-1] for r in results)}/2"
     assert lines[4] == last
