@@ -1,4 +1,4 @@
-"""How much room acceptance criteria 1, 2, 3, 5, 6 and 9 have across seeds.
+"""How much room acceptance criteria 1, 2, 3, 5, 6, 8 and 9 have across seeds.
 
 Runs one seeded criterion of ``tests/test_acceptance.py`` at each seed of a
 range, through that file's own ``criterion_NN`` helper (so the scenario,
@@ -11,6 +11,8 @@ of seeds that pass.  Per seed it also prints:
   0.1, and the AUC (bar 0.95); criterion 5: the two mean rbs (bars: above 1
   with the wrong base, below 1 with the right one); criterion 6: the AUCs
   at sigma = 80 and 2 and their gap (bar 0.1); then the tightest value;
+- criterion 8: the worst relative gradient error over its 20 nets and the
+  number of candidate nets drawn, then the largest error;
 - criterion 9: the held-out MMD^2 ratio, then the largest one.
 
 Each seed's row also gives the wall time of its run, and the last line the
@@ -122,6 +124,18 @@ def bandwidth_margins(criterion, seeds):
     print(f"smallest gap: {smallest:.3f} (bar 0.1)")
 
 
+def gradient_margins(criterion, seeds):
+    print(f"{'seed':>6}{'worst error':>13}{'candidates':>12}{'time s':>8}  pass")
+    passed, worst = 0, 0.0
+    for seed, (error, candidates, ok), seconds in timed(criterion, seeds):
+        passed += ok
+        worst = max(worst, error)
+        print(f"{seed:>6}{error:>13.3e}{candidates:>12}{seconds:>8.1f}  {'yes' if ok else 'no'}",
+              flush=True)
+    print(f"seeds passing: {passed}/{len(seeds)}")
+    print(f"largest error: {worst:.3e} (bound 1e-3)")
+
+
 def training_margins(criterion, seeds):
     print(f"{'seed':>4}{'before':>10}{'after':>10}{'ratio':>8}{'MMDS gen':>10}{'noise':>9}"
           f"{'time s':>8}  pass")
@@ -136,7 +150,7 @@ def training_margins(criterion, seeds):
 
 
 REPORTS = {1: replication_margins, 2: power_margins, 3: replication_margins,
-           5: base_margins, 6: bandwidth_margins, 9: training_margins}
+           5: base_margins, 6: bandwidth_margins, 8: gradient_margins, 9: training_margins}
 
 if __name__ == "__main__":
     main()

@@ -7,13 +7,16 @@ measure has uniform weights.
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .dp import DiscreteMeasure
 from .errors import InvalidInputError, InvalidParameterError
-from .kernels import KernelSpec, gram, gram_grad_coeff, self_gram
+from .kernels import (KernelSpec, _expands, _self_sq_dist, _sq_dist, gram, gram_grad_coeff,
+                      profile_sums, self_gram)
 
 
 def _as_matrix(X, name: str, dim: int | None = None) -> np.ndarray:
@@ -60,8 +63,9 @@ def mmd2_weighted(P: DiscreteMeasure, Y: np.ndarray, spec: KernelSpec,
     cross block, one stack of self blocks and stacked matrix products; each
     value is, to the bit, that of its measure taken alone.  ``Y`` may be a
     stack of c samples, (c, m, d), paired with the measures row by row; their
-    last terms then come from one stacked :func:`self_gram`.  A stack's self blocks
-    skip the triangle: ring training ran about 4% slower passing its one measure as a stack.
+    last terms then come from one stacked :func:`self_gram`.  A stack's self
+    blocks skip the triangle.  Training evaluates its one measure per step
+    with :func:`mmd2_and_grad` instead.
     """
     Y = _as_matrix(Y, "Y", P.dim)
     m = Y.shape[-2]
@@ -79,24 +83,93 @@ def mmd2_weighted(P: DiscreteMeasure, Y: np.ndarray, spec: KernelSpec,
 
 
 def grad_mmd2_atoms(P: DiscreteMeasure, Y: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Analytic gradient of :func:`mmd2_weighted` in the sample points Y.
+    """Analytic gradient of :func:`mmd2_weighted` in the sample points Y: the
+    second output of :func:`mmd2_and_grad`."""
+    return mmd2_and_grad(P, Y, spec)[1]
 
-    Row t is d MMD^2 / d Y_t.  Every supported kernel family is radial with
-    d k(v, y)/d y = g(||v - y||^2)(v - y), so the gradient assembles from the
-    g-coefficient matrices of the cross and sample Gram blocks.
+
+_blocks = threading.local()
+
+
+@contextmanager
+def reused_blocks():
+    """Let :func:`mmd2_and_grad` calls on this thread, inside the block, keep
+    their block arrays and reuse them from call to call.
+
+    The arrays grow to the largest block seen and are dropped on exit;
+    outside, each call allocates its own.  Fresh arrays of a few hundred KB
+    are trimmed by the allocator and faulted back in page by page, which
+    cost a training step more than the arithmetic the fusion saves.
+    """
+    saved = getattr(_blocks, "arrays", None)
+    _blocks.arrays = []
+    try:
+        yield
+    finally:
+        _blocks.arrays = saved
+
+
+def _block_arrays(size: int) -> list[np.ndarray]:
+    """Four flat float arrays of at least ``size`` entries: this thread's kept
+    ones inside :func:`reused_blocks`, else new ones."""
+    arrays = getattr(_blocks, "arrays", None)
+    if arrays is None:
+        return [np.empty(size) for _ in range(4)]
+    if not arrays or arrays[0].size < size:
+        arrays.clear()
+        arrays.extend(np.empty(size) for _ in range(4))
+    return arrays
+
+
+def mmd2_and_grad(P: DiscreteMeasure, Y: np.ndarray, spec: KernelSpec) -> tuple[float, np.ndarray]:
+    """:func:`mmd2_weighted` of one measure and one sample, (m, d), and its
+    gradient in the sample points: row t is d MMD^2 / d Y_t.
+
+    Every supported kernel family is radial with d k(v, y)/d y =
+    g(||v - y||^2)(v - y), so the gradient assembles from the g-coefficient
+    matrices of the cross and sample blocks.  Each of the atom, cross and
+    sample blocks gets its squared distances once and each bandwidth's
+    profile once, the values and coefficients summed together
+    (:func:`profile_sums`), in the distance form each block takes in
+    :func:`mmd2_weighted`.  The one exception keeps the gradient's bits: a
+    cross block on the guarded expansion also gets ``cdist`` distances for
+    its coefficients, which have always come from ``cdist``.  Both outputs
+    are those of the separate evaluations to the bit.  Inside
+    :func:`reused_blocks` the blocks live in arrays kept across calls.
     """
     Y = _as_matrix(Y, "Y", P.dim)
-    m = Y.shape[0]
-    V = P.atoms
-    w = P.weights
+    if P.weights.ndim != 1 or Y.ndim != 2:
+        raise InvalidInputError("mmd2_and_grad takes one measure and one sample (m, d); got "
+                                f"weights of shape {P.weights.shape} and a sample of shape {Y.shape}")
+    V, w = P.atoms, P.weights
+    n, m = len(w), len(Y)
+    arrays = _block_arrays(max(n, m) ** 2)
 
-    gvy = gram_grad_coeff(spec, cdist(V, Y, "sqeuclidean"))  # (N, m)
-    wg = w[:, None] * gvy
+    def block(rows, cols):
+        return [a[:rows * cols].reshape(rows, cols) for a in arrays]
+
+    sq, values, coeffs, scratch = block(n, n)
+    profile_sums(spec, _self_sq_dist(V, sq), values, None, scratch)
+    term1 = float(w @ values @ w)
+
+    sq, values, coeffs, scratch = block(n, m)
+    sq = _sq_dist(V, Y, sq)
+    if _expands(V, m):
+        profile_sums(spec, sq, values, None, scratch)
+        coeffs = gram_grad_coeff(spec, cdist(V, Y, "sqeuclidean"))
+    else:
+        profile_sums(spec, sq, values, coeffs, scratch)
+    term2 = -2.0 / m * float(w @ values.sum(axis=1))
+    # w_l g_lt; copying the weights out first spares the broadcast product numpy's 64 KB buffer
+    np.copyto(scratch, w[:, None])
+    wg = np.multiply(scratch, coeffs, out=coeffs)
     cross = -2.0 / m * (wg.T @ V - wg.sum(axis=0)[:, None] * Y)
 
-    gyy = self_gram(spec, Y, grad=True)  # (m, m); diagonal displacement 0
-    self_term = 2.0 / (m * m) * (gyy @ Y - gyy.sum(axis=1)[:, None] * Y)
-    return cross + self_term
+    sq, values, coeffs, scratch = block(m, m)
+    profile_sums(spec, _self_sq_dist(Y, sq), values, coeffs, scratch)  # diagonal displacement 0
+    term3 = float(values.reshape(-1, m * m).sum(axis=1)[0] / (m * m))
+    self_term = 2.0 / (m * m) * (coeffs @ Y - coeffs.sum(axis=1)[:, None] * Y)
+    return term1 + term2 + term3, cross + self_term
 
 
 def prior_mean_upper_bound(kernel_bound: float, mmd2_base_model: float) -> float:

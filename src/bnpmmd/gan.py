@@ -11,10 +11,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrepancy import grad_mmd2_atoms, mmd2_empirical, mmd2_weighted
+from . import discrepancy
+from .discrepancy import mmd2_and_grad, mmd2_empirical, reused_blocks
 from .dp import DiscreteMeasure, sample_dp_posterior, stopping_rule_N
 from .errors import InvalidInputError, InvalidParameterError, as_sample
 from .kernels import KernelSpec, gaussian_mixture, resolve_median
+
+# Training calls mmd2_and_grad; these two stay bound because perfbench/spans.py
+# wraps gan.mmd2_weighted and gan.grad_mmd2_atoms by name.
+mmd2_weighted, grad_mmd2_atoms = discrepancy.mmd2_weighted, discrepancy.grad_mmd2_atoms
 
 
 @dataclass
@@ -197,11 +202,11 @@ def _loss_and_param_grads(net: GeneratorNet, measure: DiscreteMeasure, U: np.nda
         if not np.isfinite(Y).all():
             return np.nan, [w * np.nan for w in net.weights], [b * np.nan for b in net.biases], False
         spec = resolve_median(spec, X_mb, Y)
-    mmd2 = mmd2_weighted(measure, Y, spec)
+    mmd2, grad = mmd2_and_grad(measure, Y, spec)
     clamped = mmd2 < sqrt_floor
     loss = float(np.sqrt(max(mmd2, sqrt_floor)))
     scale = 1.0 / (2.0 * loss)
-    dY = scale * grad_mmd2_atoms(measure, Y, spec)
+    dY = scale * grad
     grads_w, grads_b = _backprop_params(net, activations, dY)
     return loss, grads_w, grads_b, clamped
 
@@ -256,55 +261,57 @@ def train(net: GeneratorNet, dataset: np.ndarray, cfg: TrainConfig,
     initial_loss = None
     over_budget = 0
 
-    for it in range(cfg.iterations):
-        idx = rng.choice(n, size=cfg.minibatch, replace=False)
-        loss, grads_w, grads_b, clamped = loss_and_grad(net, dataset[idx], cfg, rng)
-        history.clamped_steps += int(clamped)
-        np.concatenate([x.ravel() for x in grads_w + grads_b], out=grad)
-        t = it + 1
-        # linear step decay from step_size down to final_step_fraction * step_size
-        frac = 1.0 - (1.0 - cfg.final_step_fraction) * it / max(cfg.iterations - 1, 1)
-        step = cfg.step_size * frac
-        np.multiply(grad, grad, out=grad_sq)
-        sq_norm = 0.0
-        for sl in slices:  # per parameter: one sum over the flat vector rounds differently
-            sq_norm += float(np.sum(grad_sq[sl]))
-        np.subtract(grad, adam_m, out=work)
-        adam_m += np.multiply(work, 1.0 - ADAM_BETA1, out=work)
-        np.subtract(grad_sq, adam_v, out=work)
-        adam_v += np.multiply(work, 1.0 - ADAM_BETA2, out=work)
-        v_hat = np.divide(adam_v, 1.0 - ADAM_BETA2**t, out=grad_sq)
-        denom = np.add(np.sqrt(v_hat, out=v_hat), ADAM_EPS, out=v_hat)
-        m_hat = np.divide(adam_m, 1.0 - ADAM_BETA1**t, out=work)
-        update = np.divide(np.multiply(step, m_hat, out=m_hat), denom, out=m_hat)
-        for p, sl in zip(params, slices):
-            p -= update[sl].reshape(p.shape)
-        losses[it] = loss
-        grad_norms[it] = np.sqrt(sq_norm)
+    # the kernel blocks of every step live in arrays kept for this run only
+    with reused_blocks():
+        for it in range(cfg.iterations):
+            idx = rng.choice(n, size=cfg.minibatch, replace=False)
+            loss, grads_w, grads_b, clamped = loss_and_grad(net, dataset[idx], cfg, rng)
+            history.clamped_steps += int(clamped)
+            np.concatenate([x.ravel() for x in grads_w + grads_b], out=grad)
+            t = it + 1
+            # linear step decay from step_size down to final_step_fraction * step_size
+            frac = 1.0 - (1.0 - cfg.final_step_fraction) * it / max(cfg.iterations - 1, 1)
+            step = cfg.step_size * frac
+            np.multiply(grad, grad, out=grad_sq)
+            sq_norm = 0.0
+            for sl in slices:  # per parameter: one sum over the flat vector rounds differently
+                sq_norm += float(np.sum(grad_sq[sl]))
+            np.subtract(grad, adam_m, out=work)
+            adam_m += np.multiply(work, 1.0 - ADAM_BETA1, out=work)
+            np.subtract(grad_sq, adam_v, out=work)
+            adam_v += np.multiply(work, 1.0 - ADAM_BETA2, out=work)
+            v_hat = np.divide(adam_v, 1.0 - ADAM_BETA2**t, out=grad_sq)
+            denom = np.add(np.sqrt(v_hat, out=v_hat), ADAM_EPS, out=v_hat)
+            m_hat = np.divide(adam_m, 1.0 - ADAM_BETA1**t, out=work)
+            update = np.divide(np.multiply(step, m_hat, out=m_hat), denom, out=m_hat)
+            for p, sl in zip(params, slices):
+                p -= update[sl].reshape(p.shape)
+            losses[it] = loss
+            grad_norms[it] = np.sqrt(sq_norm)
 
-        if cfg.checkpoint_every and it % cfg.checkpoint_every == 0:
-            size = min(MMDS_BATCH * 2, n)
-            real = dataset[rng.choice(n, size=size, replace=False)]
-            fake = generator_forward(net, rng.uniform(-1.0, 1.0, size=(size, net.noise_dim)))
-            score = mmds_score(real, fake, min(MMDS_BATCH, size), MMDS_DRAWS,
-                               cfg.kernel, rng)
-            history.mmds_iters.append(it)
-            history.mmds_values.append(score)
+            if cfg.checkpoint_every and it % cfg.checkpoint_every == 0:
+                size = min(MMDS_BATCH * 2, n)
+                real = dataset[rng.choice(n, size=size, replace=False)]
+                fake = generator_forward(net, rng.uniform(-1.0, 1.0, size=(size, net.noise_dim)))
+                score = mmds_score(real, fake, min(MMDS_BATCH, size), MMDS_DRAWS,
+                                   cfg.kernel, rng)
+                history.mmds_iters.append(it)
+                history.mmds_values.append(score)
 
-        if initial_loss is None:
-            initial_loss = loss
-        # NaN never compares above the budget, so a non-finite loss stops the run itself
-        diverged = not np.isfinite(loss)
-        if loss > DIVERGENCE_FACTOR * initial_loss:
-            over_budget += 1
-            diverged |= over_budget >= DIVERGENCE_PATIENCE
-        else:
-            over_budget = 0
-        if diverged:
-            history.diverged = True
-            history.loss = losses[: it + 1]
-            history.grad_norm = grad_norms[: it + 1]
-            break
+            if initial_loss is None:
+                initial_loss = loss
+            # NaN never compares above the budget, so a non-finite loss stops the run itself
+            diverged = not np.isfinite(loss)
+            if loss > DIVERGENCE_FACTOR * initial_loss:
+                over_budget += 1
+                diverged |= over_budget >= DIVERGENCE_PATIENCE
+            else:
+                over_budget = 0
+            if diverged:
+                history.diverged = True
+                history.loss = losses[: it + 1]
+                history.grad_norm = grad_norms[: it + 1]
+                break
     return net, history
 
 

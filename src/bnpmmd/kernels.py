@@ -31,7 +31,8 @@ from N, m and d alone, so a block has the same bits alone and in a stack:
   every bandwidth evaluated on that triangle, and mirrored.  Its diagonal
   is evaluated at each row's own squared distance, so a row holding NaN or
   inf gives the NaN it gives in the full evaluation.  A stack of such
-  blocks takes ``cdist`` per block, which gives the triangle's bits.
+  blocks takes ``cdist`` per block, which gives the triangle's bits, and so
+  does a training step, which writes its blocks into arrays it reuses.
 - ``cdist`` for every other block: there the fixed cost of ``pdist`` and
   ``squareform`` outweighs the evaluations the triangle saves.
 
@@ -71,10 +72,12 @@ def _gaussian_h(s, sigma, shape, out):
     return np.exp(out, out=out)
 
 
+def _gaussian_g_of_h(h, sigma, out):
+    return np.divide(h, sigma**2, out=out)
+
+
 def _gaussian_g(s, sigma, shape, out):
-    _gaussian_h(s, sigma, shape, out)
-    out /= sigma**2
-    return out
+    return _gaussian_g_of_h(_gaussian_h(s, sigma, shape, out), sigma, out)
 
 
 def _exponential_h(s, sigma, shape, out):
@@ -155,15 +158,18 @@ class _Family(NamedTuple):
     exponential g and the Matern h need a second array.  Against those
     formulas, d = 5 RB tests with the exponential, rational-quadratic and
     Matern kernels run 1.2-2.5x faster.  A family with no default shape takes none.
+    ``g_of_h(h, sigma, out)``, where set, gives g from the values h by the
+    last step of ``g`` itself, so with the same bits.
     """
 
     default_shape: float | None
     h: Callable[..., np.ndarray]
     g: Callable[..., np.ndarray]
+    g_of_h: Callable[..., np.ndarray] | None = None
 
 
 _FAMILY_TABLE = {
-    GAUSSIAN: _Family(None, _gaussian_h, _gaussian_g),
+    GAUSSIAN: _Family(None, _gaussian_h, _gaussian_g, _gaussian_g_of_h),
     EXPONENTIAL: _Family(None, _exponential_h, _exponential_g),
     RATIONAL_QUADRATIC: _Family(1.0, _rational_quadratic_h, _rational_quadratic_g),
     MATERN: _Family(None, _matern_h, _matern_g),
@@ -238,6 +244,38 @@ def gaussian_mixture(bandwidths=MIXTURE_BANDWIDTHS) -> KernelSpec:
     return KernelSpec(GAUSSIAN, bandwidths)
 
 
+def profile_sums(spec: KernelSpec, sq: np.ndarray, values: np.ndarray | None,
+                 coeffs: np.ndarray | None, scratch: np.ndarray | None) -> None:
+    """Write the kernel values at squared distances ``sq``, summed over the
+    bandwidths of ``spec``, into ``values``, and the gradient coefficients
+    so summed into ``coeffs``; either may be None.
+
+    Each bandwidth's profile is evaluated once: where the family has
+    ``g_of_h`` (the Gaussian, g = h / sigma^2) and both sums are asked for,
+    its coefficients come from its values.  Every array has the shape of
+    ``sq``, and ``scratch`` is needed from two bandwidths on.  ``sq`` may be
+    the output only when one sum is asked for at one bandwidth.  The sums
+    are those of separate evaluations to the bit.
+    """
+    if spec.needs_median:
+        raise UnsupportedKernelError("median bandwidth not resolved; call resolve_median first")
+    family = _FAMILY_TABLE[spec.family]
+    shape = family.default_shape if spec.shape is None else spec.shape
+    for i, sigma in enumerate(spec.bandwidths):
+        if values is not None:
+            h = family.h(sq, sigma, shape, scratch if i else values)
+            if i:
+                values += h
+        if coeffs is not None:
+            out = scratch if i else coeffs
+            if values is not None and family.g_of_h is not None:
+                g = family.g_of_h(h, sigma, out)
+            else:
+                g = family.g(sq, sigma, shape, out)
+            if i:
+                coeffs += g
+
+
 def _sum_bandwidths(spec: KernelSpec, sq: np.ndarray, grad: bool) -> np.ndarray:
     """Kernel values, or gradient coefficients, at squared distances ``sq``,
     summed over the bandwidths of ``spec``.
@@ -246,16 +284,10 @@ def _sum_bandwidths(spec: KernelSpec, sq: np.ndarray, grad: bool) -> np.ndarray:
     the values replace it; with more they go into one new array, plus one
     scratch array for the second and later bandwidths.
     """
-    if spec.needs_median:
-        raise UnsupportedKernelError("median bandwidth not resolved; call resolve_median first")
-    family = _FAMILY_TABLE[spec.family]
-    profile = family.g if grad else family.h
-    shape = family.default_shape if spec.shape is None else spec.shape
-    first, *rest = spec.bandwidths
-    out = profile(sq, first, shape, np.empty_like(sq) if rest else sq)
-    scratch = np.empty_like(out) if rest else None
-    for sigma in rest:
-        out += profile(sq, sigma, shape, scratch)
+    many = len(spec.bandwidths) > 1
+    out = np.empty_like(sq) if many else sq
+    profile_sums(spec, sq, None if grad else out, out if grad else None,
+                 np.empty_like(sq) if many else None)
     return out
 
 
@@ -279,21 +311,18 @@ def self_gram(spec: KernelSpec, X: np.ndarray, grad: bool = False) -> np.ndarray
     The distances are those of the module docstring: the guarded expansion
     where the block's shape qualifies; else ``cdist``, or from
     ``TRIANGLE_MIN_EVALS`` profile evaluations on the upper triangle of a
-    single array, which gives the full square's bits and ran ring training
-    about 6% faster.  A stack of arrays, shape (c, N, d), gives its c self
+    single array, which gives the full square's bits.  Training steps take
+    their self blocks as full squares instead, in arrays kept across steps
+    (``discrepancy.mmd2_and_grad``).  A stack of arrays, shape (c, N, d), gives its c self
     blocks, (c, N, N), each that of its array alone to the bit; off the
     expansion each block's distances are written into one array by
     ``cdist(..., out=)`` and the profiles run once over all of them.
     """
     X = _as_rows(X)
-    if _expands(X, X.shape[-2]):
-        sq = _self_expansion(X.reshape(-1, *X.shape[-2:]))
-        return _sum_bandwidths(spec, sq.reshape(*X.shape[:-1], X.shape[-2]), grad)
-    if X.ndim == 3:
-        return _sum_bandwidths(spec, _cdist_pairs(X, X), grad)
-    if len(X) ** 2 * len(spec.bandwidths) < TRIANGLE_MIN_EVALS:
-        return _sum_bandwidths(spec, cdist(X, X, "sqeuclidean"), grad)
-    return _triangle_sum(spec, X, grad)
+    if (X.ndim == 2 and not _expands(X, len(X))
+            and len(X) ** 2 * len(spec.bandwidths) >= TRIANGLE_MIN_EVALS):
+        return _triangle_sum(spec, X, grad)
+    return _sum_bandwidths(spec, _self_sq_dist(X), grad)
 
 
 def _triangle_sum(spec: KernelSpec, X: np.ndarray, grad: bool) -> np.ndarray:
@@ -314,9 +343,12 @@ def _as_rows(X) -> np.ndarray:
     return X if X.ndim == 3 else np.atleast_2d(X)
 
 
-def _sq_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _sq_dist(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Squared distances from the rows of X, (N, d) or a stack (c, N, d), to
-    those of Y, (m, d), or of a stack Y, (c, m, d), paired with X array by array."""
+    those of Y, (m, d), or of a stack Y, (c, m, d), paired with X array by array.
+
+    For a single X, ``out`` may be an (N, m) float array to write them into.
+    """
     X, Y = _as_rows(X), _as_rows(Y)
     d, m = X.shape[-1], Y.shape[-2]
     if d != Y.shape[-1]:
@@ -326,10 +358,24 @@ def _sq_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         raise InvalidInputError(f"a stack of {len(Y)} samples pairs with a stack of as many "
                                 f"arrays, got shape {X.shape}")
     if _expands(X, m):
-        return _cross_expansion(X.reshape(-1, *X.shape[-2:]), Y).reshape(*X.shape[:-1], m)
+        return _cross_expansion(X.reshape(-1, *X.shape[-2:]), Y,
+                                None if out is None else out[None]).reshape(*X.shape[:-1], m)
     if paired:
         return _cdist_pairs(X, Y)
-    return cdist(X.reshape(-1, d), Y, "sqeuclidean").reshape(*X.shape[:-1], m)
+    return cdist(X.reshape(-1, d), Y, "sqeuclidean", out=out).reshape(*X.shape[:-1], m)
+
+
+def _self_sq_dist(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances within X, (N, d), or within each array of a stack
+    (c, N, d): the guarded expansion where the block qualifies, else ``cdist``,
+    which gives the triangle's bits.  For a single X, ``out`` may be an (N, N)
+    float array to write them into."""
+    if _expands(X, X.shape[-2]):
+        return _self_expansion(X.reshape(-1, *X.shape[-2:]),
+                               None if out is None else out[None]).reshape(*X.shape[:-1], X.shape[-2])
+    if X.ndim == 3:
+        return _cdist_pairs(X, X)
+    return cdist(X, X, "sqeuclidean", out=out)
 
 
 def _cdist_pairs(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -348,13 +394,14 @@ def _expands(X: np.ndarray, m: int) -> bool:
     return d >= EXPANSION_MIN_DIM and 0 < n * m * d <= EXPANSION_MAX_PRODUCT
 
 
-def _cross_expansion(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _cross_expansion(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Guarded expansion from each array of the stack X, (c, N, d), to Y, (m, d),
-    or to its own array of a paired stack Y, (c, m, d)."""
+    or to its own array of a paired stack Y, (c, m, d); into ``out`` if given."""
     with np.errstate(invalid="ignore", over="ignore"):
         nx = np.einsum("cik,cik->ci", X, X)
         ny = np.einsum("...jk,...jk->...j", Y, Y)
-        sq = X @ (-2.0 * Y).swapaxes(-1, -2)  # -2 x.y; the power of two scales exactly
+        # -2 x.y; the power of two scales exactly
+        sq = np.matmul(X, (-2.0 * Y).swapaxes(-1, -2), out=out)
         sq += nx[:, :, None]
         sq += ny[..., None, :]
         bound = EXPANSION_GUARD * (np.fmax.reduce(nx, axis=1, initial=0.0)
@@ -363,10 +410,11 @@ def _cross_expansion(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return sq
 
 
-def _self_expansion(X: np.ndarray) -> np.ndarray:
-    """Guarded expansion from each array of the stack X, (c, N, d), to itself."""
+def _self_expansion(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Guarded expansion from each array of the stack X, (c, N, d), to itself;
+    into ``out`` if given."""
     with np.errstate(invalid="ignore", over="ignore"):
-        sq = X @ X.swapaxes(1, 2)
+        sq = np.matmul(X, X.swapaxes(1, 2), out=out)
         norms = np.einsum("cii->ci", sq).copy()
         sq *= -2.0
         sq += norms[:, :, None]

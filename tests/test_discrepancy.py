@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from bnpmmd.discrepancy import (deviation_tail_bound, generalization_bound,
-                                grad_mmd2_atoms, mmd2_empirical, mmd2_weighted,
-                                prior_mean_upper_bound, yy_mean_term)
+                                grad_mmd2_atoms, mmd2_and_grad, mmd2_empirical, mmd2_weighted,
+                                prior_mean_upper_bound, reused_blocks, yy_mean_term)
 from bnpmmd.dp import DiscreteMeasure, sample_dp_posterior, sample_dp_prior
 from bnpmmd.errors import InvalidInputError, InvalidParameterError
-from bnpmmd.kernels import (FAMILIES, KernelSpec, eval_kernel, format_kernel,
-                            gaussian_kernel, gaussian_mixture)
+from bnpmmd.kernels import (EXPANSION_MAX_PRODUCT, FAMILIES, KernelSpec, eval_kernel,
+                            format_kernel, gaussian_kernel, gaussian_mixture, gram_grad_coeff,
+                            resolve_median, self_gram)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -212,6 +214,85 @@ class TestGradient:
                 fd[t, j] = (np.sqrt(mmd2_weighted(P, up, spec))
                             - np.sqrt(mmd2_weighted(P, dn, spec))) / (2 * h)
         assert np.abs(analytic - fd).max() / np.abs(fd).max() < 1e-4
+
+
+def separate_passes(P, Y, spec):
+    # the value and gradient as evaluated before they shared one pass: the
+    # gradient's own cross block from cdist and its own sample block
+    m = len(Y)
+    gvy = gram_grad_coeff(spec, cdist(P.atoms, Y, "sqeuclidean"))
+    wg = P.weights[:, None] * gvy
+    cross = -2.0 / m * (wg.T @ P.atoms - wg.sum(axis=0)[:, None] * Y)
+    gyy = self_gram(spec, Y, grad=True)
+    self_term = 2.0 / (m * m) * (gyy @ Y - gyy.sum(axis=1)[:, None] * Y)
+    return mmd2_weighted(P, Y, spec), cross + self_term
+
+
+def posterior_and_sample(d, n_terms, m, seed):
+    # atoms drawn from data rows repeat, and one sample row is an atom: the
+    # exponential's kink at s = 0 in both blocks
+    rng = np.random.default_rng(seed)
+    P = sample_dp_posterior(0.0, rng.standard_normal((50, d)), None, n_terms, rng)
+    Y = rng.standard_normal((m, d))
+    Y[1] = P.atoms[2]
+    return P, Y
+
+
+FUSED_SPECS = [gaussian_kernel(1.3), gaussian_mixture((0.5, 1.0, 2.0, 4.0, 8.0, 16.0)),
+               KernelSpec("exponential", (1.1,)), KernelSpec("rational-quadratic", (1.2,), 2.5),
+               KernelSpec("matern", (1.4,))]
+
+
+class TestFusedPass:
+    @pytest.mark.parametrize("spec", FUSED_SPECS, ids=format_kernel)
+    @pytest.mark.parametrize("d, n_terms, m", [
+        (2, 40, 40), (2, 70, 50), (16, 42, 50), (60, 42, 50), (60, 80, 80)])
+    def test_equals_separate_passes_to_the_bit(self, spec, d, n_terms, m):
+        P, Y = posterior_and_sample(d, n_terms, m, seed=d + n_terms + m)
+        if (d, n_terms, m) == (60, 80, 80):  # every block above the expansion's bound: cdist
+            assert n_terms * m * d > EXPANSION_MAX_PRODUCT
+        value, grad = mmd2_and_grad(P, Y, spec)
+        expected_value, expected_grad = separate_passes(P, Y, spec)
+        assert type(value) is float and value == expected_value
+        np.testing.assert_array_equal(grad, expected_grad)
+        np.testing.assert_array_equal(grad_mmd2_atoms(P, Y, spec), expected_grad)
+
+    @pytest.mark.parametrize("d", [2, 16, 60])
+    def test_median_bandwidth_and_nan_row(self, d):
+        P, Y = posterior_and_sample(d, 30, 36, seed=d)
+        median = resolve_median(gaussian_kernel(None), P.atoms, Y)
+        nan_row = Y.copy()
+        nan_row[5, 0] = np.nan
+        for spec, sample in ((median, Y), (median, nan_row), (gaussian_mixture(), nan_row)):
+            value, grad = mmd2_and_grad(P, sample, spec)
+            expected_value, expected_grad = separate_passes(P, sample, spec)
+            np.testing.assert_array_equal(value, expected_value)
+            np.testing.assert_array_equal(grad, expected_grad)
+        assert np.isnan(value) and np.isnan(grad).all()
+
+    def test_reused_arrays_give_fresh_results_as_blocks_grow_and_shrink(self):
+        spec = gaussian_mixture()
+        cases = [posterior_and_sample(2, n, m, seed=n) for n, m in
+                 [(30, 30), (80, 60), (20, 90), (50, 50), (90, 20)]]
+        fresh = [mmd2_and_grad(P, Y, spec) for P, Y in cases]
+        with reused_blocks():
+            for _ in range(2):
+                for (P, Y), (value, grad) in zip(cases, fresh):
+                    again = mmd2_and_grad(P, Y, spec)
+                    assert again[0] == value
+                    np.testing.assert_array_equal(again[1], grad)
+
+    @pytest.mark.parametrize("function", [mmd2_and_grad, grad_mmd2_atoms])
+    def test_stacked_input_is_a_typed_error(self, function):
+        # scipy's "XA must be a 2-dimensional array" (a stack of measures) or
+        # "XB ..." (a stack of samples) came out of grad_mmd2_atoms
+        rng = np.random.default_rng(8)
+        stack = sample_dp_prior(5.0, lambda k, r: r.standard_normal((k, 2)), 8, rng, size=4)
+        single = DiscreteMeasure(stack.weights[0], stack.atoms[0])
+        with pytest.raises(InvalidInputError, match=r"weights of shape \(4, 8\)"):
+            function(stack, rng.standard_normal((7, 2)), gaussian_kernel(1.0))
+        with pytest.raises(InvalidInputError, match=r"sample of shape \(3, 7, 2\)"):
+            function(single, rng.standard_normal((3, 7, 2)), gaussian_kernel(1.0))
 
 
 class TestBounds:

@@ -1,7 +1,10 @@
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from bnpmmd import gan
+from bnpmmd import discrepancy, gan
 from bnpmmd.discrepancy import mmd2_empirical
 from bnpmmd.dp import DiscreteMeasure
 from bnpmmd.errors import InvalidInputError, InvalidParameterError
@@ -205,6 +208,53 @@ class TestTrain:
         assert hist.loss.shape == (8,)
         assert np.isnan(hist.loss[-1])
         assert np.all(np.isfinite(hist.loss[:-1]))
+
+    def test_reused_blocks_match_fresh_arrays_as_they_grow(self, monkeypatch):
+        real, levels = gan.mmd2_and_grad, []
+
+        def recorded(P, Y, spec):
+            levels.append(P.n_terms)
+            return real(P, Y, spec)
+
+        monkeypatch.setattr(gan, "mmd2_and_grad", recorded)
+        data = eight_gaussian_ring(512, np.random.default_rng(43))
+        cfg = TrainConfig(minibatch=64, iterations=40, checkpoint_every=10)
+        net, hist = train(make_net([1, 8, 8, 2], seed=44), data, cfg, np.random.default_rng(45))
+        # a new largest level after the first step makes the kept arrays grow mid-run
+        assert max(levels[1:]) > levels[0]
+        assert getattr(discrepancy._blocks, "arrays", None) is None  # dropped with the run
+        monkeypatch.setattr(gan, "reused_blocks", contextlib.nullcontext)
+        fresh_net, fresh = train(make_net([1, 8, 8, 2], seed=44), data, cfg,
+                                 np.random.default_rng(45))
+        assert np.array_equal(hist.loss, fresh.loss)
+        assert np.array_equal(hist.grad_norm, fresh.grad_norm)
+        assert hist.mmds_values == fresh.mmds_values
+        assert all(np.array_equal(a, b) for a, b in zip(net.weights, fresh_net.weights))
+
+    def test_steady_state_kernel_pass_allocates_no_block(self, monkeypatch):
+        # each step allocated about ten fresh N x N arrays, which the allocator
+        # trimmed and faulted back in page by page
+        real, peaks, largest = gan.mmd2_and_grad, [], [0]
+
+        def traced(P, Y, spec):
+            if P.n_terms > largest[0]:  # the kept arrays grow on this call
+                largest[0] = P.n_terms
+                return real(P, Y, spec)
+            tracemalloc.start()
+            try:
+                result = real(P, Y, spec)
+                peaks.append((tracemalloc.get_traced_memory()[1], P.n_terms))
+            finally:
+                tracemalloc.stop()
+            return result
+
+        monkeypatch.setattr(gan, "mmd2_and_grad", traced)
+        rng = np.random.default_rng(46)
+        data = eight_gaussian_ring(1024, rng)
+        cfg = TrainConfig(minibatch=256, iterations=30, checkpoint_every=0)
+        train(make_net([1, 8, 8, 2], seed=47), data, cfg, rng)
+        assert len(peaks) >= 20
+        assert all(peak < n * n * 8 for peak, n in peaks), peaks
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_dataset_rejected_before_first_draw(self, bad):

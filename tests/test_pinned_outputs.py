@@ -9,7 +9,9 @@ front.  The fixed-model cases (``default``, ``median``, ``kurtosis_base``,
 ``explicit30``) were re-recorded when a test with a fixed model sample
 began to draw its measures in chunks.  The training run was recorded
 before the self Gram blocks moved to their upper triangle and the Adam
-update to flat vectors.  A change that reorders how the random stream is consumed, or alters
+update to flat vectors; the run whose truncation level rises mid-run, before
+each step's loss and gradient shared one pass over block arrays kept across
+steps.  A change that reorders how the random stream is consumed, or alters
 the arithmetic, fails here; such a change must record new values
 deliberately and say so.
 """
@@ -156,3 +158,26 @@ def test_train_history():
         [[0.5241249350464542, 0.7741045442427028], [0.5298203797199125, 0.3228571880908866]],
         rtol=RTOL)
     assert not history.diverged and history.clamped_steps == 0
+
+
+def test_train_history_with_growing_blocks():
+    # truncation levels run 82-180 and reach new highs at steps 1 and 10,
+    # so the block arrays kept for the run grow twice after the first step
+    rng = np.random.default_rng(47)
+    data = eight_gaussian_ring(1024, rng)
+    net = GeneratorNet.initialize([1, 16, 16, 2], rng)
+    cfg = TrainConfig(minibatch=256, iterations=40, kernel=gaussian_mixture(), checkpoint_every=0)
+    net, history = train(net, data, cfg, rng)
+    its = [0, 13, 26, 39]
+    np.testing.assert_allclose(
+        history.loss[its],
+        [0.08758877896199145, 0.07762137681305153, 0.04397767632959961, 0.028390385237222215],
+        rtol=RTOL)
+    np.testing.assert_allclose(
+        history.grad_norm[its],
+        [0.1892362550818606, 0.18746387689156507, 0.19736102275233228, 0.17026466226918222],
+        rtol=RTOL)
+    np.testing.assert_allclose(
+        generator_forward(net, np.array([[-0.5], [0.5]])),
+        [[0.39413692060617145, 0.4916026748130066], [0.26529816920811966, 0.6869536032115348]],
+        rtol=RTOL)

@@ -68,6 +68,17 @@ def test_acceptance_margins_training():
     assert_wall_times(lines[2], lines[5])
 
 
+def test_acceptance_margins_gradient():
+    # seed 0 is not an acceptance seed (criterion 8 starts at 3000)
+    lines = run_script("acceptance_margins.py", "--criterion", "8", "--seeds", "0")
+    assert lines[0].startswith("criterion 8: gradient fidelity")
+    seed, error, candidates = lines[2].split()[:3]
+    assert seed == "0" and 0.0 < float(error) < 1e-3 and int(candidates) >= 20
+    assert lines[3] == "seeds passing: 1/1"
+    assert lines[4] == f"largest error: {error} (bound 1e-3)"
+    assert_wall_times(lines[2], lines[5])
+
+
 def load_margins_script():
     spec = importlib.util.spec_from_file_location("acceptance_margins",
                                                   ROOT / "scripts" / "acceptance_margins.py")
@@ -86,9 +97,10 @@ def load_margins_script():
      "smallest wrong-base mean RB 0.900 (bar: above 1), "
      "largest right-base mean RB 0.500 (bar: below 1)"),
     (6, [(1.0, 0.5, True), (0.6, 0.55, False)], "smallest gap: 0.050 (bar 0.1)"),
+    (8, [(6.4e-4, 5145, True), (2e-3, 30, False)], "largest error: 2.000e-03 (bound 1e-3)"),
 ])
 def test_acceptance_margins_reports(capsys, criterion, results, last):
-    # the three slow criteria's reports, fed canned results for seeds 3 and 4
+    # the slow criteria's reports, fed canned results for seeds 3 and 4
     load_margins_script().REPORTS[criterion](lambda seed: results[seed - 3], range(3, 5))
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines[1:3]] == ["3", "4"]
