@@ -76,10 +76,16 @@ def write_manifest(command: str, argv: list[str], config: dict, seed: int,
 
 
 def resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else 0
+    """``--seed``, else ``$BNPMMD_SEED``, else 0; a bad value raises naming its source."""
+    source, text = ("--seed", args.seed) if args.seed is not None else (
+        SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR) or 0)
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise InvalidParameterError(f"{source} must be a non-negative integer, got {text!r}")
+    return seed
 
 
 def write_roc_svg(path, fpr: np.ndarray, tpr: np.ndarray) -> None:

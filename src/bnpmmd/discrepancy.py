@@ -11,12 +11,14 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
+from . import kernels
 from .dp import DiscreteMeasure
 from .errors import InvalidInputError, InvalidParameterError
-from .kernels import (KernelSpec, _expands, _self_sq_dist, _sq_dist, gram, gram_grad_coeff,
-                      profile_sums, self_gram)
+from .kernels import KernelSpec, _self_sq_dist, _sq_dist, gram, profile_sums, self_gram
+
+# bound only because perfbench/spans.py wraps these two names here
+cdist, gram_grad_coeff = kernels.cdist, kernels.gram_grad_coeff
 
 
 def _as_matrix(X, name: str, dim: int | None = None) -> np.ndarray:
@@ -131,10 +133,9 @@ def mmd2_and_grad(P: DiscreteMeasure, Y: np.ndarray, spec: KernelSpec) -> tuple[
     sample blocks gets its squared distances once and each bandwidth's
     profile once, the values and coefficients summed together
     (:func:`profile_sums`), in the distance form each block takes in
-    :func:`mmd2_weighted`.  The one exception keeps the gradient's bits: a
-    cross block on the guarded expansion also gets ``cdist`` distances for
-    its coefficients, which have always come from ``cdist``.  Both outputs
-    are those of the separate evaluations to the bit.  Inside
+    :func:`mmd2_weighted`, so the gradient is that of the computed value's
+    distances, on the guarded expansion too.  Both outputs are those of the
+    separate evaluations from the same distances to the bit.  Inside
     :func:`reused_blocks` the blocks live in arrays kept across calls.
     """
     Y = _as_matrix(Y, "Y", P.dim)
@@ -153,12 +154,7 @@ def mmd2_and_grad(P: DiscreteMeasure, Y: np.ndarray, spec: KernelSpec) -> tuple[
     term1 = float(w @ values @ w)
 
     sq, values, coeffs, scratch = block(n, m)
-    sq = _sq_dist(V, Y, sq)
-    if _expands(V, m):
-        profile_sums(spec, sq, values, None, scratch)
-        coeffs = gram_grad_coeff(spec, cdist(V, Y, "sqeuclidean"))
-    else:
-        profile_sums(spec, sq, values, coeffs, scratch)
+    profile_sums(spec, _sq_dist(V, Y, sq), values, coeffs, scratch)
     term2 = -2.0 / m * float(w @ values.sum(axis=1))
     # w_l g_lt; copying the weights out first spares the broadcast product numpy's 64 KB buffer
     np.copyto(scratch, w[:, None])

@@ -50,6 +50,10 @@ never negative, is exactly 0 where ``cdist`` gives 0 (duplicate rows), and
 is NaN where ``cdist`` gives NaN.  A self block takes its norms from the
 diagonal of its Gram matrix, which makes its diagonal exactly 0 for a row
 of finite norm and NaN for a NaN row with no recomputation.
+
+scipy is imported by the first block that takes ``cdist``, ``pdist`` or
+``squareform``, not with this module (0.39 s of the 0.60 s CLI import);
+once loaded, the three names are scipy's own functions, with no wrapper.
 """
 from __future__ import annotations
 
@@ -57,9 +61,22 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import InvalidInputError, InvalidParameterError, UnsupportedKernelError, as_sample
+
+
+def _from_scipy(name: str) -> Callable[..., np.ndarray]:
+    """A stand-in for scipy's ``name``: its first call imports scipy, binds this
+    module's ``name`` to scipy's function unless it was patched, and forwards."""
+    def stand_in(*args, **kwargs):
+        from scipy.spatial import distance
+        if globals()[name] is stand_in:
+            globals()[name] = getattr(distance, name)
+        return getattr(distance, name)(*args, **kwargs)
+    return stand_in
+
+
+cdist, pdist, squareform = map(_from_scipy, ("cdist", "pdist", "squareform"))
 
 GAUSSIAN = "gaussian"
 EXPONENTIAL = "exponential"

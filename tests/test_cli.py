@@ -369,12 +369,22 @@ def test_bandwidth_sweep_rejects_empty_or_repeated_sigmas(tmp_path, capsys, monk
     (["gof-test", "--model", "no_difference", "--kernel", "gaussian:1e-300"], "bandwidth"),
     (["gof-test", "--model", "no_difference", "--kernel", "gaussian:1e9", "--a", "5",
       "--ell", "100"], "round-off"),
+    (["dp-sample", "--a", "5", "--d", "2", "--n-terms", "4", "--seed", "-5"],
+     "--seed must be a non-negative integer, got -5"),
+    (["BNPMMD_SEED=abc", "dp-sample", "--a", "5", "--d", "2", "--n-terms", "4"],
+     "BNPMMD_SEED must be a non-negative integer, got 'abc'"),
+    (["BNPMMD_SEED=-2", "gof-test", "--model", "no_difference"], "BNPMMD_SEED"),
 ], ids=["gof-a-0", "gof-a-nan", "dp-sample-a-negative", "dp-sample-stick-a-inf",
         "roc-thresholds-0", "roc-thresholds-1",
         "gan-train-step-negative", "gan-train-checkpoint-negative", "dp-sample-d-0",
-        "gof-m-0", "gof-kernel-shape", "gof-kernel-tiny-bandwidth", "gof-kernel-round-off"])
-def test_invalid_value_exits_1(matrices, argv, named, capsys):
+        "gof-m-0", "gof-kernel-shape", "gof-kernel-tiny-bandwidth", "gof-kernel-round-off",
+        "seed-negative", "seed-env-not-an-integer", "seed-env-negative"])
+def test_invalid_value_exits_1(matrices, argv, named, capsys, monkeypatch):
     tmp_path, xpath, _ = matrices
+    monkeypatch.delenv("BNPMMD_SEED", raising=False)
+    if "=" in argv[0]:  # a leading NAME=value sets that variable, as in a shell
+        monkeypatch.setenv(*argv[0].split("=", 1))
+        argv = argv[1:]
     data = ["--data", str(xpath)] if argv[0] in ("gof-test", "gan-train") else []
     assert dispatch([*argv, *data, "--out", str(tmp_path / "out")]) == 1
     assert named in capsys.readouterr().err

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
 
 from bnpmmd.discrepancy import (deviation_tail_bound, generalization_bound,
                                 grad_mmd2_atoms, mmd2_and_grad, mmd2_empirical, mmd2_weighted,
@@ -8,8 +7,8 @@ from bnpmmd.discrepancy import (deviation_tail_bound, generalization_bound,
 from bnpmmd.dp import DiscreteMeasure, sample_dp_posterior, sample_dp_prior
 from bnpmmd.errors import InvalidInputError, InvalidParameterError
 from bnpmmd.kernels import (EXPANSION_MAX_PRODUCT, FAMILIES, KernelSpec, eval_kernel,
-                            format_kernel, gaussian_kernel, gaussian_mixture, gram_grad_coeff,
-                            resolve_median, self_gram)
+                            _sq_dist, format_kernel, gaussian_kernel, gaussian_mixture,
+                            gram_grad_coeff, resolve_median, self_gram)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -218,9 +217,10 @@ class TestGradient:
 
 def separate_passes(P, Y, spec):
     # the value and gradient as evaluated before they shared one pass: the
-    # gradient's own cross block from cdist and its own sample block
+    # gradient's own cross block, from the distances the value's cross block
+    # takes, and its own sample block
     m = len(Y)
-    gvy = gram_grad_coeff(spec, cdist(P.atoms, Y, "sqeuclidean"))
+    gvy = gram_grad_coeff(spec, _sq_dist(P.atoms, Y))
     wg = P.weights[:, None] * gvy
     cross = -2.0 / m * (wg.T @ P.atoms - wg.sum(axis=0)[:, None] * Y)
     gyy = self_gram(spec, Y, grad=True)

@@ -1,7 +1,13 @@
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import bnpmmd
+
+SRC = Path(bnpmmd.__file__).resolve().parent.parent
 
 # the public API; a name leaves or joins it only together with this list
 PUBLIC = {
@@ -51,3 +57,59 @@ def test_modules_use_every_name_they_import():
               for path in sorted(Path(bnpmmd.__file__).parent.glob("*.py"))
               if path.name != "__init__.py" and (names := _unused_imports(path.read_text()))}
     assert unused == {}
+
+
+def run_fresh(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that imports the package from this tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_scipy_loads_only_with_the_first_block_off_the_expansion(tmp_path):
+    # d = 20 blocks all take the guarded expansion, so neither the CLI import
+    # nor a test nor a ROC study there needs scipy; a d = 5 block loads it
+    run_fresh(f"""
+        import sys
+        import numpy as np
+        from bnpmmd import cli, kernels, rb, scenarios
+        assert "scipy" not in sys.modules, "import bnpmmd.cli"
+        rng = np.random.default_rng(0)
+        rb.run_gof_test(rng.standard_normal((50, 20)), scenarios.null_model_sampler(20),
+                        rb.RBConfig(mc_reps=100), rng)
+        assert "scipy" not in sys.modules, "d = 20 test"
+        assert cli.dispatch(["roc", "--null", "no_difference", "--alt", "mean_shift",
+                             "--d", "20", "--n", "50", "--reps", "2", "--ell", "100",
+                             "--seed", "3", "--out", {str(tmp_path / "roc.csv")!r}]) == 0
+        assert "scipy" not in sys.modules, "d = 20 roc"
+        kernels.gram(kernels.gaussian_kernel(1.0), rng.standard_normal((4, 5)),
+                     rng.standard_normal((3, 5)))
+        import scipy.spatial.distance
+        assert kernels.cdist is scipy.spatial.distance.cdist
+    """)
+
+
+def test_loading_scipy_never_replaces_a_patched_name():
+    run_fresh("""
+        import sys
+        import numpy as np
+        from bnpmmd import kernels
+        calls = []
+
+        def fake(*args, **kwargs):
+            calls.append(args)
+            from scipy.spatial.distance import cdist
+            return cdist(*args, **kwargs)
+
+        kernels.cdist = fake
+        assert "scipy" not in sys.modules
+        rng = np.random.default_rng(0)
+        kernels.self_gram(kernels.gaussian_kernel(1.0), rng.standard_normal((157, 2)))
+        import scipy.spatial.distance
+        assert kernels.pdist is scipy.spatial.distance.pdist  # loaded through the triangle
+        kernels.gram(kernels.gaussian_kernel(1.0), rng.standard_normal((4, 5)),
+                     rng.standard_normal((3, 5)))
+        assert len(calls) == 1 and kernels.cdist is fake
+    """)
