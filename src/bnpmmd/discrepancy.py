@@ -14,30 +14,30 @@ import numpy as np
 
 from . import kernels
 from .dp import DiscreteMeasure
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError, InvalidParameterError, as_rows
 from .kernels import KernelSpec, _self_sq_dist, _sq_dist, gram, profile_sums, self_gram
 
 # bound only because perfbench/spans.py wraps these two names here
 cdist, gram_grad_coeff = kernels.cdist, kernels.gram_grad_coeff
 
 
-def _as_matrix(X, name: str, dim: int | None = None) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+def _nonempty_rows(X, name: str) -> np.ndarray:
+    """``X`` by :func:`as_rows`, which must have rows: the MMD functions divide by their count."""
+    X = as_rows(X, name)
     if X.shape[-2] == 0:
         raise InvalidInputError(f"{name} must be non-empty")
-    if dim is not None and X.shape[-1] != dim:
-        raise InvalidInputError(f"dimension mismatch: atoms {dim}, sample {X.shape[-1]}")
     return X
 
 
 def mmd2_empirical(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> float:
-    """Biased squared-MMD estimate between two samples.
+    """Biased squared-MMD estimate between two samples, each (N, d).
 
     mean(k(X, X)) - 2 mean(k(X, Y)) + mean(k(Y, Y)); non-negative up to
     float round-off.
     """
-    X = _as_matrix(X, "X")
-    Y = _as_matrix(Y, "Y")
+    X, Y = _nonempty_rows(X, "X"), _nonempty_rows(Y, "Y")
+    if X.ndim != 2 or Y.ndim != 2:
+        raise InvalidInputError(f"mmd2_empirical takes two samples (N, d), got {X.shape} and {Y.shape}")
     kxy = gram(spec, X, Y).sum() / (X.shape[0] * Y.shape[0])
     return float(yy_mean_term(X, spec) - 2.0 * kxy + yy_mean_term(Y, spec))
 
@@ -48,7 +48,7 @@ def yy_mean_term(Y: np.ndarray, spec: KernelSpec) -> float | np.ndarray:
     A stack of samples, (c, m, d), gives its c means from one stacked
     :func:`self_gram`, each that of its sample alone to the bit.
     """
-    Y = _as_matrix(Y, "Y")
+    Y = _nonempty_rows(Y, "Y")
     m = Y.shape[-2]
     means = self_gram(spec, Y).reshape(-1, m * m).sum(axis=1) / (m * m)
     return means if Y.ndim == 3 else float(means[0])
@@ -61,27 +61,24 @@ def mmd2_weighted(P: DiscreteMeasure, Y: np.ndarray, spec: KernelSpec,
     sum_lt w_l w_t k(V_l, V_t) - (2/m) sum_lt w_l k(V_l, Y_t)
     + mean(k(Y, Y)).  Pass ``yy_term`` to reuse a precomputed last term.
 
-    For a stack of c measures it returns the c values as an array, from one
-    cross block, one stack of self blocks and stacked matrix products; each
-    value is, to the bit, that of its measure taken alone.  ``Y`` may be a
-    stack of c samples, (c, m, d), paired with the measures row by row; their
-    last terms then come from one stacked :func:`self_gram`.  A stack's self
-    blocks skip the triangle.  Training evaluates its one measure per step
-    with :func:`mmd2_and_grad` instead.
+    A single measure runs the same products as a stack, without its axis,
+    and gives a float.  For a stack of c measures it returns the c values
+    as an array, from one cross block, one stack of self blocks and stacked
+    matrix products; each value is, to the bit, that of its measure taken
+    alone.  ``Y`` may be a stack of c samples, (c, m, d), paired with the
+    measures row by row; their last terms then come from one stacked
+    :func:`self_gram`.  Training evaluates its one measure per step with
+    :func:`mmd2_and_grad` instead.
     """
-    Y = _as_matrix(Y, "Y", P.dim)
-    m = Y.shape[-2]
+    Y = _nonempty_rows(Y, "Y")
     term3 = yy_mean_term(Y, spec) if yy_term is None else yy_term
-    if P.weights.ndim == 1:
-        term1 = float(P.weights @ self_gram(spec, P.atoms) @ P.weights)
-        term2 = -2.0 / m * float(P.weights @ gram(spec, P.atoms, Y).sum(axis=1))
-        return term1 + term2 + term3
-    w = P.weights[:, None, :]  # one row vector per measure
+    w = P.weights[..., None, :]  # one row vector per measure
     kvv = self_gram(spec, P.atoms)
-    kvy = gram(spec, P.atoms, Y)  # (c, N, m)
-    term1 = (w @ kvv @ w.mT)[:, 0, 0]
-    term2 = -2.0 / m * (w @ kvy.sum(axis=2)[..., None])[:, 0, 0]
-    return term1 + term2 + term3
+    kvy = gram(spec, P.atoms, Y)
+    term1 = (w @ kvv @ w.mT)[..., 0, 0]
+    term2 = -2.0 / Y.shape[-2] * (w @ kvy.sum(axis=-1)[..., None])[..., 0, 0]
+    values = term1 + term2 + term3
+    return values if values.ndim else float(values)
 
 
 def grad_mmd2_atoms(P: DiscreteMeasure, Y: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -138,7 +135,7 @@ def mmd2_and_grad(P: DiscreteMeasure, Y: np.ndarray, spec: KernelSpec) -> tuple[
     separate evaluations from the same distances to the bit.  Inside
     :func:`reused_blocks` the blocks live in arrays kept across calls.
     """
-    Y = _as_matrix(Y, "Y", P.dim)
+    Y = _nonempty_rows(Y, "Y")
     if P.weights.ndim != 1 or Y.ndim != 2:
         raise InvalidInputError("mmd2_and_grad takes one measure and one sample (m, d); got "
                                 f"weights of shape {P.weights.shape} and a sample of shape {Y.shape}")

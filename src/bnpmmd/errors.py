@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the input rule for samples."""
+"""Exception types shared across the package, and the shape and input rules for samples."""
 import numpy as np
 
 
@@ -10,18 +10,27 @@ class InvalidInputError(ValueError):
     """An input array has the wrong shape, dimension, or is empty."""
 
 
+def as_rows(X, name: str) -> np.ndarray:
+    """``X`` as float rows, (N, d), or a stack of them, (c, N, d), a point as one row;
+    raises InvalidInputError naming it for more axes.  Reads no value, copies no float array."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim > 3:
+        raise InvalidInputError(f"{name} must be rows (N, d) or a stack (c, N, d), got {X.shape}")
+    return X if X.ndim == 3 else np.atleast_2d(X)
+
+
 def as_sample(X, name: str) -> np.ndarray:
-    """``X`` as a 2-D float array; raises InvalidInputError naming it if empty or non-finite."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.size == 0:
-        raise InvalidInputError(f"{name} must be non-empty")
+    """``X`` by :func:`as_rows`; raises InvalidInputError naming it if empty, a stack or non-finite."""
+    X = as_rows(X, name)
+    if X.size == 0 or X.ndim != 2:
+        raise InvalidInputError(f"{name} must be non-empty rows (N, d), got shape {X.shape}")
     if not np.isfinite(X).all():
         raise InvalidInputError(f"{name} contains non-finite values (NaN or inf)")
     return X
 
 
 class NumericUnderflowError(ArithmeticError):
-    """A sampler produced all-zero draws even after bounded retries."""
+    """A sampler gave all-zero draws after bounded retries, or the truncation rule's a/j was 0."""
 
 
 class UnsupportedKernelError(ValueError):

@@ -7,7 +7,7 @@ into [0, 1] and h(0) = 1, so a sum over T bandwidths is bounded by T.
 A block holds the squared distances from the rows of X, (N, d), to the m
 rows of Y, or to its own rows for a self block; a stack X, (c, N, d), gives
 c blocks, against one Y or, array by array, against a paired stack Y,
-(c, m, d).  Each block's distances come from one of three forms, chosen
+(c, m, d).  Each block's distances come from one of two forms, chosen
 from N, m and d alone, so a block has the same bits alone and in a stack:
 
 - The guarded expansion s = ||x||^2 + ||y||^2 - 2 x.y from one matrix
@@ -24,17 +24,7 @@ from N, m and d alone, so a block has the same bits alone and in a stack:
   d = 20, breaking even only at d = 40 to 48; but the relative-belief test
   evaluates every measure in a stack, with its redrawn model samples as a
   paired stack, so the expansion starts at d = 16 for every block.
-- The upper triangle, for a single self block of at least
-  ``TRIANGLE_MIN_EVALS`` profile evaluations (rows^2 x bandwidths: 64 rows
-  or more of the six-bandwidth training mixture, 157 or more of one
-  bandwidth) off the expansion: each pair's distance once (``pdist``),
-  every bandwidth evaluated on that triangle, and mirrored.  Its diagonal
-  is evaluated at each row's own squared distance, so a row holding NaN or
-  inf gives the NaN it gives in the full evaluation.  A stack of such
-  blocks takes ``cdist`` per block, which gives the triangle's bits, and so
-  does a training step, which writes its blocks into arrays it reuses.
-- ``cdist`` for every other block: there the fixed cost of ``pdist`` and
-  ``squareform`` outweighs the evaluations the triangle saves.
+- ``cdist`` for every other block, a self block as a full square.
 
 The expansion's rounding error is at most about (d + 2) eps (||x||^2 +
 ||y||^2), so a guard recomputes from differences every pair whose s is NaN
@@ -51,9 +41,9 @@ is NaN where ``cdist`` gives NaN.  A self block takes its norms from the
 diagonal of its Gram matrix, which makes its diagonal exactly 0 for a row
 of finite norm and NaN for a NaN row with no recomputation.
 
-scipy is imported by the first block that takes ``cdist``, ``pdist`` or
-``squareform``, not with this module (0.39 s of the 0.60 s CLI import);
-once loaded, the three names are scipy's own functions, with no wrapper.
+scipy is imported by the first block that takes ``cdist``, not with this
+module (0.39 s of the 0.60 s CLI import); once loaded, ``cdist`` is scipy's
+own function, with no wrapper.
 """
 from __future__ import annotations
 
@@ -62,21 +52,21 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError, UnsupportedKernelError, as_sample
+from .errors import (InvalidInputError, InvalidParameterError, UnsupportedKernelError,
+                     as_rows, as_sample)
 
 
-def _from_scipy(name: str) -> Callable[..., np.ndarray]:
-    """A stand-in for scipy's ``name``: its first call imports scipy, binds this
-    module's ``name`` to scipy's function unless it was patched, and forwards."""
-    def stand_in(*args, **kwargs):
-        from scipy.spatial import distance
-        if globals()[name] is stand_in:
-            globals()[name] = getattr(distance, name)
-        return getattr(distance, name)(*args, **kwargs)
-    return stand_in
+def _load_cdist(*args, **kwargs) -> np.ndarray:
+    """A stand-in for scipy's ``cdist``: its first call imports scipy, binds this
+    module's ``cdist`` to scipy's function unless it was patched, and forwards."""
+    from scipy.spatial.distance import cdist as scipy_cdist
+    global cdist
+    if cdist is _load_cdist:
+        cdist = scipy_cdist
+    return scipy_cdist(*args, **kwargs)
 
 
-cdist, pdist, squareform = map(_from_scipy, ("cdist", "pdist", "squareform"))
+cdist = _load_cdist
 
 GAUSSIAN = "gaussian"
 EXPONENTIAL = "exponential"
@@ -199,9 +189,6 @@ _SIGMA_MIN, _SIGMA_MAX = np.sqrt(np.finfo(float).tiny), np.sqrt(np.finfo(float).
 MIXTURE_BANDWIDTHS = (2.0, 5.0, 10.0, 20.0, 40.0, 80.0)
 # Single bandwidth used throughout the hypothesis-testing experiments.
 TEST_BANDWIDTH = 80.0
-# Self blocks of at least this many profile evaluations (rows^2 x bandwidths)
-# are evaluated on their upper triangle; see the module docstring.
-TRIANGLE_MIN_EVALS = 64 * 64 * 6
 # Blocks of at least this many coordinates, each block's product at most
 # EXPANSION_MAX_PRODUCT multiply-adds, take their squared distances from the guarded
 # expansion; a pair within EXPANSION_GUARD of 0 is recomputed, and a block with more
@@ -293,18 +280,12 @@ def profile_sums(spec: KernelSpec, sq: np.ndarray, values: np.ndarray | None,
                 coeffs += g
 
 
-def _sum_bandwidths(spec: KernelSpec, sq: np.ndarray, grad: bool) -> np.ndarray:
-    """Kernel values, or gradient coefficients, at squared distances ``sq``,
-    summed over the bandwidths of ``spec``.
-
-    ``sq`` is a float array the caller no longer needs: with one bandwidth
-    the values replace it; with more they go into one new array, plus one
-    scratch array for the second and later bandwidths.
-    """
+def _sum_bandwidths(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
+    """Kernel values at squared distances ``sq``, summed over the bandwidths of
+    ``spec``: into ``sq`` itself for one bandwidth, else into a new array."""
     many = len(spec.bandwidths) > 1
     out = np.empty_like(sq) if many else sq
-    profile_sums(spec, sq, None if grad else out, out if grad else None,
-                 np.empty_like(sq) if many else None)
+    profile_sums(spec, sq, out, None, np.empty_like(sq) if many else None)
     return out
 
 
@@ -314,50 +295,23 @@ def gram(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     A stack ``X`` of shape (c, N, d) gives its c blocks, (c, N, m), each the
     block of its array alone to the bit.
     """
-    return _sum_bandwidths(spec, _sq_dist(X, Y), grad=False)
+    return _sum_bandwidths(spec, _sq_dist(X, Y))
 
 
 def gram_grad_coeff(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
-    """Gradient coefficients g(s) at squared distances ``sq`` (overwritten), summed over bandwidths."""
-    return _sum_bandwidths(spec, sq, grad=True)
+    """Gradient coefficients g(s) at squared distances ``sq``, summed over bandwidths."""
+    coeffs = np.empty_like(sq)
+    profile_sums(spec, sq, None, coeffs, np.empty_like(sq))
+    return coeffs
 
 
-def self_gram(spec: KernelSpec, X: np.ndarray, grad: bool = False) -> np.ndarray:
-    """K(X, X), or its gradient coefficients, summed over the bandwidths.
+def self_gram(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
+    """K(X, X) summed over the bandwidths, as a full square.
 
-    The distances are those of the module docstring: the guarded expansion
-    where the block's shape qualifies; else ``cdist``, or from
-    ``TRIANGLE_MIN_EVALS`` profile evaluations on the upper triangle of a
-    single array, which gives the full square's bits.  Training steps take
-    their self blocks as full squares instead, in arrays kept across steps
-    (``discrepancy.mmd2_and_grad``).  A stack of arrays, shape (c, N, d), gives its c self
-    blocks, (c, N, N), each that of its array alone to the bit; off the
-    expansion each block's distances are written into one array by
-    ``cdist(..., out=)`` and the profiles run once over all of them.
+    A stack of arrays, (c, N, d), gives its c self blocks, (c, N, N), each
+    that of its array alone to the bit, with the profiles run once over all.
     """
-    X = _as_rows(X)
-    if (X.ndim == 2 and not _expands(X, len(X))
-            and len(X) ** 2 * len(spec.bandwidths) >= TRIANGLE_MIN_EVALS):
-        return _triangle_sum(spec, X, grad)
-    return _sum_bandwidths(spec, _self_sq_dist(X), grad)
-
-
-def _triangle_sum(spec: KernelSpec, X: np.ndarray, grad: bool) -> np.ndarray:
-    # x - x is 0 for finite x and NaN for NaN or inf, so each row sum is the
-    # row's own squared distance, as on the diagonal of cdist(X, X)
-    n, d = X.shape
-    with np.errstate(invalid="ignore"):
-        own = (X - X) @ np.ones(d)
-    values = _sum_bandwidths(spec, np.concatenate([pdist(X, "sqeuclidean"), own]), grad)
-    out = squareform(values[:-n], checks=False)
-    np.fill_diagonal(out, values[-n:])
-    return out
-
-
-def _as_rows(X) -> np.ndarray:
-    """X as a float array of rows, (N, d), or a stack of such arrays, (c, N, d)."""
-    X = np.asarray(X, dtype=float)
-    return X if X.ndim == 3 else np.atleast_2d(X)
+    return _sum_bandwidths(spec, _self_sq_dist(as_rows(X, "X")))
 
 
 def _sq_dist(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -366,7 +320,7 @@ def _sq_dist(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.
 
     For a single X, ``out`` may be an (N, m) float array to write them into.
     """
-    X, Y = _as_rows(X), _as_rows(Y)
+    X, Y = as_rows(X, "X"), as_rows(Y, "Y")
     d, m = X.shape[-1], Y.shape[-2]
     if d != Y.shape[-1]:
         raise InvalidInputError(f"dimension mismatch: {d} vs {Y.shape[-1]}")
@@ -384,9 +338,8 @@ def _sq_dist(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.
 
 def _self_sq_dist(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Squared distances within X, (N, d), or within each array of a stack
-    (c, N, d): the guarded expansion where the block qualifies, else ``cdist``,
-    which gives the triangle's bits.  For a single X, ``out`` may be an (N, N)
-    float array to write them into."""
+    (c, N, d): the guarded expansion where the block qualifies, else ``cdist``.
+    For a single X, ``out`` may be an (N, N) float array to write them into."""
     if _expands(X, X.shape[-2]):
         return _self_expansion(X.reshape(-1, *X.shape[-2:]),
                                None if out is None else out[None]).reshape(*X.shape[:-1], X.shape[-2])
@@ -472,11 +425,10 @@ def _resolve(sq: np.ndarray, redo: np.ndarray, X: np.ndarray, Y: np.ndarray | No
 
 def eval_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
     """Evaluate the (mixture) kernel at a single pair of d-vectors."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape != y.shape:
-        raise InvalidInputError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return float(gram(spec, x[None, :], y[None, :])[0, 0])
+    K = gram(spec, x, y)
+    if K.shape != (1, 1):
+        raise InvalidInputError(f"eval_kernel takes two points, got {np.shape(x)} and {np.shape(y)}")
+    return float(K[0, 0])
 
 
 def median_heuristic(X: np.ndarray, Y: np.ndarray) -> float:

@@ -108,6 +108,8 @@ def fnp_permutation_test(X: np.ndarray, Y: np.ndarray, spec: KernelSpec,
     if num_perms < 1:
         raise InvalidParameterError("num_perms must be >= 1")
     X, Y = as_sample(X, "X"), as_sample(Y, "Y")
+    if X.shape[1] != Y.shape[1]:
+        raise InvalidInputError(f"dimension mismatch: X has {X.shape[1]} columns, Y {Y.shape[1]}")
     n, m = X.shape[0], Y.shape[0]
     pool = np.vstack([X, Y])
     K = self_gram(spec, pool)

@@ -7,8 +7,9 @@ from bnpmmd.discrepancy import (deviation_tail_bound, generalization_bound,
 from bnpmmd.dp import DiscreteMeasure, sample_dp_posterior, sample_dp_prior
 from bnpmmd.errors import InvalidInputError, InvalidParameterError
 from bnpmmd.kernels import (EXPANSION_MAX_PRODUCT, FAMILIES, KernelSpec, eval_kernel,
-                            _sq_dist, format_kernel, gaussian_kernel, gaussian_mixture,
-                            gram_grad_coeff, resolve_median, self_gram)
+                            _self_sq_dist, _sq_dist, format_kernel, gaussian_kernel,
+                            gaussian_mixture, gram, gram_grad_coeff, resolve_median,
+                            self_gram)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -223,7 +224,7 @@ def separate_passes(P, Y, spec):
     gvy = gram_grad_coeff(spec, _sq_dist(P.atoms, Y))
     wg = P.weights[:, None] * gvy
     cross = -2.0 / m * (wg.T @ P.atoms - wg.sum(axis=0)[:, None] * Y)
-    gyy = self_gram(spec, Y, grad=True)
+    gyy = gram_grad_coeff(spec, _self_sq_dist(Y))
     self_term = 2.0 / (m * m) * (gyy @ Y - gyy.sum(axis=1)[:, None] * Y)
     return mmd2_weighted(P, Y, spec), cross + self_term
 
@@ -293,6 +294,42 @@ class TestFusedPass:
             function(stack, rng.standard_normal((7, 2)), gaussian_kernel(1.0))
         with pytest.raises(InvalidInputError, match=r"sample of shape \(3, 7, 2\)"):
             function(single, rng.standard_normal((3, 7, 2)), gaussian_kernel(1.0))
+
+
+class TestInputRule:
+    SPEC = gaussian_kernel(1.0)
+
+    def test_wrong_rank_is_a_typed_error(self):
+        # a stack raised numpy's "only 0-dimensional arrays ..." TypeError out of
+        # mmd2_empirical, and 4-D arrays scipy's "XA must be a 2-dimensional array"
+        rng = np.random.default_rng(10)
+        stack, four = rng.standard_normal((3, 5, 2)), rng.standard_normal((2, 3, 5, 2))
+        P = uniform_measure(stack[0])
+        for X, Y in ((stack, stack[0]), (stack[0], stack)):
+            with pytest.raises(InvalidInputError, match="two samples"):
+                mmd2_empirical(X, Y, self.SPEC)
+        for function in (lambda: yy_mean_term(four, self.SPEC), lambda: self_gram(self.SPEC, four),
+                         lambda: gram(self.SPEC, four, stack[0]),
+                         lambda: mmd2_weighted(P, four, self.SPEC)):
+            with pytest.raises(InvalidInputError, match=r"must be rows \(N, d\) or a stack"):
+                function()
+
+    def test_every_mmd_function_rejects_an_empty_or_narrower_sample(self):
+        rng = np.random.default_rng(11)
+        P = uniform_measure(rng.standard_normal((4, 2)))
+        stack = sample_dp_prior(5.0, lambda k, r: r.standard_normal((k, 2)), 8, rng, size=3)
+        for function in (lambda Y: mmd2_empirical(Y, P.atoms, self.SPEC),
+                         lambda Y: mmd2_empirical(P.atoms, Y, self.SPEC),
+                         lambda Y: mmd2_weighted(P, Y, self.SPEC),
+                         lambda Y: mmd2_weighted(stack, Y, self.SPEC),
+                         lambda Y: mmd2_weighted(P, Y, self.SPEC, yy_term=0.0),
+                         lambda Y: mmd2_and_grad(P, Y, self.SPEC)):
+            with pytest.raises(InvalidInputError, match="must be non-empty"):
+                function(np.zeros((0, 2)))
+            with pytest.raises(InvalidInputError, match="dimension mismatch"):
+                function(np.zeros((3, 5)))
+        with pytest.raises(InvalidInputError, match="^Y must be non-empty"):
+            yy_mean_term(np.zeros((0, 2)), self.SPEC)
 
 
 class TestBounds:

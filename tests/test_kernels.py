@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist
 
 from bnpmmd import kernels
 from bnpmmd.discrepancy import mmd2_empirical
@@ -12,8 +12,9 @@ from bnpmmd.errors import InvalidInputError, InvalidParameterError, UnsupportedK
 from bnpmmd.kernels import (EXPONENTIAL, FAMILIES, GAUSSIAN, MATERN,
                             RATIONAL_QUADRATIC, KernelSpec,
                             eval_kernel, format_kernel, gaussian_kernel,
-                            gaussian_mixture, gram, median_heuristic, parse_kernel,
-                            resolve_median, self_gram, _sum_bandwidths, _triangle_sum)
+                            gaussian_mixture, gram, gram_grad_coeff, median_heuristic,
+                            parse_kernel, resolve_median, self_gram, _self_sq_dist,
+                            _sum_bandwidths)
 
 
 def single(family, bw, shape=None):
@@ -42,6 +43,11 @@ class TestEvalKernel:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
             eval_kernel(gaussian_kernel(1.0), np.zeros(2), np.zeros(3))
+
+    def test_more_than_a_pair_of_points_rejected(self):
+        # two (2, 3) arrays raised numpy's "only 0-dimensional arrays ..." TypeError
+        with pytest.raises(InvalidInputError, match="two points"):
+            eval_kernel(gaussian_kernel(1.0), np.zeros((2, 3)), np.zeros((2, 3)))
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_unit_at_origin_all_families(self, family):
@@ -142,6 +148,12 @@ class TestMedianHeuristic:
         with pytest.raises(InvalidInputError, match="^X must be non-empty"):
             median_heuristic(np.zeros((0, 2)), np.ones((4, 2)))
 
+    def test_stack_of_samples_rejected(self):
+        # two (c, N, d) stacks gave the median over their paired blocks as a bandwidth
+        stack = np.random.default_rng(12).standard_normal((2, 5, 3))
+        with pytest.raises(InvalidInputError, match=r"^X must be non-empty rows \(N, d\)"):
+            median_heuristic(stack, stack + 1.0)
+
     def test_resolve_median_rejects_degenerate(self):
         # constant samples have no scale to offer as sigma
         X = np.full((5, 2), 3.0)
@@ -227,28 +239,17 @@ SELF_SPECS = [single(f, 1.3) for f in FAMILIES] + [
 @pytest.mark.parametrize("rows", [1, 63, 64, 65, 200])
 @pytest.mark.parametrize("spec", SELF_SPECS, ids=format_kernel)
 def test_self_block_on_triangle_equals_full_evaluation(spec, rows):
+    # both triangles and the diagonal of a self block, alone or in a stack,
+    # have the bits of the full cdist evaluation
     for poison in (None, np.nan, np.inf, -np.inf):
         X = np.random.default_rng(rows).standard_normal((rows, 3))
         X[rows // 2] = X[0]  # a duplicate pair, at distance 0 off the diagonal
         if poison is not None:
             X[-1, 1] = poison
-        for grad in (False, True):
-            full = _sum_bandwidths(spec, cdist(X, X, "sqeuclidean"), grad)
-            np.testing.assert_array_equal(_triangle_sum(spec, X, grad), full)
-            np.testing.assert_array_equal(self_gram(spec, X, grad), full)
-        np.testing.assert_array_equal(gram(spec, X, X), self_gram(spec, X))
-
-
-@pytest.mark.parametrize("spec, rows, triangle", [
-    (gaussian_mixture(), 63, False), (gaussian_mixture(), 64, True),
-    (gaussian_kernel(1.0), 156, False), (gaussian_kernel(1.0), 157, True)])
-def test_self_block_takes_triangle_from_min_evaluations(monkeypatch, spec, rows, triangle):
-    calls = []
-    monkeypatch.setattr(kernels, "pdist", lambda *a: calls.append(a) or pdist(*a))
-    X = np.random.default_rng(0).standard_normal((rows, 2))
-    # the triangle, or not, gives the full square's bits; gram never takes it
-    np.testing.assert_array_equal(self_gram(spec, X), gram(spec, X, X.copy()))
-    assert len(calls) == int(triangle)
+        full = _sum_bandwidths(spec, cdist(X, X, "sqeuclidean"))
+        np.testing.assert_array_equal(self_gram(spec, X), full)
+        np.testing.assert_array_equal(self_gram(spec, X[None])[0], full)
+        np.testing.assert_array_equal(gram(spec, X, X), full)
 
 
 # Each family's profiles as the out-of-place formulas they replaced; the
@@ -296,19 +297,22 @@ def test_in_place_profiles_equal_out_of_place_formulas(family, shape, bandwidths
             want = formula(sq, bandwidths[0], alpha)
             for sigma in bandwidths[1:]:
                 want += formula(sq, sigma, alpha)
-        np.testing.assert_array_equal(_sum_bandwidths(spec, sq.copy(), bool(grad)), want)
+        np.testing.assert_array_equal((_sum_bandwidths, gram_grad_coeff)[grad](spec, sq.copy()), want)
 
 
 @pytest.mark.parametrize("spec", SELF_SPECS, ids=format_kernel)
 def test_stack_of_self_blocks_equals_each_block(spec):
     X = np.random.default_rng(9).standard_normal((4, 70, 3))
     X[2, 5, 1] = np.nan
-    for grad in (False, True):
-        stack = self_gram(spec, X, grad)
-        assert stack.shape == (4, 70, 70)
-        for x, block in zip(X, stack):
-            np.testing.assert_array_equal(block, self_gram(spec, x, grad))
-        np.testing.assert_array_equal(self_gram(spec, X[:1], grad)[0], self_gram(spec, X[0], grad))
+    stack = self_gram(spec, X)
+    assert stack.shape == (4, 70, 70)
+    for x, block in zip(X, stack):
+        np.testing.assert_array_equal(block, self_gram(spec, x))
+    np.testing.assert_array_equal(self_gram(spec, X[:1])[0], self_gram(spec, X[0]))
+    # the gradient coefficients of a stack's distances are each block's too
+    coeffs = gram_grad_coeff(spec, _self_sq_dist(X))
+    for x, block in zip(X, coeffs):
+        np.testing.assert_array_equal(block, gram_grad_coeff(spec, _self_sq_dist(x)))
 
 
 def _expansion_rows(d, poison):
@@ -394,7 +398,7 @@ def test_block_of_an_array_against_itself_has_an_exact_diagonal(family, d):
 def test_exponential_gradient_is_zero_at_a_duplicate_pair(d):
     X = np.random.default_rng(4).standard_normal((30, d))
     X[9] = X[3]
-    g = self_gram(single(EXPONENTIAL, 2.0), X, grad=True)
+    g = gram_grad_coeff(single(EXPONENTIAL, 2.0), _self_sq_dist(X))
     assert g[3, 9] == g[9, 3] == 0.0
     np.testing.assert_array_equal(np.diag(g), 0.0)
     assert (np.delete(g[3], [3, 9]) > 0).all()
@@ -441,7 +445,6 @@ def test_paired_stack_of_another_count_or_width_raises(Y):
 def test_blocks_take_expansion_from_min_dimension(monkeypatch, d, scipy_called):
     calls = []
     monkeypatch.setattr(kernels, "cdist", lambda *a, **k: calls.append(a) or cdist(*a, **k))
-    monkeypatch.setattr(kernels, "pdist", lambda *a: calls.append(a) or pdist(*a))
     rng = np.random.default_rng(d)
     X, Y = rng.standard_normal((3, 60, d)), rng.standard_normal((20, d))
     spec = gaussian_kernel(4.0)
@@ -464,15 +467,3 @@ def test_blocks_take_expansion_from_min_dimension(monkeypatch, d, scipy_called):
     assert self_gram(spec, X[0, :0]).shape == (0, 0)
     assert gram(spec, X[:, :0], Y).shape == (3, 0, 20)
     assert gram(spec, X, Y[:0]).shape == (3, 60, 0)
-
-
-def test_large_self_block_keeps_the_triangle_above_the_crossover(monkeypatch):
-    calls = []
-    monkeypatch.setattr(kernels, "pdist", lambda *a: calls.append(a) or pdist(*a))
-    X = np.random.default_rng(1).standard_normal((157, 60))
-    X[9] = X[3]
-    spec = gaussian_kernel(1.0)
-    full = _sum_bandwidths(spec, cdist(X, X, "sqeuclidean"), False)
-    np.testing.assert_array_equal(self_gram(spec, X), full)
-    np.testing.assert_array_equal(self_gram(spec, X[None])[0], full)
-    assert len(calls) == 1

@@ -92,24 +92,45 @@ def test_scipy_loads_only_with_the_first_block_off_the_expansion(tmp_path):
 
 
 def test_loading_scipy_never_replaces_a_patched_name():
+    # a wrapper around the stand-in (as perfbench/spans.py binds one) stays
+    # bound when the stand-in's first call, from a d < 16 block, loads scipy
     run_fresh("""
         import sys
         import numpy as np
         from bnpmmd import kernels
-        calls = []
+        calls, stand_in = [], kernels.cdist
 
-        def fake(*args, **kwargs):
+        def wrapper(*args, **kwargs):
             calls.append(args)
-            from scipy.spatial.distance import cdist
-            return cdist(*args, **kwargs)
+            return stand_in(*args, **kwargs)
 
-        kernels.cdist = fake
+        kernels.cdist = wrapper
         assert "scipy" not in sys.modules
         rng = np.random.default_rng(0)
-        kernels.self_gram(kernels.gaussian_kernel(1.0), rng.standard_normal((157, 2)))
-        import scipy.spatial.distance
-        assert kernels.pdist is scipy.spatial.distance.pdist  # loaded through the triangle
-        kernels.gram(kernels.gaussian_kernel(1.0), rng.standard_normal((4, 5)),
-                     rng.standard_normal((3, 5)))
-        assert len(calls) == 1 and kernels.cdist is fake
+        spec = kernels.gaussian_kernel(1.0)
+        kernels.self_gram(spec, rng.standard_normal((157, 2)))
+        assert "scipy.spatial.distance" in sys.modules
+        kernels.gram(spec, rng.standard_normal((4, 5)), rng.standard_normal((3, 5)))
+        assert len(calls) == 2 and kernels.cdist is wrapper
     """)
+
+
+def _scipy_names(source: str) -> set[str]:
+    """Every scipy module or name that ``source`` imports, as a dotted path."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            names |= {f"{node.module}.{a.name}" for a in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {a.name for a in node.names if a.name.split(".")[0] == "scipy"}
+    return names
+
+
+def test_scipy_is_used_only_for_cdist():
+    assert _scipy_names("import scipy.stats\nfrom scipy.spatial import distance\nimport os") == {
+        "scipy.stats", "scipy.spatial.distance"}
+    used = set().union(*(_scipy_names(path.read_text())
+                         for path in Path(bnpmmd.__file__).parent.glob("*.py")))
+    assert used == {"scipy.spatial.distance.cdist"}
+    from bnpmmd import kernels
+    assert not hasattr(kernels, "pdist") and not hasattr(kernels, "squareform")

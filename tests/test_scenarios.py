@@ -121,6 +121,19 @@ class TestPermutationTest:
             fnp_permutation_test(np.zeros((3, 1)), np.zeros((0, 1)),
                                  gaussian_kernel(1.0), 9, np.random.default_rng(8))
 
+    def test_samples_of_different_widths_rejected(self):
+        # np.vstack raised a bare numpy ValueError when pooling them
+        with pytest.raises(InvalidInputError, match=r"^dimension mismatch: X has 2 .*, Y 3"):
+            fnp_permutation_test(np.zeros((3, 2)), np.zeros((4, 3)),
+                                 gaussian_kernel(1.0), 9, np.random.default_rng(9))
+
+    def test_stacks_of_samples_rejected(self):
+        # two (c, N, d) stacks were pooled and permuted as one and gave a p-value
+        stack = np.random.default_rng(10).standard_normal((2, 5, 3))
+        with pytest.raises(InvalidInputError, match=r"^X must be non-empty rows \(N, d\)"):
+            fnp_permutation_test(stack, stack + 1.0, gaussian_kernel(1.0), 9,
+                                 np.random.default_rng(11))
+
 
 class TestRocCurve:
     def test_perfect_separation(self):
