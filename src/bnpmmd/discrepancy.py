@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager
 
 import numpy as np
 
 from . import kernels
 from .dp import DiscreteMeasure
 from .errors import InvalidInputError, InvalidParameterError, as_rows
-from .kernels import KernelSpec, _self_sq_dist, _sq_dist, gram, profile_sums, self_gram
+from .kernels import KernelSpec, _self_sq_dist, _sq_dist, gram, profile_sums
 
 # bound only because perfbench/spans.py wraps these two names here
 cdist, gram_grad_coeff = kernels.cdist, kernels.gram_grad_coeff
@@ -27,6 +26,28 @@ def _nonempty_rows(X, name: str) -> np.ndarray:
     if X.shape[-2] == 0:
         raise InvalidInputError(f"{name} must be non-empty")
     return X
+
+
+KEPT_BLOCK_ENTRIES = 2**16  # the largest kernel block _blocks keeps arrays for
+_kept = threading.local()
+
+
+def _blocks(shape: tuple[int, ...]) -> list[np.ndarray]:
+    """Four float arrays of ``shape``, for a block's distances, values,
+    coefficients and scratch: views of four flat arrays this thread keeps,
+    grown to the largest block seen, for a block of at most
+    ``KEPT_BLOCK_ENTRIES`` entries, else new arrays.  Fresh arrays of a few
+    hundred KB are trimmed by the allocator and faulted back in page by page,
+    which cost an RB chunk or a training step more than its arithmetic.
+    Callers reduce a block before they ask for the next and return no view of one.
+    """
+    size = math.prod(shape)
+    arrays = getattr(_kept, "arrays", None)
+    if arrays is None or arrays[0].size < size:
+        arrays = [np.empty(size) for _ in range(4)]
+        if size <= KEPT_BLOCK_ENTRIES:
+            _kept.arrays = arrays
+    return [a[:size].reshape(shape) for a in arrays]
 
 
 def mmd2_empirical(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> float:
@@ -45,12 +66,15 @@ def mmd2_empirical(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> float:
 def yy_mean_term(Y: np.ndarray, spec: KernelSpec) -> float | np.ndarray:
     """mean(k(Y, Y)); precompute when Y is reused across many measures.
 
-    A stack of samples, (c, m, d), gives its c means from one stacked
-    :func:`self_gram`, each that of its sample alone to the bit.
+    A stack of samples, (c, m, d), gives its c means from one stack of self
+    blocks, each that of its sample alone to the bit.  The blocks live in
+    this thread's kept arrays (:func:`_blocks`).
     """
     Y = _nonempty_rows(Y, "Y")
     m = Y.shape[-2]
-    means = self_gram(spec, Y).reshape(-1, m * m).sum(axis=1) / (m * m)
+    sq, kyy, _, scratch = _blocks(Y.shape[:-1] + (m,))
+    profile_sums(spec, _self_sq_dist(Y, sq), kyy, None, scratch)
+    means = kyy.reshape(-1, m * m).sum(axis=1) / (m * m)
     return means if Y.ndim == 3 else float(means[0])
 
 
@@ -63,19 +87,22 @@ def mmd2_weighted(P: DiscreteMeasure, Y: np.ndarray, spec: KernelSpec,
 
     A single measure runs the same products as a stack, without its axis,
     and gives a float.  For a stack of c measures it returns the c values
-    as an array, from one cross block, one stack of self blocks and stacked
+    as an array, from one stack of self blocks, one cross block and stacked
     matrix products; each value is, to the bit, that of its measure taken
     alone.  ``Y`` may be a stack of c samples, (c, m, d), paired with the
-    measures row by row; their last terms then come from one stacked
-    :func:`self_gram`.  Training evaluates its one measure per step with
-    :func:`mmd2_and_grad` instead.
+    measures row by row; their last terms then come from one stack of self
+    blocks (:func:`yy_mean_term`).  Every block lives in this thread's kept
+    arrays (:func:`_blocks`).  Training evaluates its one measure per step
+    with :func:`mmd2_and_grad` instead.
     """
     Y = _nonempty_rows(Y, "Y")
     term3 = yy_mean_term(Y, spec) if yy_term is None else yy_term
-    w = P.weights[..., None, :]  # one row vector per measure
-    kvv = self_gram(spec, P.atoms)
-    kvy = gram(spec, P.atoms, Y)
+    V, w = P.atoms, P.weights[..., None, :]  # one row vector per measure
+    sq, kvv, _, scratch = _blocks(V.shape[:-1] + V.shape[-2:-1])
+    profile_sums(spec, _self_sq_dist(V, sq), kvv, None, scratch)
     term1 = (w @ kvv @ w.mT)[..., 0, 0]
+    sq, kvy, _, scratch = _blocks(V.shape[:-1] + Y.shape[-2:-1])
+    profile_sums(spec, _sq_dist(V, Y, sq), kvy, None, scratch)
     term2 = -2.0 / Y.shape[-2] * (w @ kvy.sum(axis=-1)[..., None])[..., 0, 0]
     values = term1 + term2 + term3
     return values if values.ndim else float(values)
@@ -85,39 +112,6 @@ def grad_mmd2_atoms(P: DiscreteMeasure, Y: np.ndarray, spec: KernelSpec) -> np.n
     """Analytic gradient of :func:`mmd2_weighted` in the sample points Y: the
     second output of :func:`mmd2_and_grad`."""
     return mmd2_and_grad(P, Y, spec)[1]
-
-
-_blocks = threading.local()
-
-
-@contextmanager
-def reused_blocks():
-    """Let :func:`mmd2_and_grad` calls on this thread, inside the block, keep
-    their block arrays and reuse them from call to call.
-
-    The arrays grow to the largest block seen and are dropped on exit;
-    outside, each call allocates its own.  Fresh arrays of a few hundred KB
-    are trimmed by the allocator and faulted back in page by page, which
-    cost a training step more than the arithmetic the fusion saves.
-    """
-    saved = getattr(_blocks, "arrays", None)
-    _blocks.arrays = []
-    try:
-        yield
-    finally:
-        _blocks.arrays = saved
-
-
-def _block_arrays(size: int) -> list[np.ndarray]:
-    """Four flat float arrays of at least ``size`` entries: this thread's kept
-    ones inside :func:`reused_blocks`, else new ones."""
-    arrays = getattr(_blocks, "arrays", None)
-    if arrays is None:
-        return [np.empty(size) for _ in range(4)]
-    if not arrays or arrays[0].size < size:
-        arrays.clear()
-        arrays.extend(np.empty(size) for _ in range(4))
-    return arrays
 
 
 def mmd2_and_grad(P: DiscreteMeasure, Y: np.ndarray, spec: KernelSpec) -> tuple[float, np.ndarray]:
@@ -132,8 +126,8 @@ def mmd2_and_grad(P: DiscreteMeasure, Y: np.ndarray, spec: KernelSpec) -> tuple[
     (:func:`profile_sums`), in the distance form each block takes in
     :func:`mmd2_weighted`, so the gradient is that of the computed value's
     distances, on the guarded expansion too.  Both outputs are those of the
-    separate evaluations from the same distances to the bit.  Inside
-    :func:`reused_blocks` the blocks live in arrays kept across calls.
+    separate evaluations from the same distances to the bit.  The blocks
+    live in this thread's kept arrays (:func:`_blocks`).
     """
     Y = _nonempty_rows(Y, "Y")
     if P.weights.ndim != 1 or Y.ndim != 2:
@@ -141,16 +135,11 @@ def mmd2_and_grad(P: DiscreteMeasure, Y: np.ndarray, spec: KernelSpec) -> tuple[
                                 f"weights of shape {P.weights.shape} and a sample of shape {Y.shape}")
     V, w = P.atoms, P.weights
     n, m = len(w), len(Y)
-    arrays = _block_arrays(max(n, m) ** 2)
-
-    def block(rows, cols):
-        return [a[:rows * cols].reshape(rows, cols) for a in arrays]
-
-    sq, values, coeffs, scratch = block(n, n)
+    sq, values, coeffs, scratch = _blocks((n, n))
     profile_sums(spec, _self_sq_dist(V, sq), values, None, scratch)
     term1 = float(w @ values @ w)
 
-    sq, values, coeffs, scratch = block(n, m)
+    sq, values, coeffs, scratch = _blocks((n, m))
     profile_sums(spec, _sq_dist(V, Y, sq), values, coeffs, scratch)
     term2 = -2.0 / m * float(w @ values.sum(axis=1))
     # w_l g_lt; copying the weights out first spares the broadcast product numpy's 64 KB buffer
@@ -158,7 +147,7 @@ def mmd2_and_grad(P: DiscreteMeasure, Y: np.ndarray, spec: KernelSpec) -> tuple[
     wg = np.multiply(scratch, coeffs, out=coeffs)
     cross = -2.0 / m * (wg.T @ V - wg.sum(axis=0)[:, None] * Y)
 
-    sq, values, coeffs, scratch = block(m, m)
+    sq, values, coeffs, scratch = _blocks((m, m))
     profile_sums(spec, _self_sq_dist(Y, sq), values, coeffs, scratch)  # diagonal displacement 0
     term3 = float(values.reshape(-1, m * m).sum(axis=1)[0] / (m * m))
     self_term = 2.0 / (m * m) * (coeffs @ Y - coeffs.sum(axis=1)[:, None] * Y)

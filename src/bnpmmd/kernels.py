@@ -316,10 +316,8 @@ def self_gram(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
 
 def _sq_dist(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Squared distances from the rows of X, (N, d) or a stack (c, N, d), to
-    those of Y, (m, d), or of a stack Y, (c, m, d), paired with X array by array.
-
-    For a single X, ``out`` may be an (N, m) float array to write them into.
-    """
+    those of Y, (m, d), or of a stack Y, (c, m, d), paired with X array by array;
+    into ``out``, a C-contiguous float array of the result's shape, if given."""
     X, Y = as_rows(X, "X"), as_rows(Y, "Y")
     d, m = X.shape[-1], Y.shape[-2]
     if d != Y.shape[-1]:
@@ -328,33 +326,36 @@ def _sq_dist(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.
     if paired and (X.ndim != 3 or len(X) != len(Y)):
         raise InvalidInputError(f"a stack of {len(Y)} samples pairs with a stack of as many "
                                 f"arrays, got shape {X.shape}")
+    out = np.empty(X.shape[:-1] + (m,)) if out is None else out
     if _expands(X, m):
-        return _cross_expansion(X.reshape(-1, *X.shape[-2:]), Y,
-                                None if out is None else out[None]).reshape(*X.shape[:-1], m)
-    if paired:
-        return _cdist_pairs(X, Y)
-    return cdist(X.reshape(-1, d), Y, "sqeuclidean", out=out).reshape(*X.shape[:-1], m)
+        _cross_expansion(X.reshape(-1, *X.shape[-2:]), Y, out.reshape(-1, *out.shape[-2:]))
+    elif paired:
+        _cdist_pairs(X, Y, out)
+    else:
+        cdist(X.reshape(-1, d), Y, "sqeuclidean", out=out.reshape(X.size // d, m))
+    return out
 
 
 def _self_sq_dist(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Squared distances within X, (N, d), or within each array of a stack
-    (c, N, d): the guarded expansion where the block qualifies, else ``cdist``.
-    For a single X, ``out`` may be an (N, N) float array to write them into."""
-    if _expands(X, X.shape[-2]):
-        return _self_expansion(X.reshape(-1, *X.shape[-2:]),
-                               None if out is None else out[None]).reshape(*X.shape[:-1], X.shape[-2])
-    if X.ndim == 3:
-        return _cdist_pairs(X, X)
-    return cdist(X, X, "sqeuclidean", out=out)
+    (c, N, d): the guarded expansion where the block qualifies, else ``cdist``;
+    into ``out``, a C-contiguous float array of the result's shape, if given."""
+    n = X.shape[-2]
+    out = np.empty(X.shape[:-1] + (n,)) if out is None else out
+    if _expands(X, n):
+        _self_expansion(X.reshape(-1, *X.shape[-2:]), out.reshape(-1, n, n))
+    elif X.ndim == 3:
+        _cdist_pairs(X, X, out)
+    else:
+        cdist(X, X, "sqeuclidean", out=out)
+    return out
 
 
-def _cdist_pairs(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _cdist_pairs(X: np.ndarray, Y: np.ndarray, out: np.ndarray) -> None:
     """``cdist`` from each array of the stack X, (c, N, d), to its own array of
-    the stack Y, (c, m, d), written into one (c, N, m) array."""
-    sq = np.empty(X.shape[:-1] + Y.shape[-2:-1])
-    for x, y, block in zip(X, Y, sq):
+    the stack Y, (c, m, d), written into the (c, N, m) array ``out``."""
+    for x, y, block in zip(X, Y, out):
         cdist(x, y, "sqeuclidean", out=block)
-    return sq
 
 
 def _expands(X: np.ndarray, m: int) -> bool:

@@ -166,6 +166,8 @@ def roc_from_scores(h0_scores: np.ndarray, h1_scores: np.ndarray, *,
     if not (np.isfinite(h0).all() and np.isfinite(h1).all()):
         raise InvalidInputError("scores must be finite; a NaN one would never reject")
     _check_num_thresholds(num_thresholds)
+    if not 0 < threshold_max < np.inf:  # else no threshold lies between scores: AUC 0.5
+        raise InvalidParameterError(f"threshold_max must be positive and finite, got {threshold_max}")
     ts = np.linspace(0.0, threshold_max, num_thresholds)
     tpr = np.count_nonzero(h1[None, :] < ts[:, None], axis=1) / h1.size
     fpr = np.count_nonzero(h0[None, :] < ts[:, None], axis=1) / h0.size

@@ -251,6 +251,22 @@ def test_gan_score_model_missing_a_layer_exits_1(tmp_path, capsys):
     assert not (tmp_path / "score.txt").exists()
 
 
+@pytest.mark.parametrize("nmb", ["-1", "0"])
+def test_gan_score_subset_size_below_one_exits_1(tmp_path, capsys, nmb):
+    # --nmb -1 printed numpy's "negative dimensions are not allowed"
+    from bnpmmd.gan import GeneratorNet
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(GeneratorNet.initialize([1, 4, 2],
+                                                        np.random.default_rng(20)).to_dict()))
+    real = tmp_path / "real.csv"
+    write_matrix(real, np.random.default_rng(21).random((64, 2)))
+    code = dispatch(["gan-score", "--real", str(real), "--model", str(model),
+                     "--nmb", nmb, "--rmb", "3", "--out", str(tmp_path / "score.txt")])
+    assert code == 1
+    assert f"subset size must be from 1 to the smaller dataset size, got {nmb}" in capsys.readouterr().err
+    assert not (tmp_path / "score.txt").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["gof-test", "--model", "nope"],
     ["roc", "--null", "no_difference", "--alt", "nope", "--d", "2", "--n", "10"],

@@ -1,9 +1,14 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from bnpmmd.discrepancy import (deviation_tail_bound, generalization_bound,
+from bnpmmd import discrepancy
+from bnpmmd.discrepancy import (KEPT_BLOCK_ENTRIES, deviation_tail_bound, generalization_bound,
                                 grad_mmd2_atoms, mmd2_and_grad, mmd2_empirical, mmd2_weighted,
-                                prior_mean_upper_bound, reused_blocks, yy_mean_term)
+                                prior_mean_upper_bound, yy_mean_term)
 from bnpmmd.dp import DiscreteMeasure, sample_dp_posterior, sample_dp_prior
 from bnpmmd.errors import InvalidInputError, InvalidParameterError
 from bnpmmd.kernels import (EXPANSION_MAX_PRODUCT, FAMILIES, KernelSpec, eval_kernel,
@@ -275,13 +280,15 @@ class TestFusedPass:
         spec = gaussian_mixture()
         cases = [posterior_and_sample(2, n, m, seed=n) for n, m in
                  [(30, 30), (80, 60), (20, 90), (50, 50), (90, 20)]]
-        fresh = [mmd2_and_grad(P, Y, spec) for P, Y in cases]
-        with reused_blocks():
-            for _ in range(2):
-                for (P, Y), (value, grad) in zip(cases, fresh):
-                    again = mmd2_and_grad(P, Y, spec)
-                    assert again[0] == value
-                    np.testing.assert_array_equal(again[1], grad)
+        fresh = []
+        for P, Y in cases:
+            discrepancy._kept.arrays = None  # this call's blocks in new arrays
+            fresh.append(mmd2_and_grad(P, Y, spec))
+        for _ in range(2):
+            for (P, Y), (value, grad) in zip(cases, fresh):
+                again = mmd2_and_grad(P, Y, spec)
+                assert again[0] == value
+                np.testing.assert_array_equal(again[1], grad)
 
     @pytest.mark.parametrize("function", [mmd2_and_grad, grad_mmd2_atoms])
     def test_stacked_input_is_a_typed_error(self, function):
@@ -294,6 +301,112 @@ class TestFusedPass:
             function(stack, rng.standard_normal((7, 2)), gaussian_kernel(1.0))
         with pytest.raises(InvalidInputError, match=r"sample of shape \(3, 7, 2\)"):
             function(single, rng.standard_normal((3, 7, 2)), gaussian_kernel(1.0))
+
+
+def normal_base(d):
+    return lambda k, r: r.standard_normal((k, d))
+
+
+class TestKeptBlocks:
+    @pytest.mark.parametrize("paired", [False, True], ids=["fixed", "paired"])
+    @pytest.mark.parametrize("d", [5, 20])
+    def test_rb_chunk_after_the_first_allocates_no_block(self, d, paired):
+        # each chunk allocated its cross block and stack of self blocks fresh,
+        # which the allocator trimmed and faulted back in page by page
+        rng = np.random.default_rng(d)
+        c, n_terms, m, spec = 15, 42, 50, gaussian_kernel(80.0)
+
+        def chunk():
+            P = sample_dp_prior(25.0, normal_base(d), n_terms, rng, size=c)
+            return P, rng.standard_normal((c, m, d) if paired else (m, d))
+
+        mmd2_weighted(*chunk(), spec)
+        P, Y = chunk()
+        tracemalloc.start()
+        try:
+            mmd2_weighted(P, Y, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < c * n_terms * m * 8, peak
+
+    def test_returned_values_share_no_memory_with_the_kept_arrays(self):
+        rng = np.random.default_rng(12)
+        spec = gaussian_mixture()
+        stack = sample_dp_prior(5.0, normal_base(2), 12, rng, size=4)
+        samples = rng.standard_normal((4, 10, 2))
+        P, Y = posterior_and_sample(2, 20, 15, seed=13)
+        for call in (lambda: mmd2_weighted(stack, samples, spec),
+                     lambda: mmd2_weighted(stack, samples[0], spec),
+                     lambda: yy_mean_term(samples, spec), lambda: mmd2_and_grad(P, Y, spec)[1]):
+            value = call()
+            assert isinstance(value, np.ndarray)
+            assert not any(np.shares_memory(value, a) for a in discrepancy._kept.arrays)
+
+    def test_threads_interleaving_block_sizes_match_a_serial_run(self):
+        spec = gaussian_mixture()
+        rng = np.random.default_rng(14)
+        cases = [posterior_and_sample(d, n, m, seed=n + d)
+                 for d, n, m in [(2, 30, 40), (20, 60, 50), (2, 90, 20), (20, 25, 25)]]
+        stacks = [(sample_dp_prior(5.0, normal_base(d), n, rng, size=c),
+                   rng.standard_normal((c, m, d)))
+                  for d, n, m, c in [(20, 42, 50, 15), (2, 10, 12, 3), (5, 70, 60, 4)]]
+
+        def evaluate(i):
+            P, Y = cases[i % len(cases)]
+            stack, samples = stacks[i % len(stacks)]
+            value, grad = mmd2_and_grad(P, Y, spec)
+            return [value, grad, mmd2_weighted(stack, samples, spec), yy_mean_term(samples, spec)]
+
+        steps = 2 * len(cases) * len(stacks)
+        serial = [evaluate(i) for i in range(steps)]
+        workers = 4  # more threads than a small machine has cores
+        barrier, results, errors = threading.Barrier(workers, timeout=60), {}, []
+
+        def worker(k):
+            try:
+                for step in range(steps):
+                    i = (step + 5 * k) % steps  # the threads evaluate different sizes at each step
+                    barrier.wait()
+                    results[k, i] = evaluate(i)
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+                barrier.abort()
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len(results) == workers * steps
+        for (_, i), got in results.items():
+            for a, b in zip(got, serial[i]):
+                np.testing.assert_array_equal(a, b)
+
+    def test_block_above_the_cap_takes_new_arrays(self):
+        discrepancy._kept.arrays = None
+        discrepancy._blocks((10, 12))
+        assert [a.size for a in discrepancy._kept.arrays] == [120] * 4  # the largest block seen
+        side = int(np.sqrt(KEPT_BLOCK_ENTRIES))
+        discrepancy._blocks((side, side))
+        kept = discrepancy._kept.arrays
+        assert [a.size for a in kept] == [KEPT_BLOCK_ENTRIES] * 4
+        spec = gaussian_mixture()
+        P, Y = posterior_and_sample(2, side + 1, side, seed=15)
+        value, grad = mmd2_and_grad(P, Y, spec)
+        assert discrepancy._kept.arrays is kept and [a.size for a in kept] == [KEPT_BLOCK_ENTRIES] * 4
+        expected_value, expected_grad = separate_passes(P, Y, spec)
+        assert value == expected_value
+        np.testing.assert_array_equal(grad, expected_grad)
+        blocks = discrepancy._blocks((side + 1, side))
+        assert not any(np.shares_memory(b, a) for b in blocks for a in kept)
 
 
 class TestInputRule:

@@ -1,4 +1,3 @@
-import contextlib
 import tracemalloc
 
 import numpy as np
@@ -219,11 +218,16 @@ class TestTrain:
         monkeypatch.setattr(gan, "mmd2_and_grad", recorded)
         data = eight_gaussian_ring(512, np.random.default_rng(43))
         cfg = TrainConfig(minibatch=64, iterations=40, checkpoint_every=10)
+        discrepancy._kept.arrays = None
         net, hist = train(make_net([1, 8, 8, 2], seed=44), data, cfg, np.random.default_rng(45))
         # a new largest level after the first step makes the kept arrays grow mid-run
         assert max(levels[1:]) > levels[0]
-        assert getattr(discrepancy._blocks, "arrays", None) is None  # dropped with the run
-        monkeypatch.setattr(gan, "reused_blocks", contextlib.nullcontext)
+
+        def fresh_arrays(P, Y, spec):
+            discrepancy._kept.arrays = None  # this call's blocks in new arrays
+            return real(P, Y, spec)
+
+        monkeypatch.setattr(gan, "mmd2_and_grad", fresh_arrays)
         fresh_net, fresh = train(make_net([1, 8, 8, 2], seed=44), data, cfg,
                                  np.random.default_rng(45))
         assert np.array_equal(hist.loss, fresh.loss)
@@ -383,6 +387,13 @@ class TestMMDS:
         with pytest.raises(InvalidParameterError):
             mmds_score(np.zeros((5, 1)), np.zeros((5, 1)), 6, 2,
                        gaussian_kernel(1.0), rng)
+
+    @pytest.mark.parametrize("n_mb", [-1, 0])
+    def test_subset_size_below_one_rejected(self, n_mb):
+        # -1 raised numpy's "negative dimensions are not allowed", 0 "X must be non-empty"
+        with pytest.raises(InvalidParameterError, match=f"subset size .* got {n_mb}"):
+            mmds_score(np.zeros((5, 1)), np.zeros((5, 1)), n_mb, 2,
+                       gaussian_kernel(1.0), np.random.default_rng(28))
 
 
 def test_ring_dataset_properties():

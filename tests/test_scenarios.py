@@ -188,6 +188,13 @@ class TestRocCurve:
             roc_from_scores(np.array([2.0, 10.0]), np.array([1.0, 3.0]),
                             num_thresholds=num_thresholds)
 
+    @pytest.mark.parametrize("threshold_max", [np.nan, -1.0, 0.0, np.inf])
+    def test_threshold_max_must_be_positive_and_finite(self, threshold_max):
+        # each gave every threshold 0 or NaN, so a silent AUC of 0.5 for perfectly separated scores
+        assert roc_from_scores([3.0, 2.0], [0.2, 0.1], threshold_max=20.0).auc == 1.0
+        with pytest.raises(InvalidParameterError, match="threshold_max must be positive and finite"):
+            roc_from_scores([3.0, 2.0], [0.2, 0.1], threshold_max=threshold_max)
+
     def test_monotone_rates(self):
         rng = np.random.default_rng(8)
         curve = roc_from_scores(rng.uniform(0, 20, 30), rng.uniform(0, 20, 30))
