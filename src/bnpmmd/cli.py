@@ -23,7 +23,7 @@ from .discrepancy import mmd2_empirical
 from .errors import InvalidInputError, InvalidParameterError, as_sample
 from .gan import GeneratorNet, TrainConfig, generator_forward, mmds_score, train
 from .idx import load_idx_images
-from .kernels import format_kernel, gaussian_kernel, gaussian_mixture, parse_kernel, resolve_median
+from .kernels import format_kernel, gaussian_mixture, parse_kernel, resolve_median
 from .rb import RBConfig, run_gof_test
 from .scenarios import (DEFAULT_NUM_THRESHOLDS, SCENARIOS, ScenarioSpec, run_roc_study,
                         scenario_sampler)
@@ -49,7 +49,7 @@ def read_matrix(path: str, header: bool) -> np.ndarray:
 
 
 def write_matrix(path, X: np.ndarray) -> None:
-    np.savetxt(path, np.atleast_2d(X), delimiter=",", fmt=FLOAT_FMT)
+    np.savetxt(path, X, delimiter=",", fmt=FLOAT_FMT)
 
 
 def write_json(path, obj, indent: int | None = None) -> None:
@@ -279,7 +279,7 @@ def cmd_bandwidth_sweep(args, root) -> tuple[dict, list[str]]:
     sigmas = [s.strip() for s in args.sigmas.split(",") if s.strip()]
     if not sigmas:
         raise InvalidParameterError(f"--sigmas {args.sigmas!r} lists no bandwidth")
-    kernels = [gaussian_kernel(None if sig == "median" else float(sig)) for sig in sigmas]
+    kernels = [parse_kernel(f"gaussian:{sig}") for sig in sigmas]
     for i, kernel in enumerate(kernels):
         if kernel in kernels[:i]:
             raise InvalidParameterError(f"--sigmas repeats the bandwidth {sigmas[i]!r}")

@@ -22,7 +22,7 @@ cdist, gram_grad_coeff = kernels.cdist, kernels.gram_grad_coeff
 
 def _nonempty_rows(X, name: str) -> np.ndarray:
     """``X`` by :func:`as_rows`, which must have rows: the MMD functions divide by their count."""
-    X = as_rows(X, name)
+    X = as_rows(X, name, stack=True)
     if X.shape[-2] == 0:
         raise InvalidInputError(f"{name} must be non-empty")
     return X

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError, NumericUnderflowError
+from .errors import InvalidInputError, InvalidParameterError, NumericUnderflowError, as_rows
 
 # Draws i.i.d. rows: sampler(size, rng) -> (size, d) array.
 BaseSampler = Callable[[int, np.random.Generator], np.ndarray]
@@ -40,8 +40,8 @@ class DiscreteMeasure:
     atoms: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        a = np.asarray(self.atoms, dtype=float)
+        w = np.asarray(self.weights, dtype=float).view()
+        a = np.asarray(self.atoms, dtype=float).view()
         if w.ndim not in (1, 2) or a.ndim != w.ndim + 1 or a.shape[:-1] != w.shape:
             raise InvalidParameterError("atoms row count must equal weights length")
         if (w < 0).any():
@@ -50,7 +50,7 @@ class DiscreteMeasure:
         on = np.abs(sums - 1.0) <= SIMPLEX_TOL  # a NaN sum is off
         if not on.all():
             raise InvalidParameterError(f"weights sum to {sums.flat[np.argmin(on)]!r}, not 1")
-        w.flags.writeable = False
+        w.flags.writeable = False  # on views: the caller's arrays stay writeable
         a.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "atoms", a)
@@ -155,8 +155,8 @@ def _draw_base(base_sampler: BaseSampler, k: int, rng: np.random.Generator,
                dim: int | None = None) -> np.ndarray:
     """``k`` atoms from the base; raises unless they come back as k rows of width ``dim``
     (any width when ``dim`` is None), so a short output cannot broadcast."""
-    atoms = np.atleast_2d(np.asarray(base_sampler(k, rng), dtype=float))
-    if atoms.ndim != 2 or atoms.shape[0] != k or dim not in (None, atoms.shape[1]):
+    atoms = as_rows(base_sampler(k, rng), "base sampler output")
+    if atoms.shape[0] != k or dim not in (None, atoms.shape[1]):
         raise InvalidInputError(f"base sampler returned shape {atoms.shape}, "
                                 f"want ({k}, {'d' if dim is None else dim})")
     return atoms
@@ -192,7 +192,7 @@ def sample_dp_posterior(concentration: float, data: np.ndarray,
     if not 0 <= concentration < np.inf:
         raise InvalidParameterError("concentration must be finite and non-negative, "
                                     f"got {concentration}")
-    data = np.atleast_2d(np.asarray(data, dtype=float))
+    data = as_rows(data, "data")
     n, d = data.shape
     if n == 0:
         raise InvalidParameterError("posterior needs non-empty data")

@@ -10,18 +10,20 @@ class InvalidInputError(ValueError):
     """An input array has the wrong shape, dimension, or is empty."""
 
 
-def as_rows(X, name: str) -> np.ndarray:
-    """``X`` as float rows, (N, d), or a stack of them, (c, N, d), a point as one row;
-    raises InvalidInputError naming it for more axes.  Reads no value, copies no float array."""
+def as_rows(X, name: str, width: int | None = None, *, stack: bool = False) -> np.ndarray:
+    """``X`` as float rows (N, d), d = ``width`` if given, a point as one row, with ``stack`` also
+    (c, N, d); else InvalidInputError naming it and its shape.  Reads no value, copies no float array."""
     X = np.asarray(X, dtype=float)
-    if X.ndim > 3:
-        raise InvalidInputError(f"{name} must be rows (N, d) or a stack (c, N, d), got {X.shape}")
-    return X if X.ndim == 3 else np.atleast_2d(X)
+    X = X if X.ndim >= 2 else np.atleast_2d(X)
+    if X.ndim > 2 + stack or width is not None and X.shape[-1] != width:
+        raise InvalidInputError(f"{name} must be rows (N, {'d' if width is None else width})"
+                                f"{' or a stack (c, N, d)' if stack else ''}, got shape {X.shape}")
+    return X
 
 
 def as_sample(X, name: str) -> np.ndarray:
     """``X`` by :func:`as_rows`; raises InvalidInputError naming it if empty, a stack or non-finite."""
-    X = as_rows(X, name)
+    X = as_rows(X, name, stack=True)
     if X.size == 0 or X.ndim != 2:
         raise InvalidInputError(f"{name} must be non-empty rows (N, d), got shape {X.shape}")
     if not np.isfinite(X).all():

@@ -14,7 +14,7 @@ import numpy as np
 from . import discrepancy
 from .discrepancy import mmd2_and_grad, mmd2_empirical
 from .dp import DiscreteMeasure, sample_dp_posterior, stopping_rule_N
-from .errors import InvalidInputError, InvalidParameterError, as_sample
+from .errors import InvalidInputError, InvalidParameterError, as_rows, as_sample
 from .kernels import KernelSpec, gaussian_mixture, resolve_median
 
 # Training calls mmd2_and_grad; these two stay bound because perfbench/spans.py
@@ -36,10 +36,7 @@ class GeneratorNet:
     biases: list[np.ndarray]
 
     def __post_init__(self):
-        if len(self.layer_dims) < 2:
-            raise InvalidParameterError("need at least input and output layers")
-        if any(d < 1 for d in self.layer_dims):
-            raise InvalidParameterError("layer dimensions must be positive")
+        _check_layer_dims(self.layer_dims)
         shapes = list(zip(self.layer_dims[:-1], self.layer_dims[1:]))
         if ([np.shape(w) for w in self.weights] != shapes
                 or [np.shape(b) for b in self.biases] != [(d,) for _, d in shapes]):
@@ -48,8 +45,9 @@ class GeneratorNet:
 
     @classmethod
     def initialize(cls, layer_dims: list[int], rng: np.random.Generator) -> "GeneratorNet":
-        """He-scaled random weights, zero biases."""
+        """He-scaled random weights, zero biases; the dims are checked before any draw."""
         dims = [int(d) for d in layer_dims]
+        _check_layer_dims(dims)
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             weights.append(rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in))
@@ -84,6 +82,11 @@ class GeneratorNet:
         return cls(dims, weights, biases)
 
 
+def _check_layer_dims(dims: list[int]) -> None:
+    if len(dims) < 2 or min(dims) < 1:
+        raise InvalidParameterError(f"need input and output layers of positive dimensions, got {dims}")
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0
@@ -100,9 +103,7 @@ def generator_forward(net: GeneratorNet, U: np.ndarray) -> np.ndarray:
 
 
 def _forward_cached(net: GeneratorNet, U: np.ndarray):
-    U = np.atleast_2d(np.asarray(U, dtype=float))
-    if U.shape[1] != net.noise_dim:
-        raise InvalidInputError(f"noise batch has {U.shape[1]} columns, net expects {net.noise_dim}")
+    U = as_rows(U, "noise batch", net.noise_dim)
     activations = [U]
     a = U
     last = len(net.weights) - 1
@@ -222,7 +223,7 @@ def loss_and_grad(net: GeneratorNet, X_mb: np.ndarray, cfg: TrainConfig,
     Returns:
         (loss, grads_w, grads_b, clamped)
     """
-    X_mb = np.atleast_2d(np.asarray(X_mb, dtype=float))
+    X_mb = as_rows(X_mb, "minibatch", net.data_dim)
     n_terms = stopping_rule_N(cfg.concentration + X_mb.shape[0], cfg.truncation_epsilon,
                               MAX_TERMS, rng).n_terms
     measure = sample_dp_posterior(cfg.concentration, X_mb, cfg.base_sampler, n_terms, rng)
@@ -318,8 +319,8 @@ def mmds_score(real: np.ndarray, generated: np.ndarray, n_mb: int, r_mb: int,
     """Matching score: the worst (largest) empirical squared MMD over random
     same-size subset pairs of the real and generated data (NaN if any pair's is NaN,
     and under a median bandwidth if the generated data hold NaN or inf)."""
-    real = np.atleast_2d(np.asarray(real, dtype=float))
-    generated = np.atleast_2d(np.asarray(generated, dtype=float))
+    real = as_rows(real, "real")
+    generated = as_rows(generated, "generated", real.shape[1])
     if not 1 <= n_mb <= min(real.shape[0], generated.shape[0]):
         raise InvalidParameterError(f"subset size must be from 1 to the smaller dataset size, got {n_mb}")
     if r_mb < 1:

@@ -42,8 +42,9 @@ diagonal of its Gram matrix, which makes its diagonal exactly 0 for a row
 of finite norm and NaN for a NaN row with no recomputation.
 
 scipy is imported by the first block that takes ``cdist``, not with this
-module (0.39 s of the 0.60 s CLI import); once loaded, ``cdist`` is scipy's
-own function, with no wrapper.
+module: importing it costs more than the rest of the CLI's import, and a
+run whose blocks all expand never needs it.  Once loaded, ``cdist`` is
+scipy's own function, with no wrapper.
 """
 from __future__ import annotations
 
@@ -311,14 +312,14 @@ def self_gram(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
     A stack of arrays, (c, N, d), gives its c self blocks, (c, N, N), each
     that of its array alone to the bit, with the profiles run once over all.
     """
-    return _sum_bandwidths(spec, _self_sq_dist(as_rows(X, "X")))
+    return _sum_bandwidths(spec, _self_sq_dist(as_rows(X, "X", stack=True)))
 
 
 def _sq_dist(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Squared distances from the rows of X, (N, d) or a stack (c, N, d), to
     those of Y, (m, d), or of a stack Y, (c, m, d), paired with X array by array;
     into ``out``, a C-contiguous float array of the result's shape, if given."""
-    X, Y = as_rows(X, "X"), as_rows(Y, "Y")
+    X, Y = as_rows(X, "X", stack=True), as_rows(Y, "Y", stack=True)
     d, m = X.shape[-1], Y.shape[-2]
     if d != Y.shape[-1]:
         raise InvalidInputError(f"dimension mismatch: {d} vs {Y.shape[-1]}")
@@ -475,16 +476,12 @@ def parse_kernel(text: str) -> KernelSpec:
         parts = parts[1:]
     if len(parts) not in (2, 3):
         raise InvalidParameterError(f"bad kernel {text!r}; want [mix:]family:bandwidth[,...][:shape]")
-    tokens = parts[1].split(",")
+    tokens = [tok.strip() for tok in parts[1].split(",")]
     if len(tokens) > 1 and not mix:
         raise InvalidParameterError(f"bad kernel {text!r}; a bandwidth list needs the mix: prefix")
     shape = _parse_float(parts[2], "shape") if len(parts) == 3 else None
-    return KernelSpec(parts[0], tuple(_parse_bandwidth(tok) for tok in tokens), shape)
-
-
-def _parse_bandwidth(tok: str) -> float | None:
-    tok = tok.strip()
-    return None if tok == "median" else _parse_float(tok, "bandwidth")
+    bandwidths = tuple(None if tok == "median" else _parse_float(tok, "bandwidth") for tok in tokens)
+    return KernelSpec(parts[0], bandwidths, shape)
 
 
 def _parse_float(tok: str, what: str) -> float:

@@ -25,7 +25,6 @@ KURTOSIS = "kurtosis"
 SCENARIOS = (NO_DIFFERENCE, MEAN_SHIFT, SKEWNESS, MIXTURE,
              VARIANCE_SHIFT, HEAVY_TAIL, KURTOSIS)
 
-RB_THRESHOLD_MAX = 20.0
 DEFAULT_NUM_THRESHOLDS = 401
 
 
@@ -150,14 +149,15 @@ def _check_num_thresholds(num_thresholds: int) -> None:
 
 
 def roc_from_scores(h0_scores: np.ndarray, h1_scores: np.ndarray, *,
-                    threshold_max: float = RB_THRESHOLD_MAX,
+                    threshold_max: float = RBConfig().rb_cap,
                     num_thresholds: int = DEFAULT_NUM_THRESHOLDS,
                     excluded: int = 0) -> RocCurve:
     """Build a ROC curve from test scores where small means reject.
 
     A replication counts as positive (reject) at threshold t when its score
     is strictly below t: H1 scores give the true-positive rate, H0 scores
-    the false-positive rate.  Every score must be finite.
+    the false-positive rate.  Every score must be finite.  The thresholds
+    sweep [0, threshold_max], by default the ratio's range M/i0 under the default RBConfig.
     """
     h0 = np.asarray(h0_scores, dtype=float)
     h1 = np.asarray(h1_scores, dtype=float)

@@ -151,6 +151,22 @@ def test_gof_test_report_and_determinism(tmp_path, capsys):
     assert (tmp_path / "report.json").read_bytes() == first
 
 
+def test_gof_test_prints_the_report_without_out(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    data = tmp_path / "data.csv"
+    write_matrix(data, rng.standard_normal((30, 2)))
+    argv = ["gof-test", "--data", str(data), "--model", "no_difference",
+            "--a", "5", "--ell", "100", "--kernel", "gaussian:80", "--seed", "11"]
+    assert dispatch(argv) == 0
+    printed = capsys.readouterr().out
+    report, summary = printed.rsplit("\n", 2)[:2]
+    assert dispatch([*argv, "--out", str(tmp_path / "report.json")]) == 0
+    assert json.loads(report) == json.loads((tmp_path / "report.json").read_text())
+    assert summary.startswith("rb=") and capsys.readouterr().out == summary + "\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "data.csv", "report.json", "report.manifest.json"]
+
+
 def test_gof_test_samples_out(tmp_path):
     rng = np.random.default_rng(6)
     data = tmp_path / "data.csv"
@@ -350,8 +366,9 @@ def test_bandwidth_sweep_has_no_kernel_flag(tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize("sigmas, named", [("", "''"), ("2,2", "'2'"), ("2,80,2.0", "'2.0'")],
-                         ids=["empty", "repeated", "repeated-as-float"])
+@pytest.mark.parametrize("sigmas, named", [("", "''"), ("2,2", "'2'"), ("2,80,2.0", "'2.0'"),
+                                           ("2,abc", "bad bandwidth 'abc'")],
+                         ids=["empty", "repeated", "repeated-as-float", "not-a-number"])
 def test_bandwidth_sweep_rejects_empty_or_repeated_sigmas(tmp_path, capsys, monkeypatch,
                                                           sigmas, named):
     # a repeated sigma wrote one CSV row per copy but kept one AUC in the manifest
@@ -390,11 +407,15 @@ def test_bandwidth_sweep_rejects_empty_or_repeated_sigmas(tmp_path, capsys, monk
     (["BNPMMD_SEED=abc", "dp-sample", "--a", "5", "--d", "2", "--n-terms", "4"],
      "BNPMMD_SEED must be a non-negative integer, got 'abc'"),
     (["BNPMMD_SEED=-2", "gof-test", "--model", "no_difference"], "BNPMMD_SEED"),
+    (["gan-train", "--iters", "2", "--batch", "8", "--hidden", "0"], "got [10, 0, 3]"),
+    (["gan-train", "--iters", "2", "--batch", "8", "--hidden", "-3"], "got [10, -3, 3]"),
+    (["dp-sample", "--a", "5", "--method", "stick"], "needs an explicit --n-terms"),
 ], ids=["gof-a-0", "gof-a-nan", "dp-sample-a-negative", "dp-sample-stick-a-inf",
         "roc-thresholds-0", "roc-thresholds-1",
         "gan-train-step-negative", "gan-train-checkpoint-negative", "dp-sample-d-0",
         "gof-m-0", "gof-kernel-shape", "gof-kernel-tiny-bandwidth", "gof-kernel-round-off",
-        "seed-negative", "seed-env-not-an-integer", "seed-env-negative"])
+        "seed-negative", "seed-env-not-an-integer", "seed-env-negative",
+        "gan-train-hidden-0", "gan-train-hidden-negative", "dp-sample-stick-no-n-terms"])
 def test_invalid_value_exits_1(matrices, argv, named, capsys, monkeypatch):
     tmp_path, xpath, _ = matrices
     monkeypatch.delenv("BNPMMD_SEED", raising=False)

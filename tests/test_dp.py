@@ -166,6 +166,17 @@ class TestPosteriorSampling:
         with pytest.raises(InvalidParameterError):
             sample_dp_posterior(1.0, np.zeros((0, 2)), zero_base(), 5, np.random.default_rng(0))
 
+    def test_stack_of_data_rejected_naming_it(self):
+        # a (c, N, d) stack ended in numpy's "too many values to unpack"
+        named = r"^data must be rows \(N, d\), got shape \(2, 4, 1\)"
+        with pytest.raises(InvalidInputError, match=named):
+            sample_dp_posterior(1.0, np.zeros((2, 4, 1)), zero_base(), 5, np.random.default_rng(0))
+
+    def test_stack_from_the_base_rejected_naming_it(self):
+        base = lambda k, rng: np.zeros((k, 1, 1))
+        with pytest.raises(InvalidInputError, match=r"^base sampler output must be rows \(N, d\)"):
+            sample_dp_posterior(5.0, np.zeros((4, 1)), base, 30, np.random.default_rng(0))
+
     @pytest.mark.parametrize("a, base, named", [(-1.0, zero_base(), "non-negative"),
                                                 (2.0, None, "base_sampler")],
                              ids=["negative-concentration", "no-base"])
@@ -331,6 +342,16 @@ class TestValidation:
         m = DiscreteMeasure(np.array([0.5, 0.5]), np.zeros((2, 1)))
         with pytest.raises(ValueError):
             m.weights[0] = 1.0
+
+    def test_caller_arrays_stay_writeable(self):
+        # the measure froze the arrays it was given, so the caller's next write raised;
+        # it holds read-only views of them, which see that write
+        w, a = np.array([0.5, 0.5]), np.zeros((2, 1))
+        m = DiscreteMeasure(w, a)
+        a[0, 0] = 1.0
+        w[:] = [0.25, 0.75]
+        assert not m.weights.flags.writeable and not m.atoms.flags.writeable
+        assert m.atoms[0, 0] == 1.0 and m.weights[0] == 0.25
 
 
 STACK_DATA = np.random.default_rng(30).standard_normal((20, 3))

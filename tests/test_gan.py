@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from bnpmmd.errors import InvalidInputError, InvalidParameterError
 from bnpmmd.gan import (GeneratorNet, TrainConfig, _loss_and_param_grads,
                         eight_gaussian_ring, generator_forward, loss_and_grad,
                         mmds_score, train)
-from bnpmmd.kernels import gaussian_kernel, gaussian_mixture
+from bnpmmd.kernels import gaussian_kernel, gaussian_mixture, median_heuristic, resolve_median
 
 
 def make_net(dims, seed=0):
@@ -43,6 +45,27 @@ class TestForward:
         net = make_net([2, 4, 3])
         with pytest.raises(InvalidInputError):
             generator_forward(net, np.zeros((5, 3)))
+
+    @pytest.mark.parametrize("shape", [(2, 3, 3), (2, 5, 3), (5, 4)],
+                             ids=["stack-of-noise-dim", "stack", "wide"])
+    def test_noise_stack_or_wrong_width_rejected_naming_it(self, shape):
+        # a (2, 3, 3) stack ran through the net, and (2, 5, 3) read as "5 columns"
+        net = make_net([3, 4, 2])
+        named = r"^noise batch must be rows \(N, 3\), got shape " + re.escape(str(shape))
+        with pytest.raises(InvalidInputError, match=named):
+            generator_forward(net, np.zeros(shape))
+
+    @pytest.mark.parametrize("dims", [[3], [3, 0, 2], [3, -3, 2]],
+                             ids=["one-layer", "zero-width", "negative-width"])
+    def test_layer_dims_checked_before_any_draw(self, dims):
+        # a zero width divided by zero in the He scale, a negative one failed in numpy
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidParameterError, match=r"positive dimensions, got \["):
+            GeneratorNet.initialize(dims, rng)
+        assert rng.bit_generator.state == state
+        with pytest.raises(InvalidParameterError, match=r"positive dimensions, got \["):
+            GeneratorNet(dims, [], [])
 
     def test_square_noise_dim_allowed(self):
         net = GeneratorNet.initialize([2, 8, 8, 8, 8, 2], np.random.default_rng(0))
@@ -121,6 +144,36 @@ class TestLossAndGrad:
                     worst = max(worst, rel)
         assert worst < 1e-3
 
+    @pytest.mark.parametrize("shape", [(2, 32, 2), (32, 3)], ids=["stack", "wide"])
+    def test_minibatch_stack_or_wrong_width_rejected_naming_it(self, shape):
+        # a (c, N, d) stack ended in numpy's "too many values to unpack"
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        named = r"^minibatch must be rows \(N, 2\), got shape " + re.escape(str(shape))
+        with pytest.raises(InvalidInputError, match=named):
+            loss_and_grad(make_net([2, 4, 2]), np.zeros(shape), TrainConfig(minibatch=32), rng)
+        assert rng.bit_generator.state == state
+
+    def test_median_bandwidth_resolved_against_minibatch_and_output(self, monkeypatch):
+        # the step draws as under a fixed bandwidth, which gives the same loss at the median
+        X = eight_gaussian_ring(32, np.random.default_rng(41))
+        net = make_net([1, 4, 2], seed=42)
+        seen = []
+
+        def recording(spec, X_mb, Y):
+            seen.append((X_mb, Y))
+            return resolve_median(spec, X_mb, Y)
+
+        monkeypatch.setattr(gan, "resolve_median", recording)
+        cfg = TrainConfig(minibatch=32, kernel=gaussian_kernel(None))
+        loss, grads_w, _, _ = loss_and_grad(net, X, cfg, np.random.default_rng(43))
+        (X_mb, Y), = seen
+        assert np.array_equal(X_mb, X) and Y.shape[1] == 2 and np.isfinite(Y).all()
+        fixed = replace(cfg, kernel=gaussian_kernel(median_heuristic(X, Y)))
+        replay = loss_and_grad(net, X, fixed, np.random.default_rng(43))
+        assert np.isfinite(loss) and loss == replay[0]
+        assert all(np.array_equal(a, b) for a, b in zip(grads_w, replay[1]))
+
     def test_generated_equal_atoms_hits_floor(self):
         # uniform weights on atoms exactly equal to the generated batch: the
         # squared discrepancy cancels and the loss sits at sqrt(floor)
@@ -145,6 +198,15 @@ class TestTrainConfig:
     def test_truncation_epsilon_outside_unit_interval(self, eps):
         with pytest.raises(InvalidParameterError, match=f"truncation_epsilon .*got {eps}$"):
             TrainConfig(truncation_epsilon=eps)
+
+    @pytest.mark.parametrize("kwargs, named", [
+        ({"minibatch": 0}, "minibatch and iterations"), ({"iterations": 0}, "minibatch and iterations"),
+        ({"final_step_fraction": 0.0}, "final_step_fraction"),
+        ({"final_step_fraction": 1.5}, "final_step_fraction")],
+        ids=["minibatch-0", "iterations-0", "final-fraction-0", "final-fraction-1.5"])
+    def test_sizes_and_final_step_fraction_checked(self, kwargs, named):
+        with pytest.raises(InvalidParameterError, match=named):
+            TrainConfig(**kwargs)
 
     def test_zero_concentration_is_the_default_bootstrap(self):
         assert TrainConfig(concentration=0.0).concentration == 0.0
@@ -280,6 +342,12 @@ class TestTrain:
             train(net, np.zeros((0, 2)), TrainConfig(minibatch=4, iterations=2),
                   np.random.default_rng(35))
 
+    def test_dataset_of_another_width_rejected(self):
+        net = make_net([1, 4, 2], seed=36)
+        with pytest.raises(InvalidInputError, match="dataset dimension 3 != net output 2"):
+            train(net, np.zeros((8, 3)), TrainConfig(minibatch=4, iterations=2),
+                  np.random.default_rng(36))
+
     def test_minibatch_larger_than_dataset_rejected(self):
         rng = np.random.default_rng(18)
         data = eight_gaussian_ring(16, rng)
@@ -393,6 +461,22 @@ class TestMMDS:
         # -1 raised numpy's "negative dimensions are not allowed", 0 "X must be non-empty"
         with pytest.raises(InvalidParameterError, match=f"subset size .* got {n_mb}"):
             mmds_score(np.zeros((5, 1)), np.zeros((5, 1)), n_mb, 2,
+                       gaussian_kernel(1.0), np.random.default_rng(28))
+
+    def test_no_subset_draw_rejected(self):
+        with pytest.raises(InvalidParameterError, match="at least one subset draw"):
+            mmds_score(np.zeros((5, 1)), np.zeros((5, 1)), 2, 0,
+                       gaussian_kernel(1.0), np.random.default_rng(28))
+
+    @pytest.mark.parametrize("real, generated, named", [
+        ((2, 5, 1), (5, 1), r"^real must be rows \(N, d\), got shape \(2, 5, 1\)"),
+        ((5, 1), (2, 5, 1), r"^generated must be rows \(N, 1\), got shape \(2, 5, 1\)"),
+        ((5, 1), (5, 2), r"^generated must be rows \(N, 1\), got shape \(5, 2\)")],
+        ids=["real-stack", "generated-stack", "generated-wide"])
+    def test_stack_or_wrong_width_rejected_naming_it(self, real, generated, named):
+        # a stack of real samples reached mmd2_empirical, which named neither argument
+        with pytest.raises(InvalidInputError, match=named):
+            mmds_score(np.zeros(real), np.ones(generated), 2, 2,
                        gaussian_kernel(1.0), np.random.default_rng(28))
 
 

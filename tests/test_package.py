@@ -134,3 +134,20 @@ def test_scipy_is_used_only_for_cdist():
     assert used == {"scipy.spatial.distance.cdist"}
     from bnpmmd import kernels
     assert not hasattr(kernels, "pdist") and not hasattr(kernels, "squareform")
+
+
+def _atleast_2d_calls(source: str) -> int:
+    """Calls in ``source`` of ``atleast_2d``, as ``np.atleast_2d`` or imported bare."""
+    return sum(isinstance(node, ast.Call)
+               and getattr(node.func, "attr", getattr(node.func, "id", None)) == "atleast_2d"
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_only_errors_calls_atleast_2d():
+    # the shape rule is errors.as_rows; np.atleast_2d beside it let a (c, N, d)
+    # stack or a wrong width through to numpy's own errors
+    assert _atleast_2d_calls("import numpy as np\nfrom numpy import atleast_2d\n"
+                             "np.atleast_2d(x)\natleast_2d(y)\nnp.asarray(x)") == 2
+    calls = {path.name: _atleast_2d_calls(path.read_text())
+             for path in Path(bnpmmd.__file__).parent.glob("*.py")}
+    assert {name for name, n in calls.items() if n} == {"errors.py"}

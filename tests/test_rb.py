@@ -46,6 +46,10 @@ class TestQuantile:
     def test_median_convention(self):
         assert empirical_quantile(np.array([10.0, 20.0, 30.0, 40.0]), 0.5) == 20.0
 
+    def test_empty_rejected(self):
+        with pytest.raises(InvalidInputError, match="quantile of an empty sample"):
+            empirical_quantile(np.array([]), 0.5)
+
     def test_out_of_range_rejected(self):
         for p in [0.0, -0.1, 1.1]:
             with pytest.raises(InvalidInputError):
@@ -100,6 +104,11 @@ class TestEstimateRB:
     def test_rejects_short_prior(self):
         with pytest.raises(InvalidInputError):
             estimate_rb_strength(np.arange(5.0), np.arange(20.0), 20, 1)
+
+    @pytest.mark.parametrize("anchor_cell", [0, 20])
+    def test_rejects_anchor_cell_off_the_grid(self, anchor_cell):
+        with pytest.raises(InvalidParameterError, match="anchor_cell < grid_cells"):
+            estimate_rb_strength(np.arange(40.0), np.arange(20.0), 20, anchor_cell)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("poisoned", ["prior", "posterior"])
@@ -346,6 +355,14 @@ class TestRunGofTest:
         with pytest.raises(InvalidParameterError, match="positive concentration, got 0.0"):
             run_gof_test(X, normal_base(), self._cfg(concentration=0.0, **terms), rng)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("resample", [False, True], ids=["fixed", "resampled"])
+    def test_model_sampler_of_the_wrong_row_count_rejected(self, resample):
+        short = lambda k, rng: rng.standard_normal((k - 1, 2))
+        X = normal_base(2)(30, np.random.default_rng(11))
+        with pytest.raises(InvalidInputError, match="wrong number of rows"):
+            run_gof_test(X, short, self._cfg(resample_model_per_rep=resample),
+                         np.random.default_rng(12), base_sampler=normal_base(2))
 
     def test_too_few_observations(self):
         rng = np.random.default_rng(10)

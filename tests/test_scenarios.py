@@ -24,6 +24,11 @@ class TestScenarios:
         with pytest.raises(InvalidParameterError):
             scenario_sampler("cauchy", 2)
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_scenario_size_must_be_positive(self, n):
+        with pytest.raises(InvalidParameterError, match=f"size must be positive, got {n}"):
+            ScenarioSpec("no_difference", 2, n)
+
     def test_no_difference_is_null_model(self):
         a = sample_scenario(ScenarioSpec("no_difference", 3, 100), np.random.default_rng(0))
         b = null_model_sampler(3)(100, np.random.default_rng(0))
@@ -139,6 +144,14 @@ class TestRocCurve:
     def test_perfect_separation(self):
         curve = roc_from_scores(np.full(10, 20.0), np.zeros(10))
         assert curve.auc == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("h0, h1", [([], [1.0]), ([1.0], [])], ids=["no-h0", "no-h1"])
+    def test_empty_scores_rejected(self, h0, h1):
+        with pytest.raises(InvalidInputError, match="both hypotheses"):
+            roc_from_scores(np.array(h0), np.array(h1))
+
+    def test_default_threshold_range_is_the_ratio_range(self):
+        assert roc_from_scores(np.ones(2), np.ones(2)).thresholds[-1] == RBConfig().rb_cap == 20.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_scores_rejected(self, bad):
