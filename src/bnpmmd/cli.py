@@ -279,10 +279,16 @@ def cmd_bandwidth_sweep(args, root) -> tuple[dict, list[str]]:
     sigmas = [s.strip() for s in args.sigmas.split(",") if s.strip()]
     if not sigmas:
         raise InvalidParameterError(f"--sigmas {args.sigmas!r} lists no bandwidth")
-    kernels = [parse_kernel(f"gaussian:{sig}") for sig in sigmas]
-    for i, kernel in enumerate(kernels):
-        if kernel in kernels[:i]:
-            raise InvalidParameterError(f"--sigmas repeats the bandwidth {sigmas[i]!r}")
+    kernels = []
+    for sig in sigmas:
+        try:
+            kernel = parse_kernel(f"gaussian:{sig}")
+        except InvalidParameterError as err:
+            raise InvalidParameterError(f"--sigmas takes bandwidths or 'median', got {sig!r} "
+                                        f"({err})") from None
+        if kernel in kernels:
+            raise InvalidParameterError(f"--sigmas repeats the bandwidth {sig!r}")
+        kernels.append(kernel)
     results = {}
     for sig, kernel in zip(sigmas, kernels):
         cfg = rb_config_from_args(args, kernel)

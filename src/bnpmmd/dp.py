@@ -195,7 +195,7 @@ def sample_dp_posterior(concentration: float, data: np.ndarray,
     data = as_rows(data, "data")
     n, d = data.shape
     if n == 0:
-        raise InvalidParameterError("posterior needs non-empty data")
+        raise InvalidInputError(f"data must be non-empty rows (N, d), got shape {data.shape}")
     if concentration > 0 and base_sampler is None:
         raise InvalidParameterError("base_sampler required when the concentration is positive")
     total = concentration + n

@@ -17,14 +17,13 @@ from N, m and d alone, so a block has the same bits alone and in a stack:
   OpenBLAS runs a product of at most 2^18 multiply-adds on one thread;
   above, it spreads it over its threads, and on a shared 2-core machine a
   172 x 172 x 60 product took 4.4 ms in one timing and 76 us in another.
-  On posterior-like measures (N = 42, two thirds of the atoms data rows
-  with duplicates, against m = 50) the blocks of a stack of 15 cost 1.5x
-  less than ``cdist`` at d = 16 and 2.8-3.6x less at d = 60.  A single
-  measure pays the guard's dozen numpy calls alone and costs 1.4x more at
-  d = 20, breaking even only at d = 40 to 48; but the relative-belief test
-  evaluates every measure in a stack, with its redrawn model samples as a
-  paired stack, so the expansion starts at d = 16 for every block.
 - ``cdist`` for every other block, a self block as a full square.
+
+Gaussian MMD value terms take no distances while (max ||x||^2 + max ||y||^2)
+/ (2 sigma_min^2) is at most ``discrepancy.SPLIT_CAP``: ``discrepancy._kernel_sums``
+takes them from the Gram matrix X Y^T, as k = e^{-||x||^2 / 2 sigma^2}
+e^{x.y / sigma^2} e^{-||y||^2 / 2 sigma^2}.  Distances serve the other
+families, blocks past the cap, gradients, :func:`gram` and :func:`self_gram`.
 
 The expansion's rounding error is at most about (d + 2) eps (||x||^2 +
 ||y||^2), so a guard recomputes from differences every pair whose s is NaN
@@ -42,8 +41,8 @@ diagonal of its Gram matrix, which makes its diagonal exactly 0 for a row
 of finite norm and NaN for a NaN row with no recomputation.
 
 scipy is imported by the first block that takes ``cdist``, not with this
-module: importing it costs more than the rest of the CLI's import, and a
-run whose blocks all expand never needs it.  Once loaded, ``cdist`` is
+module: importing it costs more than the rest of the CLI's import, and a run
+whose blocks all split or expand never needs it.  Once loaded, ``cdist`` is
 scipy's own function, with no wrapper.
 """
 from __future__ import annotations
@@ -319,22 +318,27 @@ def _sq_dist(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.
     """Squared distances from the rows of X, (N, d) or a stack (c, N, d), to
     those of Y, (m, d), or of a stack Y, (c, m, d), paired with X array by array;
     into ``out``, a C-contiguous float array of the result's shape, if given."""
-    X, Y = as_rows(X, "X", stack=True), as_rows(Y, "Y", stack=True)
+    X, Y = _pair_rows(X, Y)
     d, m = X.shape[-1], Y.shape[-2]
-    if d != Y.shape[-1]:
-        raise InvalidInputError(f"dimension mismatch: {d} vs {Y.shape[-1]}")
-    paired = Y.ndim == 3
-    if paired and (X.ndim != 3 or len(X) != len(Y)):
-        raise InvalidInputError(f"a stack of {len(Y)} samples pairs with a stack of as many "
-                                f"arrays, got shape {X.shape}")
     out = np.empty(X.shape[:-1] + (m,)) if out is None else out
     if _expands(X, m):
         _cross_expansion(X.reshape(-1, *X.shape[-2:]), Y, out.reshape(-1, *out.shape[-2:]))
-    elif paired:
+    elif Y.ndim == 3:
         _cdist_pairs(X, Y, out)
     else:
         cdist(X.reshape(-1, d), Y, "sqeuclidean", out=out.reshape(X.size // d, m))
     return out
+
+
+def _pair_rows(X, Y) -> tuple[np.ndarray, np.ndarray]:
+    """X, Y by :func:`as_rows`, of one width; a stack Y, (c, m, d), needs a stack X of c arrays."""
+    X, Y = as_rows(X, "X", stack=True), as_rows(Y, "Y", stack=True)
+    if X.shape[-1] != Y.shape[-1]:
+        raise InvalidInputError(f"dimension mismatch: {X.shape[-1]} vs {Y.shape[-1]}")
+    if Y.ndim == 3 and (X.ndim != 3 or len(X) != len(Y)):
+        raise InvalidInputError(f"a stack of {len(Y)} samples pairs with a stack of as many "
+                                f"arrays, got shape {X.shape}")
+    return X, Y
 
 
 def _self_sq_dist(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -205,7 +205,7 @@ def simulate_mmd_samples(draw: Callable[[np.random.Generator], DiscreteMeasure],
 
 
 # Prior draws all within this times the kernel bound T of zero are round-off: on unit-scale
-# data they stay within 2e-15 T at sigma >= 1e8, and reach 1.4e-14 T at sigma = 1e7, d >= 5.
+# data (d 1-60) they stay within 1.2e-15 T at sigma >= 1e8, and reach 1.4e-14 T at sigma = 1e7, d >= 5.
 _ROUNDOFF = 1e-14
 
 

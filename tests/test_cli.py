@@ -410,12 +410,17 @@ def test_bandwidth_sweep_rejects_empty_or_repeated_sigmas(tmp_path, capsys, monk
     (["gan-train", "--iters", "2", "--batch", "8", "--hidden", "0"], "got [10, 0, 3]"),
     (["gan-train", "--iters", "2", "--batch", "8", "--hidden", "-3"], "got [10, -3, 3]"),
     (["dp-sample", "--a", "5", "--method", "stick"], "needs an explicit --n-terms"),
+    (["bandwidth-sweep", *STUDY, "--sigmas", "2,abc"],
+     "--sigmas takes bandwidths or 'median', got 'abc'"),
+    (["bandwidth-sweep", *STUDY, "--sigmas", "5:2"],
+     "--sigmas takes bandwidths or 'median', got '5:2'"),
 ], ids=["gof-a-0", "gof-a-nan", "dp-sample-a-negative", "dp-sample-stick-a-inf",
         "roc-thresholds-0", "roc-thresholds-1",
         "gan-train-step-negative", "gan-train-checkpoint-negative", "dp-sample-d-0",
         "gof-m-0", "gof-kernel-shape", "gof-kernel-tiny-bandwidth", "gof-kernel-round-off",
         "seed-negative", "seed-env-not-an-integer", "seed-env-negative",
-        "gan-train-hidden-0", "gan-train-hidden-negative", "dp-sample-stick-no-n-terms"])
+        "gan-train-hidden-0", "gan-train-hidden-negative", "dp-sample-stick-no-n-terms",
+        "sweep-sigma-not-a-number", "sweep-sigma-with-shape"])
 def test_invalid_value_exits_1(matrices, argv, named, capsys, monkeypatch):
     tmp_path, xpath, _ = matrices
     monkeypatch.delenv("BNPMMD_SEED", raising=False)

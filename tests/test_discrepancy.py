@@ -223,15 +223,17 @@ class TestGradient:
 
 def separate_passes(P, Y, spec):
     # the value and gradient as evaluated before they shared one pass: the
-    # gradient's own cross block, from the distances the value's cross block
-    # takes, and its own sample block
-    m = len(Y)
+    # value from its own distance-form blocks, the gradient's own cross block
+    # from the distances the value's cross block takes, and its own sample block
+    m, w = len(Y), P.weights
+    value = (w @ self_gram(spec, P.atoms) @ w - 2.0 / m * (w @ gram(spec, P.atoms, Y).sum(axis=1))
+             + self_gram(spec, Y).sum() / (m * m))
     gvy = gram_grad_coeff(spec, _sq_dist(P.atoms, Y))
     wg = P.weights[:, None] * gvy
     cross = -2.0 / m * (wg.T @ P.atoms - wg.sum(axis=0)[:, None] * Y)
     gyy = gram_grad_coeff(spec, _self_sq_dist(Y))
     self_term = 2.0 / (m * m) * (gyy @ Y - gyy.sum(axis=1)[:, None] * Y)
-    return mmd2_weighted(P, Y, spec), cross + self_term
+    return float(value), cross + self_term
 
 
 def posterior_and_sample(d, n_terms, m, seed):
@@ -407,6 +409,95 @@ class TestKeptBlocks:
         np.testing.assert_array_equal(grad, expected_grad)
         blocks = discrepancy._blocks((side + 1, side))
         assert not any(np.shares_memory(b, a) for b in blocks for a in kept)
+
+
+def long_double_mmd2(w, V, Y, spec):
+    # the distance form in 80-bit long double, pair by pair from differences
+    w, V, Y = (np.asarray(a, dtype=np.longdouble) for a in (w, V, Y))
+
+    def k(A, B):
+        sq = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=-1)
+        return sum(np.exp(-sq / (2 * np.longdouble(s) ** 2)) for s in spec.bandwidths)
+
+    return w @ k(V, V) @ w - 2 * (w @ k(V, Y).sum(axis=1)) / len(Y) + k(Y, Y).mean()
+
+
+def distance_form_mmd2(w, V, Y, spec):
+    # a single measure's value as mmd2_weighted took it from distance blocks alone
+    m, w = len(Y), w[None, :]
+    return ((w @ self_gram(spec, V) @ w.T)[0, 0]
+            + -2.0 / m * (w @ gram(spec, V, Y).sum(axis=-1)[:, None])[0, 0]
+            + self_gram(spec, Y).reshape(-1).sum() / (m * m))
+
+
+SPLIT_SPECS = [gaussian_kernel(80.0), gaussian_kernel(2.0), gaussian_mixture()]
+
+
+class TestSplitForm:
+    @pytest.mark.parametrize("spec", SPLIT_SPECS, ids=format_kernel)
+    @pytest.mark.parametrize("d", [5, 20, 60])
+    def test_within_1e_15_t_of_a_long_double_reference(self, spec, d, monkeypatch):
+        # the cap on (max ||x||^2 + max ||z||^2) / (2 sigma^2) is chosen by this
+        # bound; every block here is within it, so no distance is computed
+        def no_profiles(*args):
+            raise AssertionError("a block left the split form")
+
+        monkeypatch.setattr(discrepancy, "profile_sums", no_profiles)
+        rng = np.random.default_rng(d)
+        X, Y = rng.standard_normal((50, d)), rng.standard_normal((50, d))
+        errors = []
+        for stack in (sample_dp_prior(25.0, normal_base(d), 42, rng, size=15),
+                      sample_dp_posterior(25.0, X, normal_base(d), 42, rng, size=15)):
+            values = mmd2_weighted(stack, Y, spec)
+            errors += [abs(value - long_double_mmd2(w, V, Y, spec))
+                       for w, V, value in zip(stack.weights, stack.atoms, values)]
+        errors.append(abs(mmd2_empirical(X, Y, spec)
+                          - long_double_mmd2(np.full(50, 1 / 50), X, Y, spec)))
+        assert max(errors) <= 1e-15 * spec.kernel_bound, max(errors)
+
+    @pytest.mark.parametrize("spec", SPLIT_SPECS, ids=format_kernel)
+    @pytest.mark.parametrize("d", [5, 20])
+    def test_a_stack_takes_each_form_per_measure(self, spec, d):
+        rng = np.random.default_rng(d + 1)
+        stack = sample_dp_posterior(25.0, rng.standard_normal((50, d)), normal_base(d), 30, rng,
+                                    size=5)
+        atoms, Y = stack.atoms.copy(), rng.standard_normal((5, 40, d))
+        atoms[1] += 1e3  # far from the origin: over the cap, so every block from distances
+        Y[1] += 1e3
+        atoms[3, 7, 0] = np.nan
+        stack = DiscreteMeasure(stack.weights, atoms)
+        values = mmd2_weighted(stack, Y, spec)
+        alone = [mmd2_weighted(DiscreteMeasure(w, a), y, spec)
+                 for w, a, y in zip(stack.weights, stack.atoms, Y)]
+        np.testing.assert_array_equal(values, alone)
+        assert values[1] == distance_form_mmd2(stack.weights[1], atoms[1], Y[1], spec)
+        assert np.isnan(values[3]) and np.isfinite(np.delete(values, 3)).all()
+        for k in (0, 2, 4):  # the split form, within round-off of the distance form
+            assert abs(values[k] - distance_form_mmd2(stack.weights[k], atoms[k], Y[k], spec)) \
+                <= 1e-14 * spec.kernel_bound
+        fixed = mmd2_weighted(stack, Y[0], spec)  # one sample for all: each measure alone too
+        np.testing.assert_array_equal(
+            fixed, [mmd2_weighted(DiscreteMeasure(w, a), Y[0], spec)
+                    for w, a in zip(stack.weights, stack.atoms)])
+
+    def test_norms_at_the_float_range_choose_a_form_without_overflow(self):
+        # ||v||^2 overflows to inf (the distance form), and the sum of two finite
+        # maxima would (the split form): numpy's overflow warnings are errors here
+        spec = gaussian_kernel(1.3e154)
+        w, Y = np.full(3, 1 / 3), np.zeros((2, 2))
+        V = np.full((3, 2), 1e154)
+        assert mmd2_weighted(DiscreteMeasure(w, V), Y, spec) == distance_form_mmd2(w, V, Y, spec)
+        V = np.array([[1.3e154, 0.0], [0.0, 0.0], [0.0, 1.0]])
+        assert abs(mmd2_weighted(DiscreteMeasure(w, V), Y, spec)
+                   - distance_form_mmd2(w, V, Y, spec)) <= 1e-15
+
+    @pytest.mark.parametrize("spec", SPLIT_SPECS + [gaussian_kernel(1.3)], ids=format_kernel)
+    @pytest.mark.parametrize("d", [2, 16, 60])
+    def test_fused_value_agrees_with_mmd2_weighted(self, spec, d):
+        # mmd2_and_grad keeps its distance blocks, so its value differs by round-off
+        P, Y = posterior_and_sample(d, 42, 50, seed=d)
+        value, _ = mmd2_and_grad(P, Y, spec)
+        assert abs(value - mmd2_weighted(P, Y, spec)) <= 1e-14 * spec.kernel_bound
 
 
 class TestInputRule:

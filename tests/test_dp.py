@@ -163,7 +163,9 @@ class TestPosteriorSampling:
         assert abs(sq.mean() - target) <= 3 * sq.std(ddof=1) / np.sqrt(reps)
 
     def test_empty_data_rejected(self):
-        with pytest.raises(InvalidParameterError):
+        # an empty array is an input error everywhere else; this was a parameter error
+        named = r"^data must be non-empty rows \(N, d\), got shape \(0, 2\)"
+        with pytest.raises(InvalidInputError, match=named):
             sample_dp_posterior(1.0, np.zeros((0, 2)), zero_base(), 5, np.random.default_rng(0))
 
     def test_stack_of_data_rejected_naming_it(self):

@@ -69,12 +69,14 @@ def run_fresh(code: str) -> None:
 
 
 def test_scipy_loads_only_with_the_first_block_off_the_expansion(tmp_path):
-    # d = 20 blocks all take the guarded expansion, so neither the CLI import
-    # nor a test nor a ROC study there needs scipy; a d = 5 block loads it
+    # Gaussian MMD terms take the split form of the Gram matrix and d = 20
+    # distance blocks the guarded expansion, so neither the CLI import nor a
+    # test (at d = 20 or d = 5), a ROC study or an empirical MMD needs scipy;
+    # a d = 5 distance block loads it
     run_fresh(f"""
         import sys
         import numpy as np
-        from bnpmmd import cli, kernels, rb, scenarios
+        from bnpmmd import cli, discrepancy, kernels, rb, scenarios
         assert "scipy" not in sys.modules, "import bnpmmd.cli"
         rng = np.random.default_rng(0)
         rb.run_gof_test(rng.standard_normal((50, 20)), scenarios.null_model_sampler(20),
@@ -84,6 +86,13 @@ def test_scipy_loads_only_with_the_first_block_off_the_expansion(tmp_path):
                              "--d", "20", "--n", "50", "--reps", "2", "--ell", "100",
                              "--seed", "3", "--out", {str(tmp_path / "roc.csv")!r}]) == 0
         assert "scipy" not in sys.modules, "d = 20 roc"
+        spec = kernels.parse_kernel("gaussian:80")
+        rb.run_gof_test(rng.standard_normal((50, 5)), scenarios.null_model_sampler(5),
+                        rb.RBConfig(mc_reps=100, kernel=spec), rng)
+        assert "scipy" not in sys.modules, "d = 5 test"
+        discrepancy.mmd2_empirical(rng.standard_normal((30, 5)), rng.standard_normal((20, 5)),
+                                   kernels.gaussian_mixture())
+        assert "scipy" not in sys.modules, "d = 5 mmd2_empirical"
         kernels.gram(kernels.gaussian_kernel(1.0), rng.standard_normal((4, 5)),
                      rng.standard_normal((3, 5)))
         import scipy.spatial.distance
