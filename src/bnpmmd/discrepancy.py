@@ -14,7 +14,7 @@ import numpy as np
 from . import kernels
 from .dp import DiscreteMeasure
 from .errors import InvalidInputError, InvalidParameterError, as_rows
-from .kernels import GAUSSIAN, KernelSpec, _pair_rows, _self_sq_dist, _sq_dist, profile_sums
+from .kernels import GAUSSIAN, KernelSpec, _pair_rows, _sq_dist, profile_sums
 
 # bound only because perfbench/spans.py wraps these three names here
 cdist, gram, gram_grad_coeff = kernels.cdist, kernels.gram, kernels.gram_grad_coeff
@@ -90,8 +90,7 @@ def _kernel_sums(spec: KernelSpec, X: np.ndarray, u: np.ndarray | None,
             np.exp(np.multiply(block, 2.0 * scale, out=values), out=values)
             sums = sums + (a[:, None, :] @ values @ b[..., None])[:, 0, 0]
         return sums
-    profile_sums(spec, _self_sq_dist(X, block) if Z is None else _sq_dist(X, Z, block), values,
-                 None, scratch)
+    profile_sums(spec, _sq_dist(X, X if Z is None else Z, block), values, None, scratch)
     if u is None:
         return values.reshape(len(X), -1).sum(axis=1)
     u = u[:, None, :]
@@ -166,7 +165,7 @@ def mmd2_and_grad(P: DiscreteMeasure, Y: np.ndarray, spec: KernelSpec) -> tuple[
     V, w = P.atoms, P.weights
     n, m = len(w), len(Y)
     sq, values, coeffs, scratch = _blocks((n, n))
-    profile_sums(spec, _self_sq_dist(V, sq), values, None, scratch)
+    profile_sums(spec, _sq_dist(V, V, sq), values, None, scratch)
     term1 = float(w @ values @ w)
 
     sq, values, coeffs, scratch = _blocks((n, m))
@@ -178,7 +177,7 @@ def mmd2_and_grad(P: DiscreteMeasure, Y: np.ndarray, spec: KernelSpec) -> tuple[
     cross = -2.0 / m * (wg.T @ V - wg.sum(axis=0)[:, None] * Y)
 
     sq, values, coeffs, scratch = _blocks((m, m))
-    profile_sums(spec, _self_sq_dist(Y, sq), values, coeffs, scratch)  # diagonal displacement 0
+    profile_sums(spec, _sq_dist(Y, Y, sq), values, coeffs, scratch)  # diagonal displacement 0
     term3 = float(values.reshape(-1, m * m).sum(axis=1)[0] / (m * m))
     self_term = 2.0 / (m * m) * (coeffs @ Y - coeffs.sum(axis=1)[:, None] * Y)
     return term1 + term2 + term3, cross + self_term

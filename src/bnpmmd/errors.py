@@ -11,11 +11,12 @@ class InvalidInputError(ValueError):
 
 
 def as_rows(X, name: str, width: int | None = None, *, stack: bool = False) -> np.ndarray:
-    """``X`` as float rows (N, d), d = ``width`` if given, a point as one row, with ``stack`` also
-    (c, N, d); else InvalidInputError naming it and its shape.  Reads no value, copies no float array."""
+    """``X`` as float rows (N, d), d >= 1 and d = ``width`` if given, a point as one row, with
+    ``stack`` also (c, N, d); else InvalidInputError naming it and its shape.  Reads no value,
+    copies no float array."""
     X = np.asarray(X, dtype=float)
     X = X if X.ndim >= 2 else np.atleast_2d(X)
-    if X.ndim > 2 + stack or width is not None and X.shape[-1] != width:
+    if X.ndim > 2 + stack or not X.shape[-1] or width is not None and X.shape[-1] != width:
         raise InvalidInputError(f"{name} must be rows (N, {'d' if width is None else width})"
                                 f"{' or a stack (c, N, d)' if stack else ''}, got shape {X.shape}")
     return X

@@ -5,45 +5,22 @@ distance s = ||x - y||^2 (scipy's ``sqeuclidean``), with h mapping [0, inf)
 into [0, 1] and h(0) = 1, so a sum over T bandwidths is bounded by T.
 
 A block holds the squared distances from the rows of X, (N, d), to the m
-rows of Y, or to its own rows for a self block; a stack X, (c, N, d), gives
-c blocks, against one Y or, array by array, against a paired stack Y,
-(c, m, d).  Each block's distances come from one of two forms, chosen
-from N, m and d alone, so a block has the same bits alone and in a stack:
-
-- The guarded expansion s = ||x||^2 + ||y||^2 - 2 x.y from one matrix
-  product, from ``EXPANSION_MIN_DIM`` coordinates on, while N m d is at most
-  ``EXPANSION_MAX_PRODUCT`` multiply-adds.  A single array is multiplied as
-  a stack of one, a stack as the batched product, one BLAS call per array.
-  OpenBLAS runs a product of at most 2^18 multiply-adds on one thread;
-  above, it spreads it over its threads, and on a shared 2-core machine a
-  172 x 172 x 60 product took 4.4 ms in one timing and 76 us in another.
-- ``cdist`` for every other block, a self block as a full square.
+rows of Y; a stack X, (c, N, d), gives c blocks, against one Y or, array by
+array, against a paired stack Y, (c, m, d).  A self block is X against
+itself, as a full square.  Every block's distances come from ``cdist``, so a
+block has the same bits alone and in a stack.
 
 Gaussian MMD value terms take no distances while (max ||x||^2 + max ||y||^2)
 / (2 sigma_min^2) is at most ``discrepancy.SPLIT_CAP``: ``discrepancy._kernel_sums``
 takes them from the Gram matrix X Y^T, as k = e^{-||x||^2 / 2 sigma^2}
 e^{x.y / sigma^2} e^{-||y||^2 / 2 sigma^2}.  Distances serve the other
-families, blocks past the cap, gradients, :func:`gram` and :func:`self_gram`.
+families, blocks past the cap, gradients, the median heuristic, :func:`gram`
+and :func:`self_gram`.
 
-The expansion's rounding error is at most about (d + 2) eps (||x||^2 +
-||y||^2), so a guard recomputes from differences every pair whose s is NaN
-or at most ``EXPANSION_GUARD`` (max ||x||^2 + max ||y||^2), the maxima taken
-over the block; every other pair is within a relative (d + 2) eps /
-``EXPANSION_GUARD`` of the exact distance (1.4e-11 at d = 60).  The maxima
-skip NaN rows (``np.fmax``), so a NaN row costs the recomputation of its
-own pairs only.  A block in which the guard flags more than
-``EXPANSION_DENSE`` of the pairs is recomputed whole by ``cdist``: that
-happens to data far from the origin for their spread, and to a block with
-an infinite or overflowing norm, whose bound is infinite.  So a pair is
-never negative, is exactly 0 where ``cdist`` gives 0 (duplicate rows), and
-is NaN where ``cdist`` gives NaN.  A self block takes its norms from the
-diagonal of its Gram matrix, which makes its diagonal exactly 0 for a row
-of finite norm and NaN for a NaN row with no recomputation.
-
-scipy is imported by the first block that takes ``cdist``, not with this
-module: importing it costs more than the rest of the CLI's import, and a run
-whose blocks all split or expand never needs it.  Once loaded, ``cdist`` is
-scipy's own function, with no wrapper.
+scipy is imported by the first distance block, not with this module:
+importing it costs more than the rest of the CLI's import, and a run whose
+blocks all split never needs it.  Once loaded, ``cdist`` is scipy's own
+function, with no wrapper.
 """
 from __future__ import annotations
 
@@ -189,14 +166,6 @@ _SIGMA_MIN, _SIGMA_MAX = np.sqrt(np.finfo(float).tiny), np.sqrt(np.finfo(float).
 MIXTURE_BANDWIDTHS = (2.0, 5.0, 10.0, 20.0, 40.0, 80.0)
 # Single bandwidth used throughout the hypothesis-testing experiments.
 TEST_BANDWIDTH = 80.0
-# Blocks of at least this many coordinates, each block's product at most
-# EXPANSION_MAX_PRODUCT multiply-adds, take their squared distances from the guarded
-# expansion; a pair within EXPANSION_GUARD of 0 is recomputed, and a block with more
-# than EXPANSION_DENSE of its pairs so is recomputed whole.  See the module docstring.
-EXPANSION_MIN_DIM = 16
-EXPANSION_MAX_PRODUCT = 2**18
-EXPANSION_GUARD = 1e-3
-EXPANSION_DENSE = 1 / 8
 
 
 @dataclass(frozen=True)
@@ -311,20 +280,20 @@ def self_gram(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
     A stack of arrays, (c, N, d), gives its c self blocks, (c, N, N), each
     that of its array alone to the bit, with the profiles run once over all.
     """
-    return _sum_bandwidths(spec, _self_sq_dist(as_rows(X, "X", stack=True)))
+    return _sum_bandwidths(spec, _sq_dist(X, X))
 
 
 def _sq_dist(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Squared distances from the rows of X, (N, d) or a stack (c, N, d), to
-    those of Y, (m, d), or of a stack Y, (c, m, d), paired with X array by array;
-    into ``out``, a C-contiguous float array of the result's shape, if given."""
+    """Squared distances by ``cdist`` from the rows of X, (N, d) or a stack
+    (c, N, d), to those of Y, (m, d), or of a stack Y, (c, m, d), paired with X
+    array by array (``_sq_dist(X, X)`` for self blocks); into ``out``, a
+    C-contiguous float array of the result's shape, if given."""
     X, Y = _pair_rows(X, Y)
     d, m = X.shape[-1], Y.shape[-2]
     out = np.empty(X.shape[:-1] + (m,)) if out is None else out
-    if _expands(X, m):
-        _cross_expansion(X.reshape(-1, *X.shape[-2:]), Y, out.reshape(-1, *out.shape[-2:]))
-    elif Y.ndim == 3:
-        _cdist_pairs(X, Y, out)
+    if Y.ndim == 3:
+        for x, y, block in zip(X, Y, out):
+            cdist(x, y, "sqeuclidean", out=block)
     else:
         cdist(X.reshape(-1, d), Y, "sqeuclidean", out=out.reshape(X.size // d, m))
     return out
@@ -339,94 +308,6 @@ def _pair_rows(X, Y) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidInputError(f"a stack of {len(Y)} samples pairs with a stack of as many "
                                 f"arrays, got shape {X.shape}")
     return X, Y
-
-
-def _self_sq_dist(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Squared distances within X, (N, d), or within each array of a stack
-    (c, N, d): the guarded expansion where the block qualifies, else ``cdist``;
-    into ``out``, a C-contiguous float array of the result's shape, if given."""
-    n = X.shape[-2]
-    out = np.empty(X.shape[:-1] + (n,)) if out is None else out
-    if _expands(X, n):
-        _self_expansion(X.reshape(-1, *X.shape[-2:]), out.reshape(-1, n, n))
-    elif X.ndim == 3:
-        _cdist_pairs(X, X, out)
-    else:
-        cdist(X, X, "sqeuclidean", out=out)
-    return out
-
-
-def _cdist_pairs(X: np.ndarray, Y: np.ndarray, out: np.ndarray) -> None:
-    """``cdist`` from each array of the stack X, (c, N, d), to its own array of
-    the stack Y, (c, m, d), written into the (c, N, m) array ``out``."""
-    for x, y, block in zip(X, Y, out):
-        cdist(x, y, "sqeuclidean", out=block)
-
-
-def _expands(X: np.ndarray, m: int) -> bool:
-    """Whether the blocks of X, (N, d) or a stack (c, N, d), against m rows take
-    the expansion: d >= EXPANSION_MIN_DIM and 0 < N m d <= EXPANSION_MAX_PRODUCT."""
-    n, d = X.shape[-2:]
-    return d >= EXPANSION_MIN_DIM and 0 < n * m * d <= EXPANSION_MAX_PRODUCT
-
-
-def _cross_expansion(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Guarded expansion from each array of the stack X, (c, N, d), to Y, (m, d),
-    or to its own array of a paired stack Y, (c, m, d); into ``out`` if given."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        nx = np.einsum("cik,cik->ci", X, X)
-        ny = np.einsum("...jk,...jk->...j", Y, Y)
-        # -2 x.y; the power of two scales exactly
-        sq = np.matmul(X, (-2.0 * Y).swapaxes(-1, -2), out=out)
-        sq += nx[:, :, None]
-        sq += ny[..., None, :]
-        bound = EXPANSION_GUARD * (np.fmax.reduce(nx, axis=1, initial=0.0)
-                                   + np.fmax.reduce(ny, axis=-1, initial=0.0))
-        _resolve(sq, ~(sq > bound[:, None, None]), X, Y)
-    return sq
-
-
-def _self_expansion(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Guarded expansion from each array of the stack X, (c, N, d), to itself;
-    into ``out`` if given."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        sq = np.matmul(X, X.swapaxes(1, 2), out=out)
-        norms = np.einsum("cii->ci", sq).copy()
-        sq *= -2.0
-        sq += norms[:, :, None]
-        sq += norms[:, None, :]  # (-2 ||x||^2 + ||x||^2) + ||x||^2 is exactly 0
-        bound = 2.0 * EXPANSION_GUARD * np.fmax.reduce(norms, axis=1, initial=0.0)
-        redo = ~(sq > bound[:, None, None])
-        # a diagonal entry needs recomputing only where the norm is NaN or infinite
-        np.einsum("cii->ci", redo)[...] = ~np.isfinite(norms)
-        _resolve(sq, redo, X, None)
-    return sq
-
-
-def _resolve(sq: np.ndarray, redo: np.ndarray, X: np.ndarray, Y: np.ndarray | None) -> None:
-    """Recompute in place the pairs ``redo`` flags in the blocks ``sq`` of the
-    stack X against Y, against its own array of a paired stack Y, or against
-    itself when Y is None: a block by ``cdist`` where they are more than
-    ``EXPANSION_DENSE`` of its pairs, else each pair from its difference."""
-    n, m = sq.shape[1:]
-    paired = X if Y is None else (Y if Y.ndim == 3 else None)
-    flat = np.flatnonzero(redo)
-    if flat.size > EXPANSION_DENSE * n * m:
-        dense = np.flatnonzero(np.count_nonzero(redo, axis=(1, 2)) > EXPANSION_DENSE * n * m)
-        for k in dense:
-            cdist(X[k], Y if paired is None else paired[k], "sqeuclidean", out=sq[k])
-            redo[k] = False
-        if dense.size:
-            flat = np.flatnonzero(redo)
-    if flat.size:
-        rows, cols = np.divmod(flat, m)  # rows of X flattened to (c N, d)
-        X = X.reshape(-1, X.shape[-1])
-        if paired is not None:
-            cols += rows // n * m  # the column's row in the same block of the paired stack
-            Y = paired.reshape(-1, X.shape[-1])
-        diff = X[rows] - Y[cols]
-        diff *= diff
-        sq.reshape(-1)[flat] = diff.sum(axis=1)
 
 
 def eval_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:

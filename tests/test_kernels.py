@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +5,13 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from bnpmmd import kernels
-from bnpmmd.discrepancy import mmd2_empirical
+from bnpmmd.discrepancy import mmd2_empirical, yy_mean_term
 from bnpmmd.errors import InvalidInputError, InvalidParameterError, UnsupportedKernelError
 from bnpmmd.kernels import (EXPONENTIAL, FAMILIES, GAUSSIAN, MATERN,
                             RATIONAL_QUADRATIC, KernelSpec,
                             eval_kernel, format_kernel, gaussian_kernel,
                             gaussian_mixture, gram, gram_grad_coeff, median_heuristic,
-                            parse_kernel, resolve_median, self_gram, _self_sq_dist,
-                            _sum_bandwidths)
+                            parse_kernel, resolve_median, self_gram, _sum_bandwidths)
 
 
 def single(family, bw, shape=None):
@@ -310,77 +307,9 @@ def test_stack_of_self_blocks_equals_each_block(spec):
         np.testing.assert_array_equal(block, self_gram(spec, x))
     np.testing.assert_array_equal(self_gram(spec, X[:1])[0], self_gram(spec, X[0]))
     # the gradient coefficients of a stack's distances are each block's too
-    coeffs = gram_grad_coeff(spec, _self_sq_dist(X))
+    coeffs = gram_grad_coeff(spec, kernels._sq_dist(X, X))
     for x, block in zip(X, coeffs):
-        np.testing.assert_array_equal(block, gram_grad_coeff(spec, _self_sq_dist(x)))
-
-
-def _expansion_rows(d, poison):
-    # heavy-tailed t3 rows, a duplicate pair and a row shared with Y
-    rng = np.random.default_rng(d)
-    X = rng.standard_t(3, (3, 30, d))
-    Y = rng.standard_normal((20, d)) + 0.5
-    X[:, 7] = X[:, 2]
-    X[:, 11] = Y[4]
-    if poison is not None:
-        X[1, 5, 3] = poison
-    return X, Y
-
-
-def _assert_like_cdist(sq, want, d):
-    np.testing.assert_array_equal(np.isnan(sq), np.isnan(want))
-    np.testing.assert_array_equal(np.isinf(sq), np.isinf(want))
-    np.testing.assert_array_equal(sq == 0, want == 0)
-    assert not (sq < 0).any()
-    # the documented (d + 2) eps / guard, plus cdist's own error
-    rtol = (d + 3) * np.finfo(float).eps / kernels.EXPANSION_GUARD
-    finite = np.isfinite(want)
-    np.testing.assert_allclose(sq[finite], want[finite], rtol=rtol, atol=0)
-
-
-@pytest.mark.parametrize("poison", [None, np.nan, np.inf, 1e200],
-                         ids=["finite", "nan", "inf", "norm-overflow"])
-@pytest.mark.parametrize("d", [16, 20, 60])
-def test_expansion_matches_cdist_with_exact_zeros(d, poison):
-    X, Y = _expansion_rows(d, poison)
-    cross, self_ = kernels._cross_expansion(X, Y), kernels._self_expansion(X)
-    with np.errstate(invalid="ignore", over="ignore"):
-        for x, block, self_block in zip(X, cross, self_):
-            _assert_like_cdist(block, cdist(x, Y, "sqeuclidean"), d)
-            _assert_like_cdist(self_block, cdist(x, x, "sqeuclidean"), d)
-            # each block of a stack is that of its array alone, to the bit
-            np.testing.assert_array_equal(block, kernels._cross_expansion(x[None], Y)[0])
-            np.testing.assert_array_equal(self_block, kernels._self_expansion(x[None])[0])
-    assert (self_[:, 7, 2] == 0).all() and (cross[:, 11, 4] == 0).all()
-    # a lone row whose squared norm overflows is still at distance 0 from itself
-    assert kernels._self_expansion(np.full((1, 1, d), 1e200)) == 0
-
-
-@pytest.mark.parametrize("offset", [1e3, -1e5])
-def test_block_whose_pairs_the_guard_mostly_flags_is_recomputed_by_cdist(monkeypatch, offset):
-    # far from the origin every pair is within the guard of 0, relative to the norms
-    calls = []
-    monkeypatch.setattr(kernels, "cdist", lambda *a, **k: calls.append(a) or cdist(*a, **k))
-    rng = np.random.default_rng(3)
-    X, Y = rng.standard_normal((4, 40, 60)), rng.standard_normal((30, 60))
-    X[:, 7] = X[:, 2]
-    X[2] += offset
-    self_ = kernels._self_expansion(X)
-    assert len(calls) == 1
-    np.testing.assert_array_equal(self_[2], cdist(X[2], X[2], "sqeuclidean"))
-    for x, self_block in zip(X, self_):
-        _assert_like_cdist(self_block, cdist(x, x, "sqeuclidean"), 60)
-        assert self_block[7, 2] == 0
-    calls.clear()
-    X[[0, 1, 3]] += offset
-    cross = kernels._cross_expansion(X, Y + offset)
-    assert len(calls) == 4
-    for x, block in zip(X, cross):
-        _assert_like_cdist(block, cdist(x, Y + offset, "sqeuclidean"), 60)
-    calls.clear()
-    kernels._self_expansion(X - offset)
-    kernels._cross_expansion(X - offset, Y)
-    assert not calls
+        np.testing.assert_array_equal(block, gram_grad_coeff(spec, kernels._sq_dist(x, x)))
 
 
 @pytest.mark.parametrize("d", [20, 60])
@@ -398,13 +327,13 @@ def test_block_of_an_array_against_itself_has_an_exact_diagonal(family, d):
 def test_exponential_gradient_is_zero_at_a_duplicate_pair(d):
     X = np.random.default_rng(4).standard_normal((30, d))
     X[9] = X[3]
-    g = gram_grad_coeff(single(EXPONENTIAL, 2.0), _self_sq_dist(X))
+    g = gram_grad_coeff(single(EXPONENTIAL, 2.0), kernels._sq_dist(X, X))
     assert g[3, 9] == g[9, 3] == 0.0
     np.testing.assert_array_equal(np.diag(g), 0.0)
     assert (np.delete(g[3], [3, 9]) > 0).all()
 
 
-@pytest.mark.parametrize("d", [15, 16, 47, 48, 60])
+@pytest.mark.parametrize("d", [5, 20, 60])
 def test_paired_stack_of_samples_equals_each_pair_alone(monkeypatch, d):
     calls = []
     monkeypatch.setattr(kernels, "cdist", lambda *a, **k: calls.append(a) or cdist(*a, **k))
@@ -413,17 +342,13 @@ def test_paired_stack_of_samples_equals_each_pair_alone(monkeypatch, d):
     X[:, 7] = X[:, 2]
     X[:, 11] = Y[:, 4]  # a row shared with its own sample: exactly 0 apart
     X[1, 5, 3] = np.nan
-    X[2] += 1e3  # far from the origin for their spread: the guard flags every pair
-    Y[2] += 1e3
     spec = single(EXPONENTIAL, 4.0)
     with np.errstate(invalid="ignore"):
         sq = kernels._sq_dist(X, Y)
-        # off the expansion one cdist per pair, on it one for the block the guard sends there
-        assert len(calls) == (4 if d < kernels.EXPANSION_MIN_DIM else 1)
-        np.testing.assert_array_equal(calls[-1][0], X[3 if d < kernels.EXPANSION_MIN_DIM else 2])
+        assert len(calls) == 4  # one cdist per pair
         stack = gram(spec, X, Y)
         for x, y, block, values in zip(X, Y, sq, stack):
-            _assert_like_cdist(block, cdist(x, y, "sqeuclidean"), d)
+            np.testing.assert_array_equal(block, cdist(x, y, "sqeuclidean"))
             np.testing.assert_array_equal(block, kernels._sq_dist(x, y))
             np.testing.assert_array_equal(values, gram(spec, x, y))
     assert (sq[:, 11, 4] == 0).all() and (stack[:, 11, 4] == 1).all()
@@ -440,29 +365,21 @@ def test_paired_stack_of_another_count_or_width_raises(Y):
         gram(gaussian_kernel(1.0), X[0], Y[:1])
 
 
-@pytest.mark.parametrize("d, scipy_called", [(kernels.EXPANSION_MIN_DIM - 1, True),
-                                             (kernels.EXPANSION_MIN_DIM, False)])
-def test_blocks_take_expansion_from_min_dimension(monkeypatch, d, scipy_called):
-    calls = []
-    monkeypatch.setattr(kernels, "cdist", lambda *a, **k: calls.append(a) or cdist(*a, **k))
-    rng = np.random.default_rng(d)
-    X, Y = rng.standard_normal((3, 60, d)), rng.standard_normal((20, d))
+@pytest.mark.parametrize("call", [
+    lambda spec, X: self_gram(spec, X), lambda spec, X: gram(spec, X, X),
+    lambda spec, X: mmd2_empirical(X, X, spec), lambda spec, X: yy_mean_term(X, spec),
+    lambda spec, X: eval_kernel(spec, X[0], X[0])],
+    ids=["self_gram", "gram", "mmd2_empirical", "yy_mean_term", "eval_kernel"])
+def test_rows_of_no_coordinates_raise_naming_the_array(call):
+    # rows of no coordinates raise here, not as a block of ones or numpy's reshape error
+    with pytest.raises(InvalidInputError, match=r"^[XY] must be rows \(N, d\).*got shape \(\d, 0\)"):
+        call(gaussian_kernel(1.0), np.zeros((3, 0)))
+
+
+def test_empty_blocks_keep_their_shapes():
+    rng = np.random.default_rng(16)
+    X, Y = rng.standard_normal((3, 60, 16)), rng.standard_normal((20, 16))
     spec = gaussian_kernel(4.0)
-    gram(spec, X, Y)
-    gram(spec, X[0], Y)
-    self_gram(spec, X)
-    self_gram(spec, X[0])
-    median_heuristic(X[0], Y)
-    assert bool(calls) == scipy_called
-    # blocks whose product passes EXPANSION_MAX_PRODUCT keep scipy, alone or stacked
-    big = rng.standard_normal((2, math.isqrt(kernels.EXPANSION_MAX_PRODUCT // d) + 1, d))
-    assert big.shape[1] ** 2 * d > kernels.EXPANSION_MAX_PRODUCT
-    for block in (lambda: self_gram(spec, big), lambda: self_gram(spec, big[0]),
-                  lambda: gram(spec, big, big[0]), lambda: median_heuristic(big[0], big[1])):
-        calls.clear()
-        block()
-        assert calls
-    # empty blocks keep their shapes either way
     assert self_gram(spec, X[:, :0]).shape == (3, 0, 0)
     assert self_gram(spec, X[0, :0]).shape == (0, 0)
     assert gram(spec, X[:, :0], Y).shape == (3, 0, 20)

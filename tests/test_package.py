@@ -68,25 +68,31 @@ def run_fresh(code: str) -> None:
     assert done.returncode == 0, done.stderr
 
 
-def test_scipy_loads_only_with_the_first_block_off_the_expansion(tmp_path):
-    # Gaussian MMD terms take the split form of the Gram matrix and d = 20
-    # distance blocks the guarded expansion, so neither the CLI import nor a
-    # test (at d = 20 or d = 5), a ROC study or an empirical MMD needs scipy;
-    # a d = 5 distance block loads it
+def test_scipy_loads_only_with_the_first_distance_block(tmp_path):
+    # Gaussian MMD terms take the split form of the Gram matrix, so neither the
+    # CLI import nor a fixed-bandwidth Gaussian test (fixed or resampled model,
+    # heavy-tailed d = 60 data included), a ROC study or an empirical MMD needs
+    # scipy; the first distance block loads it
     run_fresh(f"""
         import sys
         import numpy as np
         from bnpmmd import cli, discrepancy, kernels, rb, scenarios
         assert "scipy" not in sys.modules, "import bnpmmd.cli"
-        rng = np.random.default_rng(0)
+        rng, spec = np.random.default_rng(0), kernels.parse_kernel("gaussian:80")
         rb.run_gof_test(rng.standard_normal((50, 20)), scenarios.null_model_sampler(20),
                         rb.RBConfig(mc_reps=100), rng)
         assert "scipy" not in sys.modules, "d = 20 test"
+        rb.run_gof_test(rng.standard_normal((50, 20)), scenarios.null_model_sampler(20),
+                        rb.RBConfig(mc_reps=100, resample_model_per_rep=True), rng)
+        assert "scipy" not in sys.modules, "d = 20 resampled test"
+        heavy = scenarios.scenario_sampler(scenarios.HEAVY_TAIL, 60)(50, rng)
+        rb.run_gof_test(heavy, scenarios.null_model_sampler(60),
+                        rb.RBConfig(kernel=spec), rng)
+        assert "scipy" not in sys.modules, "heavy-tailed d = 60 test"
         assert cli.dispatch(["roc", "--null", "no_difference", "--alt", "mean_shift",
                              "--d", "20", "--n", "50", "--reps", "2", "--ell", "100",
                              "--seed", "3", "--out", {str(tmp_path / "roc.csv")!r}]) == 0
         assert "scipy" not in sys.modules, "d = 20 roc"
-        spec = kernels.parse_kernel("gaussian:80")
         rb.run_gof_test(rng.standard_normal((50, 5)), scenarios.null_model_sampler(5),
                         rb.RBConfig(mc_reps=100, kernel=spec), rng)
         assert "scipy" not in sys.modules, "d = 5 test"
@@ -102,7 +108,7 @@ def test_scipy_loads_only_with_the_first_block_off_the_expansion(tmp_path):
 
 def test_loading_scipy_never_replaces_a_patched_name():
     # a wrapper around the stand-in (as perfbench/spans.py binds one) stays
-    # bound when the stand-in's first call, from a d < 16 block, loads scipy
+    # bound when the stand-in's first call, from a distance block, loads scipy
     run_fresh("""
         import sys
         import numpy as np
