@@ -233,7 +233,11 @@ def cmd_dp_sample(args, rng) -> tuple[dict, list[str]]:
 def cmd_gan_train(args, rng) -> tuple[dict, list[str]]:
     dataset = read_matrix(args.data, args.header)
     kernel = parse_kernel(args.kernel)
-    hidden = [int(h) for h in args.hidden.split(",") if h]
+    try:
+        hidden = [int(h) for h in args.hidden.split(",") if h]
+    except ValueError:
+        raise InvalidParameterError(f"--hidden takes comma-separated layer widths, "
+                                    f"got {args.hidden!r}") from None
     dims = [args.noise_dim] + hidden + [dataset.shape[1]]
     net = GeneratorNet.initialize(dims, rng)
     cfg = TrainConfig(minibatch=args.batch, iterations=args.iters, kernel=kernel,

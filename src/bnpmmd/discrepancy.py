@@ -54,18 +54,22 @@ def _blocks(shape: tuple[int, ...]) -> list[np.ndarray]:
 SPLIT_CAP = 64.0
 
 
-def _kernel_sums(spec: KernelSpec, X: np.ndarray, u: np.ndarray | None,
-                 Z: np.ndarray | None) -> np.ndarray:
+def _kernel_sums(spec: KernelSpec, X: np.ndarray, u: np.ndarray | None, Z: np.ndarray | None,
+                 U: np.ndarray | None = None):
     """Every MMD value term: for each array x of the stack X, (c, N, d),
     sum_lt u_l k(x_l, z_t) v_t against Z, (m, d), its own array of a paired
     stack Z, (c, m, d), or x itself when Z is None; v is u for a self block,
     else ones, and u None means ones.  A Gaussian block within ``SPLIT_CAP``
-    is a^T exp(X Z^T / sigma^2) b, a_l = u_l e^{-||x_l||^2 / 2 sigma^2} and b
-    likewise: one batched product, then one multiply and one ``exp`` per
-    bandwidth.  No exponent passes the cap, so each kernel value is within a
-    relative (d + 4) eps ``SPLIT_CAP`` of the exact one.  Any other block
-    takes the squared distances of :func:`kernels.gram`, reduced as u K u,
-    u (K 1) or one flat sum.  Each array's form is its own, so its sum too.
+    is a^T E b, E = exp(X Z^T / sigma^2), a = u e with e_l = e^{-||x_l||^2 / 2 sigma^2}
+    and b likewise: one batched product, then one multiply and one ``exp``
+    per bandwidth.  No exponent passes the cap, so each kernel value is
+    within a relative (d + 4) eps ``SPLIT_CAP`` of the exact one.  Any other
+    block takes the squared distances of :func:`kernels.gram`, reduced as
+    u K u, u (K 1) or one flat sum.  Each array's form is its own, so its sum too.
+    Given U, (c, N, q), the sums (same bits) come with G^T U, (c, m, q), for
+    G the gradient coefficients g(||x_l - z_t||^2) summed over the bandwidths:
+    b (E^T (e U)) / sigma^2 summed over sigma, b unweighted, or from the
+    distances' profiles.  A stack that mixes the forms takes no U.
     """
     split = np.zeros(len(X), dtype=bool)
     if spec.family == GAUSSIAN and not spec.needs_median:
@@ -79,22 +83,27 @@ def _kernel_sums(spec: KernelSpec, X: np.ndarray, u: np.ndarray | None,
             sums[take] = _kernel_sums(spec, X[take], None if u is None else u[take],
                                       Z if Z is None or Z.ndim == 2 else Z[take])
         return sums
-    block, values, _, scratch = _blocks((*X.shape[:2], (X if Z is None else Z).shape[-2]))
+    block, values, coeffs, scratch = _blocks((*X.shape[:2], (X if Z is None else Z).shape[-2]))
     if split.all():
         np.matmul(X, (X if Z is None else Z).mT, out=block)
-        sums = 0.0
+        sums = grads = 0.0
         for sigma in spec.bandwidths:
             scale = 0.5 / sigma**2
-            a = np.exp(nx * -scale) * (1.0 if u is None else u)
-            b = a if Z is None else np.exp(nz * -scale)
+            e = np.exp(nx * -scale)
+            ez = e if Z is None else np.exp(nz * -scale)
+            a = e * (1.0 if u is None else u)
+            b = a if Z is None else ez
             np.exp(np.multiply(block, 2.0 * scale, out=values), out=values)
             sums = sums + (a[:, None, :] @ values @ b[..., None])[:, 0, 0]
-        return sums
-    profile_sums(spec, _sq_dist(X, X if Z is None else Z, block), values, None, scratch)
-    if u is None:
-        return values.reshape(len(X), -1).sum(axis=1)
-    u = u[:, None, :]
-    return (u @ values @ u.mT if Z is None else u @ values.sum(axis=-1)[..., None])[:, 0, 0]
+            if U is not None:
+                grads = grads + ez[..., None] * (values.mT @ (e[..., None] * U)) / sigma**2
+        return sums if U is None else (sums, grads)
+    profile_sums(spec, _sq_dist(X, X if Z is None else Z, block), values,
+                 None if U is None else coeffs, scratch)
+    u = None if u is None else u[:, None, :]
+    sums = (values.reshape(len(X), -1).sum(axis=1) if u is None else
+            (u @ values @ u.mT if Z is None else u @ values.sum(axis=-1)[..., None])[:, 0, 0])
+    return sums if U is None else (sums, coeffs.mT @ U)
 
 
 def mmd2_empirical(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> float:
@@ -151,36 +160,25 @@ def mmd2_and_grad(P: DiscreteMeasure, Y: np.ndarray, spec: KernelSpec) -> tuple[
     gradient in the sample points: row t is d MMD^2 / d Y_t.
 
     Every supported kernel family is radial with d k(v, y)/d y =
-    g(||v - y||^2)(v - y), so the gradient assembles from the g-coefficient
-    matrices of the cross and sample blocks.  Each block gets its squared
-    distances and each bandwidth's profile once, values and coefficients
-    together (:func:`profile_sums`), so the gradient is that of the value's
-    own distances.  The value is :func:`mmd2_weighted`'s within round-off,
-    not to the bit: that takes Gaussian terms from the split form.
+    g(||v - y||^2)(v - y), so row t is -2/m sum_l w_l g_lt (V_l - Y_t) +
+    2/m^2 sum_s g_st (Y_s - Y_t): the products G^T [w V | w] of the cross
+    block and G^T [Y | 1] of the sample block, which :func:`_kernel_sums`
+    returns with each block's value term.  The value is
+    :func:`mmd2_weighted`'s to the bit.
     """
     Y = _nonempty_rows(Y, "Y")
     if P.weights.ndim != 1 or Y.ndim != 2:
         raise InvalidInputError("mmd2_and_grad takes one measure and one sample (m, d); got "
                                 f"weights of shape {P.weights.shape} and a sample of shape {Y.shape}")
-    V, w = P.atoms, P.weights
-    n, m = len(w), len(Y)
-    sq, values, coeffs, scratch = _blocks((n, n))
-    profile_sums(spec, _sq_dist(V, V, sq), values, None, scratch)
-    term1 = float(w @ values @ w)
-
-    sq, values, coeffs, scratch = _blocks((n, m))
-    profile_sums(spec, _sq_dist(V, Y, sq), values, coeffs, scratch)
-    term2 = -2.0 / m * float(w @ values.sum(axis=1))
-    # w_l g_lt; copying the weights out first spares the broadcast product numpy's 64 KB buffer
-    np.copyto(scratch, w[:, None])
-    wg = np.multiply(scratch, coeffs, out=coeffs)
-    cross = -2.0 / m * (wg.T @ V - wg.sum(axis=0)[:, None] * Y)
-
-    sq, values, coeffs, scratch = _blocks((m, m))
-    profile_sums(spec, _sq_dist(Y, Y, sq), values, coeffs, scratch)  # diagonal displacement 0
-    term3 = float(values.reshape(-1, m * m).sum(axis=1)[0] / (m * m))
-    self_term = 2.0 / (m * m) * (coeffs @ Y - coeffs.sum(axis=1)[:, None] * Y)
-    return term1 + term2 + term3, cross + self_term
+    V, Y = _pair_rows(P.atoms, Y)
+    w, (m, d) = P.weights, Y.shape
+    vv = _kernel_sums(spec, V[None], w[None], None)
+    vy, (cross,) = _kernel_sums(spec, V[None], w[None], Y,
+                                np.column_stack([w[:, None] * V, w])[None])
+    yy, (own,) = _kernel_sums(spec, Y[None], None, None, np.column_stack([Y, np.ones(m)])[None])
+    grad = (-2.0 / m * (cross[:, :d] - cross[:, d:] * Y)
+            + 2.0 / (m * m) * (own[:, :d] - own[:, d:] * Y))
+    return float(vv[0] - 2.0 / m * vy[0] + yy[0] / (m * m)), grad
 
 
 def prior_mean_upper_bound(kernel_bound: float, mmd2_base_model: float) -> float:

@@ -10,12 +10,12 @@ array, against a paired stack Y, (c, m, d).  A self block is X against
 itself, as a full square.  Every block's distances come from ``cdist``, so a
 block has the same bits alone and in a stack.
 
-Gaussian MMD value terms take no distances while (max ||x||^2 + max ||y||^2)
-/ (2 sigma_min^2) is at most ``discrepancy.SPLIT_CAP``: ``discrepancy._kernel_sums``
-takes them from the Gram matrix X Y^T, as k = e^{-||x||^2 / 2 sigma^2}
-e^{x.y / sigma^2} e^{-||y||^2 / 2 sigma^2}.  Distances serve the other
-families, blocks past the cap, gradients, the median heuristic, :func:`gram`
-and :func:`self_gram`.
+Gaussian MMD terms and their gradients take no distances while (max ||x||^2
++ max ||y||^2) / (2 sigma_min^2) is at most ``discrepancy.SPLIT_CAP``:
+``discrepancy._kernel_sums`` takes them from the Gram matrix X Y^T, as
+k = e^{-||x||^2 / 2 sigma^2} e^{x.y / sigma^2} e^{-||y||^2 / 2 sigma^2}.
+Distances serve the other families, blocks past the cap, the median
+heuristic and :func:`gram`.
 
 scipy is imported by the first distance block, not with this module:
 importing it costs more than the rest of the CLI's import, and a run whose
@@ -259,7 +259,7 @@ def _sum_bandwidths(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
 
 
 def gram(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Cross block K[i, j] = k(X_i, Y_j) summed over the bandwidths; K(X, X) is :func:`self_gram`.
+    """K[i, j] = k(X_i, Y_j) summed over the bandwidths; the self block is ``gram(spec, X, X)``.
 
     A stack ``X`` of shape (c, N, d) gives its c blocks, (c, N, m), each the
     block of its array alone to the bit.
@@ -272,15 +272,6 @@ def gram_grad_coeff(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
     coeffs = np.empty_like(sq)
     profile_sums(spec, sq, None, coeffs, np.empty_like(sq))
     return coeffs
-
-
-def self_gram(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
-    """K(X, X) summed over the bandwidths, as a full square.
-
-    A stack of arrays, (c, N, d), gives its c self blocks, (c, N, N), each
-    that of its array alone to the bit, with the profiles run once over all.
-    """
-    return _sum_bandwidths(spec, _sq_dist(X, X))
 
 
 def _sq_dist(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -163,7 +163,8 @@ def _model_sample(model, m: int, rng: np.random.Generator) -> np.ndarray:
 # A test evaluates its measures in chunks whose cross block (c N m entries)
 # and stack of self blocks (c N^2) hold at most this many entries, 256 KiB.
 # With a fixed model sample a chunk is drawn in one call, so its size fixes
-# the stream; with a redrawn one it only sets how many pairs are evaluated together.
+# the stream; with a redrawn one it only sets how many pairs are evaluated
+# together, and the stack of model self blocks (c m^2) is held to it too.
 _CHUNK_ENTRIES = 2**15
 
 
@@ -246,7 +247,7 @@ def run_gof_test(data: np.ndarray, model_sampler: BaseSampler | np.ndarray, cfg:
     spec = (resolve_median(cfg.kernel, data, _model_sample(model, m, rng))
             if cfg.kernel.needs_median else cfg.kernel)
     base = model_sampler if base_sampler is None else base_sampler
-    c = _mc_chunk(k, m if cfg.resample_model_per_rep else model.shape[0])
+    c = _mc_chunk(max(k, m), m) if cfg.resample_model_per_rep else _mc_chunk(k, model.shape[0])
     # a redrawn model sample is drawn between measures, so one measure per draw
     size = None if cfg.resample_model_per_rep else c
     prior = simulate_mmd_samples(lambda r: sample_dp_prior(a, base, k, r, size=size),

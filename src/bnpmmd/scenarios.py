@@ -11,7 +11,7 @@ import numpy as np
 
 from .dp import BaseSampler
 from .errors import DegeneratePriorError, InvalidInputError, InvalidParameterError, as_sample
-from .kernels import KernelSpec, self_gram
+from .kernels import KernelSpec, gram
 from .rb import RBConfig, run_gof_test
 
 NO_DIFFERENCE = "no_difference"
@@ -111,7 +111,7 @@ def fnp_permutation_test(X: np.ndarray, Y: np.ndarray, spec: KernelSpec,
         raise InvalidInputError(f"dimension mismatch: X has {X.shape[1]} columns, Y {Y.shape[1]}")
     n, m = X.shape[0], Y.shape[0]
     pool = np.vstack([X, Y])
-    K = self_gram(spec, pool)
+    K = gram(spec, pool, pool)
 
     def stat(idx: np.ndarray) -> float:
         kx = K[np.ix_(idx[:n], idx[:n])].sum() / (n * n)

@@ -409,6 +409,8 @@ def test_bandwidth_sweep_rejects_empty_or_repeated_sigmas(tmp_path, capsys, monk
     (["BNPMMD_SEED=-2", "gof-test", "--model", "no_difference"], "BNPMMD_SEED"),
     (["gan-train", "--iters", "2", "--batch", "8", "--hidden", "0"], "got [10, 0, 3]"),
     (["gan-train", "--iters", "2", "--batch", "8", "--hidden", "-3"], "got [10, -3, 3]"),
+    (["gan-train", "--iters", "2", "--batch", "8", "--hidden", "64,x"],
+     "--hidden takes comma-separated layer widths, got '64,x'"),
     (["dp-sample", "--a", "5", "--method", "stick"], "needs an explicit --n-terms"),
     (["bandwidth-sweep", *STUDY, "--sigmas", "2,abc"],
      "--sigmas takes bandwidths or 'median', got 'abc'"),
@@ -419,7 +421,8 @@ def test_bandwidth_sweep_rejects_empty_or_repeated_sigmas(tmp_path, capsys, monk
         "gan-train-step-negative", "gan-train-checkpoint-negative", "dp-sample-d-0",
         "gof-m-0", "gof-kernel-shape", "gof-kernel-tiny-bandwidth", "gof-kernel-round-off",
         "seed-negative", "seed-env-not-an-integer", "seed-env-negative",
-        "gan-train-hidden-0", "gan-train-hidden-negative", "dp-sample-stick-no-n-terms",
+        "gan-train-hidden-0", "gan-train-hidden-negative", "gan-train-hidden-not-an-integer",
+        "dp-sample-stick-no-n-terms",
         "sweep-sigma-not-a-number", "sweep-sigma-with-shape"])
 def test_invalid_value_exits_1(matrices, argv, named, capsys, monkeypatch):
     tmp_path, xpath, _ = matrices

@@ -11,9 +11,9 @@ from bnpmmd.discrepancy import (KEPT_BLOCK_ENTRIES, deviation_tail_bound, genera
                                 prior_mean_upper_bound, yy_mean_term)
 from bnpmmd.dp import DiscreteMeasure, sample_dp_posterior, sample_dp_prior
 from bnpmmd.errors import InvalidInputError, InvalidParameterError
-from bnpmmd.kernels import (FAMILIES, KernelSpec, eval_kernel, _sq_dist, format_kernel,
-                            gaussian_kernel, gaussian_mixture, gram, gram_grad_coeff,
-                            resolve_median, self_gram)
+from bnpmmd.kernels import (EXPONENTIAL, FAMILIES, GAUSSIAN, MATERN, RATIONAL_QUADRATIC,
+                            KernelSpec, eval_kernel, format_kernel, gaussian_kernel,
+                            gaussian_mixture, gram, resolve_median)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -220,19 +220,60 @@ class TestGradient:
         assert np.abs(analytic - fd).max() / np.abs(fd).max() < 1e-4
 
 
-def separate_passes(P, Y, spec):
-    # the value and gradient as evaluated before they shared one pass: the
-    # value from its own distance-form blocks, the gradient's own cross block
-    # from the distances the value's cross block takes, and its own sample block
-    m, w = len(Y), P.weights
-    value = (w @ self_gram(spec, P.atoms) @ w - 2.0 / m * (w @ gram(spec, P.atoms, Y).sum(axis=1))
-             + self_gram(spec, Y).sum() / (m * m))
-    gvy = gram_grad_coeff(spec, _sq_dist(P.atoms, Y))
-    wg = P.weights[:, None] * gvy
-    cross = -2.0 / m * (wg.T @ P.atoms - wg.sum(axis=0)[:, None] * Y)
-    gyy = gram_grad_coeff(spec, _sq_dist(Y, Y))
-    self_term = 2.0 / (m * m) * (gyy @ Y - gyy.sum(axis=1)[:, None] * Y)
-    return float(value), cross + self_term
+LD = np.longdouble
+
+
+def long_double_profiles(spec, s):
+    # the kernel values and gradient coefficients at squared distances s,
+    # summed over the bandwidths, each family's formula in 80-bit long double
+    K = G = 0
+    alpha, c = LD(1.0 if spec.shape is None else spec.shape), np.sqrt(LD(3.0))
+    for sigma in (LD(b) for b in spec.bandwidths):
+        if spec.family == GAUSSIAN:
+            h = np.exp(-s / (2 * sigma**2))
+            g = h / sigma**2
+        elif spec.family == EXPONENTIAL:
+            r = np.sqrt(s)
+            h = np.exp(-r / sigma)
+            g = h / (sigma * np.where(s > 0, r, np.inf))  # 0 at the kink s = 0
+        elif spec.family == RATIONAL_QUADRATIC:
+            base = 1 + s / (2 * alpha * sigma**2)
+            h, g = base**-alpha, base ** (-alpha - 1) / sigma**2
+        else:
+            assert spec.family == MATERN
+            ct = c * np.sqrt(s) / sigma
+            h, g = (1 + ct) * np.exp(-ct), (c / sigma) ** 2 * np.exp(-ct)
+        K, G = K + h, G + g
+    return K, G
+
+
+def long_double_value_and_grad(w, V, Y, spec):
+    # the weighted MMD^2 and its gradient in the sample points, pair by pair
+    # from differences in long double, and the gradient's scale: each entry's
+    # sum of the absolute values of the terms it adds up
+    w, V, Y = (np.asarray(a, dtype=LD) for a in (w, V, Y))
+    m = len(Y)
+
+    def block(A, B):
+        return long_double_profiles(spec, ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=-1))
+
+    (kvv, _), (kvy, gvy), (kyy, gyy) = block(V, V), block(V, Y), block(Y, Y)
+    value = w @ kvv @ w - 2 * (w @ kvy.sum(axis=1)) / m + kyy.mean()
+    wg = w[:, None] * gvy
+    grad = (-2 / LD(m) * (wg.T @ V - wg.sum(axis=0)[:, None] * Y)
+            + 2 / LD(m * m) * (gyy @ Y - gyy.sum(axis=1)[:, None] * Y))
+    wg, gyy, V, Y = (np.abs(a) for a in (wg, gyy, V, Y))
+    scale = (2 / LD(m) * (wg.T @ V + wg.sum(axis=0)[:, None] * Y)
+             + 2 / LD(m * m) * (gyy @ Y + gyy.sum(axis=1)[:, None] * Y))
+    return value, grad, scale
+
+
+def assert_near_long_double(P, Y, spec, value, grad):
+    # within 1e-15 T of the value; each gradient entry within 1e-13 of its
+    # terms' scale, since the distance-0 pairs' terms cancel exactly only there
+    ref_value, ref_grad, scale = long_double_value_and_grad(P.weights, P.atoms, Y, spec)
+    assert abs(value - ref_value) <= 1e-15 * spec.kernel_bound, abs(value - ref_value)
+    assert (np.abs(grad - ref_grad) <= 1e-13 * scale).all(), (np.abs(grad - ref_grad) / scale).max()
 
 
 def posterior_and_sample(d, n_terms, m, seed):
@@ -255,25 +296,27 @@ class TestFusedPass:
     @pytest.mark.parametrize("d, n_terms, m", [
         (2, 40, 40), (2, 70, 50), (16, 42, 50), (60, 42, 50), (60, 80, 80)])
     def test_equals_separate_passes_to_the_bit(self, spec, d, n_terms, m):
+        # the value is mmd2_weighted's own pass to the bit; the gradient, from
+        # the same kernel blocks, is checked against a long-double reference
         P, Y = posterior_and_sample(d, n_terms, m, seed=d + n_terms + m)
         value, grad = mmd2_and_grad(P, Y, spec)
-        expected_value, expected_grad = separate_passes(P, Y, spec)
-        assert type(value) is float and value == expected_value
-        np.testing.assert_array_equal(grad, expected_grad)
-        np.testing.assert_array_equal(grad_mmd2_atoms(P, Y, spec), expected_grad)
+        assert type(value) is float and value == mmd2_weighted(P, Y, spec)
+        assert_near_long_double(P, Y, spec, value, grad)
+        np.testing.assert_array_equal(grad_mmd2_atoms(P, Y, spec), grad)
 
     @pytest.mark.parametrize("d", [2, 16, 60])
     def test_median_bandwidth_and_nan_row(self, d):
         P, Y = posterior_and_sample(d, 30, 36, seed=d)
         median = resolve_median(gaussian_kernel(None), P.atoms, Y)
+        value, grad = mmd2_and_grad(P, Y, median)
+        assert value == mmd2_weighted(P, Y, median)
+        assert_near_long_double(P, Y, median, value, grad)
         nan_row = Y.copy()
         nan_row[5, 0] = np.nan
-        for spec, sample in ((median, Y), (median, nan_row), (gaussian_mixture(), nan_row)):
-            value, grad = mmd2_and_grad(P, sample, spec)
-            expected_value, expected_grad = separate_passes(P, sample, spec)
-            np.testing.assert_array_equal(value, expected_value)
-            np.testing.assert_array_equal(grad, expected_grad)
-        assert np.isnan(value) and np.isnan(grad).all()
+        for spec in (median, gaussian_mixture()):
+            value, grad = mmd2_and_grad(P, nan_row, spec)
+            np.testing.assert_array_equal(value, mmd2_weighted(P, nan_row, spec))
+            assert np.isnan(value) and np.isnan(grad).all()
 
     def test_reused_arrays_give_fresh_results_as_blocks_grow_and_shrink(self):
         spec = gaussian_mixture()
@@ -401,30 +444,18 @@ class TestKeptBlocks:
         P, Y = posterior_and_sample(2, side + 1, side, seed=15)
         value, grad = mmd2_and_grad(P, Y, spec)
         assert discrepancy._kept.arrays is kept and [a.size for a in kept] == [KEPT_BLOCK_ENTRIES] * 4
-        expected_value, expected_grad = separate_passes(P, Y, spec)
-        assert value == expected_value
-        np.testing.assert_array_equal(grad, expected_grad)
+        assert value == mmd2_weighted(P, Y, spec)
+        assert_near_long_double(P, Y, spec, value, grad)
         blocks = discrepancy._blocks((side + 1, side))
         assert not any(np.shares_memory(b, a) for b in blocks for a in kept)
-
-
-def long_double_mmd2(w, V, Y, spec):
-    # the distance form in 80-bit long double, pair by pair from differences
-    w, V, Y = (np.asarray(a, dtype=np.longdouble) for a in (w, V, Y))
-
-    def k(A, B):
-        sq = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=-1)
-        return sum(np.exp(-sq / (2 * np.longdouble(s) ** 2)) for s in spec.bandwidths)
-
-    return w @ k(V, V) @ w - 2 * (w @ k(V, Y).sum(axis=1)) / len(Y) + k(Y, Y).mean()
 
 
 def distance_form_mmd2(w, V, Y, spec):
     # a single measure's value as mmd2_weighted took it from distance blocks alone
     m, w = len(Y), w[None, :]
-    return ((w @ self_gram(spec, V) @ w.T)[0, 0]
+    return ((w @ gram(spec, V, V) @ w.T)[0, 0]
             + -2.0 / m * (w @ gram(spec, V, Y).sum(axis=-1)[:, None])[0, 0]
-            + self_gram(spec, Y).reshape(-1).sum() / (m * m))
+            + gram(spec, Y, Y).reshape(-1).sum() / (m * m))
 
 
 SPLIT_SPECS = [gaussian_kernel(80.0), gaussian_kernel(2.0), gaussian_mixture()]
@@ -446,10 +477,10 @@ class TestSplitForm:
         for stack in (sample_dp_prior(25.0, normal_base(d), 42, rng, size=15),
                       sample_dp_posterior(25.0, X, normal_base(d), 42, rng, size=15)):
             values = mmd2_weighted(stack, Y, spec)
-            errors += [abs(value - long_double_mmd2(w, V, Y, spec))
+            errors += [abs(value - long_double_value_and_grad(w, V, Y, spec)[0])
                        for w, V, value in zip(stack.weights, stack.atoms, values)]
         errors.append(abs(mmd2_empirical(X, Y, spec)
-                          - long_double_mmd2(np.full(50, 1 / 50), X, Y, spec)))
+                          - long_double_value_and_grad(np.full(50, 1 / 50), X, Y, spec)[0]))
         assert max(errors) <= 1e-15 * spec.kernel_bound, max(errors)
 
     @pytest.mark.parametrize("spec", SPLIT_SPECS, ids=format_kernel)
@@ -491,10 +522,10 @@ class TestSplitForm:
     @pytest.mark.parametrize("spec", SPLIT_SPECS + [gaussian_kernel(1.3)], ids=format_kernel)
     @pytest.mark.parametrize("d", [2, 16, 60])
     def test_fused_value_agrees_with_mmd2_weighted(self, spec, d):
-        # mmd2_and_grad keeps its distance blocks, so its value differs by round-off
+        # mmd2_and_grad takes each block in mmd2_weighted's form, so the same bits
         P, Y = posterior_and_sample(d, 42, 50, seed=d)
         value, _ = mmd2_and_grad(P, Y, spec)
-        assert abs(value - mmd2_weighted(P, Y, spec)) <= 1e-14 * spec.kernel_bound
+        assert value == mmd2_weighted(P, Y, spec)
 
 
 class TestInputRule:
@@ -509,7 +540,7 @@ class TestInputRule:
         for X, Y in ((stack, stack[0]), (stack[0], stack)):
             with pytest.raises(InvalidInputError, match="two samples"):
                 mmd2_empirical(X, Y, self.SPEC)
-        for function in (lambda: yy_mean_term(four, self.SPEC), lambda: self_gram(self.SPEC, four),
+        for function in (lambda: yy_mean_term(four, self.SPEC), lambda: gram(self.SPEC, four, four),
                          lambda: gram(self.SPEC, four, stack[0]),
                          lambda: mmd2_weighted(P, four, self.SPEC)):
             with pytest.raises(InvalidInputError, match=r"must be rows \(N, d\) or a stack"):

@@ -11,7 +11,7 @@ from bnpmmd.kernels import (EXPONENTIAL, FAMILIES, GAUSSIAN, MATERN,
                             RATIONAL_QUADRATIC, KernelSpec,
                             eval_kernel, format_kernel, gaussian_kernel,
                             gaussian_mixture, gram, gram_grad_coeff, median_heuristic,
-                            parse_kernel, resolve_median, self_gram, _sum_bandwidths)
+                            parse_kernel, resolve_median, _sum_bandwidths)
 
 
 def single(family, bw, shape=None):
@@ -244,8 +244,7 @@ def test_self_block_on_triangle_equals_full_evaluation(spec, rows):
         if poison is not None:
             X[-1, 1] = poison
         full = _sum_bandwidths(spec, cdist(X, X, "sqeuclidean"))
-        np.testing.assert_array_equal(self_gram(spec, X), full)
-        np.testing.assert_array_equal(self_gram(spec, X[None])[0], full)
+        np.testing.assert_array_equal(gram(spec, X[None], X[None])[0], full)
         np.testing.assert_array_equal(gram(spec, X, X), full)
 
 
@@ -301,11 +300,11 @@ def test_in_place_profiles_equal_out_of_place_formulas(family, shape, bandwidths
 def test_stack_of_self_blocks_equals_each_block(spec):
     X = np.random.default_rng(9).standard_normal((4, 70, 3))
     X[2, 5, 1] = np.nan
-    stack = self_gram(spec, X)
+    stack = gram(spec, X, X)
     assert stack.shape == (4, 70, 70)
     for x, block in zip(X, stack):
-        np.testing.assert_array_equal(block, self_gram(spec, x))
-    np.testing.assert_array_equal(self_gram(spec, X[:1])[0], self_gram(spec, X[0]))
+        np.testing.assert_array_equal(block, gram(spec, x, x))
+    np.testing.assert_array_equal(gram(spec, X[:1], X[:1])[0], gram(spec, X[0], X[0]))
     # the gradient coefficients of a stack's distances are each block's too
     coeffs = gram_grad_coeff(spec, kernels._sq_dist(X, X))
     for x, block in zip(X, coeffs):
@@ -318,7 +317,7 @@ def test_block_of_an_array_against_itself_has_an_exact_diagonal(family, d):
     # sqrt of a negative round-off would give NaN on the diagonal
     X = np.random.default_rng(5).standard_normal((30, d)) + 3.0
     spec = single(family, 2.0)
-    for block in (gram(spec, X, X), gram(spec, X[None], X)[0], self_gram(spec, X)):
+    for block in (gram(spec, X, X), gram(spec, X[None], X)[0], gram(spec, X[None], X[None])[0]):
         np.testing.assert_array_equal(np.diag(block), 1.0)
     assert abs(mmd2_empirical(X, X, spec)) < 1e-12
 
@@ -366,10 +365,9 @@ def test_paired_stack_of_another_count_or_width_raises(Y):
 
 
 @pytest.mark.parametrize("call", [
-    lambda spec, X: self_gram(spec, X), lambda spec, X: gram(spec, X, X),
-    lambda spec, X: mmd2_empirical(X, X, spec), lambda spec, X: yy_mean_term(X, spec),
-    lambda spec, X: eval_kernel(spec, X[0], X[0])],
-    ids=["self_gram", "gram", "mmd2_empirical", "yy_mean_term", "eval_kernel"])
+    lambda spec, X: gram(spec, X, X), lambda spec, X: mmd2_empirical(X, X, spec),
+    lambda spec, X: yy_mean_term(X, spec), lambda spec, X: eval_kernel(spec, X[0], X[0])],
+    ids=["gram", "mmd2_empirical", "yy_mean_term", "eval_kernel"])
 def test_rows_of_no_coordinates_raise_naming_the_array(call):
     # rows of no coordinates raise here, not as a block of ones or numpy's reshape error
     with pytest.raises(InvalidInputError, match=r"^[XY] must be rows \(N, d\).*got shape \(\d, 0\)"):
@@ -380,7 +378,7 @@ def test_empty_blocks_keep_their_shapes():
     rng = np.random.default_rng(16)
     X, Y = rng.standard_normal((3, 60, 16)), rng.standard_normal((20, 16))
     spec = gaussian_kernel(4.0)
-    assert self_gram(spec, X[:, :0]).shape == (3, 0, 0)
-    assert self_gram(spec, X[0, :0]).shape == (0, 0)
+    assert gram(spec, X[:, :0], X[:, :0]).shape == (3, 0, 0)
+    assert gram(spec, X[0, :0], X[0, :0]).shape == (0, 0)
     assert gram(spec, X[:, :0], Y).shape == (3, 0, 20)
     assert gram(spec, X, Y[:0]).shape == (3, 60, 0)

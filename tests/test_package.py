@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -69,14 +70,15 @@ def run_fresh(code: str) -> None:
 
 
 def test_scipy_loads_only_with_the_first_distance_block(tmp_path):
-    # Gaussian MMD terms take the split form of the Gram matrix, so neither the
-    # CLI import nor a fixed-bandwidth Gaussian test (fixed or resampled model,
-    # heavy-tailed d = 60 data included), a ROC study or an empirical MMD needs
+    # Gaussian MMD terms and their gradients take the split form of the Gram
+    # matrix, so neither the CLI import nor a fixed-bandwidth Gaussian test
+    # (fixed or resampled model, heavy-tailed d = 60 data included), a ROC
+    # study, an empirical MMD or ring training with its checkpoint score needs
     # scipy; the first distance block loads it
     run_fresh(f"""
         import sys
         import numpy as np
-        from bnpmmd import cli, discrepancy, kernels, rb, scenarios
+        from bnpmmd import cli, discrepancy, gan, kernels, rb, scenarios
         assert "scipy" not in sys.modules, "import bnpmmd.cli"
         rng, spec = np.random.default_rng(0), kernels.parse_kernel("gaussian:80")
         rb.run_gof_test(rng.standard_normal((50, 20)), scenarios.null_model_sampler(20),
@@ -99,6 +101,10 @@ def test_scipy_loads_only_with_the_first_distance_block(tmp_path):
         discrepancy.mmd2_empirical(rng.standard_normal((30, 5)), rng.standard_normal((20, 5)),
                                    kernels.gaussian_mixture())
         assert "scipy" not in sys.modules, "d = 5 mmd2_empirical"
+        net = gan.GeneratorNet.initialize([1, 16, 16, 2], rng)
+        gan.train(net, gan.eight_gaussian_ring(512, rng),
+                  gan.TrainConfig(minibatch=64, iterations=3, checkpoint_every=2), rng)
+        assert "scipy" not in sys.modules, "ring training"
         kernels.gram(kernels.gaussian_kernel(1.0), rng.standard_normal((4, 5)),
                      rng.standard_normal((3, 5)))
         import scipy.spatial.distance
@@ -123,11 +129,24 @@ def test_loading_scipy_never_replaces_a_patched_name():
         assert "scipy" not in sys.modules
         rng = np.random.default_rng(0)
         spec = kernels.gaussian_kernel(1.0)
-        kernels.self_gram(spec, rng.standard_normal((157, 2)))
+        X = rng.standard_normal((157, 2))
+        kernels.gram(spec, X, X)
         assert "scipy.spatial.distance" in sys.modules
         kernels.gram(spec, rng.standard_normal((4, 5)), rng.standard_normal((3, 5)))
         assert len(calls) == 2 and kernels.cdist is wrapper
     """)
+
+
+def test_every_layer_the_benchmark_tracer_patches_is_bound():
+    # perfbench/spans.py patches these module attributes by name, so a name
+    # the package drops must first leave its rows there
+    path = SRC.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    rows = spans.layer_patches()
+    assert rows and [(module.__name__, attr) for module, attr, _, _ in rows
+                     if not callable(getattr(module, attr, None))] == []
 
 
 def _scipy_names(source: str) -> set[str]:

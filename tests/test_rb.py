@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from bnpmmd import rb as rb_module
+from bnpmmd import discrepancy, rb as rb_module
 from bnpmmd.discrepancy import mmd2_weighted
 from bnpmmd.dp import sample_dp_posterior, sample_dp_prior
 from bnpmmd.errors import (DegeneratePriorError, InvalidInputError,
@@ -253,13 +253,13 @@ class TestChunks:
 
     @pytest.mark.parametrize("kind", ["no_difference", "mean_shift"])
     def test_resampled_test_draws_as_one_pair_at_a_time(self, kind):
-        # a model sample, then a measure, for each replication; stacks of 15
+        # a model sample, then a measure, for each replication; stacks of 13
         # pairs with a short last one must give each pair's value alone
         d, n, mc_reps = 5, 50, 100
         X = normal_base(d)(n, np.random.default_rng(1)) + (0.5 if kind == "mean_shift" else 0.0)
         cfg = RBConfig(mc_reps=mc_reps, explicit_terms=42, truncation_epsilon=None,
                        resample_model_per_rep=True)
-        assert _mc_chunk(42, n) == 15 and mc_reps % 15
+        assert _mc_chunk(max(42, n), n) == 13 and mc_reps % 13
         report = run_gof_test(X, normal_base(d), cfg, np.random.default_rng(2))
         r, a = np.random.default_rng(2), cfg.concentration
 
@@ -274,6 +274,27 @@ class TestChunks:
         posterior = one_at_a_time(lambda: sample_dp_posterior(a, X, normal_base(d), 42, r))
         np.testing.assert_array_equal(report.prior_samples, prior)
         np.testing.assert_array_equal(report.posterior_samples, posterior)
+
+    def test_resampled_chunks_keep_every_block_within_the_chunk_entries(self, monkeypatch):
+        # with N well below m a chunk sized by N max(m, N) alone stacked
+        # 27 model self blocks of 50^2 entries, 67,500, past the kept arrays
+        shapes, real = [], discrepancy._blocks
+
+        def blocks(shape):
+            shapes.append(shape)
+            return real(shape)
+
+        monkeypatch.setattr(discrepancy, "_blocks", blocks)
+        X = normal_base(20)(50, np.random.default_rng(8))
+        cfg = RBConfig(mc_reps=60, explicit_terms=24, truncation_epsilon=None,
+                       resample_model_per_rep=True)
+        report = run_gof_test(X, normal_base(20), cfg, np.random.default_rng(8))
+        assert (13, 50, 50) in shapes
+        assert max(np.prod(shape) for shape in shapes) <= 2**15
+        monkeypatch.setattr(rb_module, "_mc_chunk", lambda n_terms, m: 1)  # each pair alone
+        alone = run_gof_test(X, normal_base(20), cfg, np.random.default_rng(8))
+        np.testing.assert_array_equal(report.prior_samples, alone.prior_samples)
+        np.testing.assert_array_equal(report.posterior_samples, alone.posterior_samples)
 
     def test_fixed_model_test_draws_chunks(self, monkeypatch):
         sizes = []
